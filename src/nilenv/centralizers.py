@@ -10,15 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapExceededError, InternalCheckError, WitnessBoundError
-from .groups import ElementSet, FiniteGroup, Subgroup, iter_mask, mask_of
+from .groups import ElementSet, Subgroup, _ambient_pair, iter_mask, mask_of
 
 DEFAULT_NODE_CAP = 20_000
-
-
-def _ambient_pair(ambient) -> tuple[FiniteGroup, int]:
-    if isinstance(ambient, FiniteGroup):
-        return ambient, ambient.full_mask
-    return ambient.parent, ambient.members
 
 
 def centralizer(subset: ElementSet, within: Subgroup | None = None) -> Subgroup:

@@ -210,7 +210,6 @@ def _cmd_verify(args) -> int:
     kwargs = {
         "seed": args.seed,
         "order_cap": args.cap,
-        "workers": args.workers,
     }
     if args.suites:
         kwargs["suites"] = tuple(s.strip() for s in args.suites.split(",") if s.strip())
@@ -319,7 +318,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("--bryant-target", type=int, help="centralizer transfer sample quota")
     verify_p.add_argument("--nested-target", type=int, help="nested tower sample quota")
     verify_p.add_argument("--envelope-samples", type=int, help="sampled subgroups per non-exhaustive group")
-    verify_p.add_argument("--workers", type=int, default=1, help="worker threads for suite tasks")
     return parser
 
 

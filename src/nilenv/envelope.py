@@ -34,15 +34,12 @@ from .groups import (
     subgroup_to_dict,
 )
 from .series import (
+    _series_term,
     iterated_centralizer,
     lower_central_series,
     nilpotence_class,
     upper_central_series,
 )
-
-
-def _padded(masks: list[int], i: int) -> int:
-    return masks[i] if i < len(masks) else masks[-1]
 
 
 def _upper_masks(sub: Subgroup) -> list[int]:
@@ -117,7 +114,7 @@ def build_envelope(G: FiniteGroup, H: Subgroup) -> EnvelopeTrace:
     current = e1
     for k in range(2, n + 1):
         prev = current
-        prev_center = Subgroup(G, _padded(_upper_masks(prev), k - 1))
+        prev_center = Subgroup(G, _series_term(_upper_masks(prev), k - 1))
         t_k = iterated_centralizer(prev, replaced, k).terms[k]
         wits = greedy_witness(ElementSet(G, t_k.members), within=prev)
         if not wits:
@@ -134,7 +131,7 @@ def build_envelope(G: FiniteGroup, H: Subgroup) -> EnvelopeTrace:
         current = Subgroup(G, mask)
         levels.append(TowerLevel(k, current, wits, prev_center))
 
-    envelope = Subgroup(G, _padded(_upper_masks(current), n))
+    envelope = Subgroup(G, _series_term(_upper_masks(current), n))
     trace = EnvelopeTrace(
         G,
         H,
@@ -170,7 +167,7 @@ def _assert_trace(trace: EnvelopeTrace) -> None:
         tower = iterated_centralizer(e_k, hp, lvl.level)
         zs = _upper_masks(e_k)
         for j in range(1, lvl.level + 1):
-            if tower.terms[j].members != _padded(zs, j):
+            if tower.terms[j].members != _series_term(zs, j):
                 raise InternalCheckError(
                     f"level {lvl.level}: C^{j}(H) differs from Z_{j} of the stage"
                 )
@@ -277,7 +274,7 @@ def verify_envelope(trace: EnvelopeTrace, samples_per_level: int = 4, seed: int 
         prev = trace.tower[idx - 1].subgroup
         prev_center = lvl.prev_center
         note(k, "recorded center matches Z_(k-1) of the stage above",
-             prev_center.members == _padded(_upper_masks(prev), k - 1))
+             prev_center.members == _series_term(_upper_masks(prev), k - 1))
 
         t_k = iterated_centralizer(prev, hp, k).terms[k]
         note(k, "witnesses lie in the level-k iterated centralizer",
@@ -299,12 +296,12 @@ def verify_envelope(trace: EnvelopeTrace, samples_per_level: int = 4, seed: int 
         picked = t_elems if len(t_elems) <= samples_per_level else rng.sample(t_elems, samples_per_level)
         for h in picked:
             ekh = Subgroup(G, _condition_mask(G, prev.members, h, prev_center.members))
-            gamma = Subgroup(G, _padded(_lower_masks(ekh), k - 1))
+            gamma = Subgroup(G, _series_term(_lower_masks(ekh), k - 1))
             ok = commutator_subgroup(gamma, Subgroup(G, 1 << h | 1)).members == 1
             note(k, "commutators of gamma_k of a one-witness stage with its witness vanish",
                  ok, detail=f"h={h}")
 
-        gamma_ek = Subgroup(G, _padded(_lower_masks(lvl.subgroup), k - 1))
+        gamma_ek = Subgroup(G, _series_term(_lower_masks(lvl.subgroup), k - 1))
         note(k, "gamma_k of the stage centralizes the whole level",
              commutator_subgroup(gamma_ek, t_k).members == 1)
 
@@ -329,14 +326,14 @@ def verify_envelope(trace: EnvelopeTrace, samples_per_level: int = 4, seed: int 
             p = Subgroup(G, G.closure_mask(hp.members | 1 << extra))
             p_tower = iterated_centralizer(e_k, p, lvl.level)
             ok = all(
-                p_tower.terms[j].members == _padded(zs, j) for j in range(1, lvl.level + 1)
+                p_tower.terms[j].members == _series_term(zs, j) for j in range(1, lvl.level + 1)
             )
             note(lvl.level, "iterated centralizers of sampled subgroups equal the stage centers",
                  ok, detail=f"extra={extra}")
 
     e_n = trace.tower[-1].subgroup
     note(n, "envelope is Z_n of the last stage",
-         trace.envelope.members == _padded(_upper_masks(e_n), n))
+         trace.envelope.members == _series_term(_upper_masks(e_n), n))
     note(n, "envelope contains the original subgroup",
          trace.original.members & ~trace.envelope.members == 0)
     note(n, "envelope class matches", nilpotence_class(trace.envelope) == n)

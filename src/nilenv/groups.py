@@ -433,6 +433,13 @@ class Subgroup(ElementSet):
         return self.parent.normalizer_mask(self.members) == self.parent.full_mask
 
 
+def _ambient_pair(ambient) -> tuple[FiniteGroup, int]:
+    """(parent group, member mask) of an ambient group or subgroup."""
+    if isinstance(ambient, FiniteGroup):
+        return ambient, ambient.full_mask
+    return ambient.parent, ambient.members
+
+
 def is_subgroup_mask(parent: FiniteGroup, mask: int) -> bool:
     """Check that a nonempty mask is closed under multiplication."""
     if not mask & 1:

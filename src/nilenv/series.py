@@ -14,18 +14,12 @@ from dataclasses import dataclass
 
 from .errors import HypothesisError, InternalCheckError, ParentMismatchError
 from .groups import (
-    FiniteGroup,
     Subgroup,
+    _ambient_pair,
     commutator_subgroup,
     is_subgroup_mask,
     iter_mask,
 )
-
-
-def _ambient_pair(ambient) -> tuple[FiniteGroup, int]:
-    if isinstance(ambient, FiniteGroup):
-        return ambient, ambient.full_mask
-    return ambient.parent, ambient.members
 
 
 @dataclass(frozen=True)

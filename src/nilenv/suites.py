@@ -2,18 +2,22 @@
 
 Each suite drives one family of checks (commutator identities, tower lemmas,
 envelope construction, formula evaluation, Fitting subgroups) over a pool of
-groups and subgroups.  Runs are deterministic: the same configuration always
-produces the same report, independent of worker count, and every failure
-carries a payload from which the single failing check can be replayed.
+groups and subgroups.  Every check is defined once, in the :data:`CHECKS`
+registry; the suites call it on sampled or enumerated arguments and
+:func:`replay_failure` calls it again on the arguments decoded from a
+failure's payload.  Runs are deterministic: the same configuration always
+produces the same report.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable
 
 from .catalog import DEFAULT_CATALOG, from_spec
 from .centralizers import (
@@ -24,20 +28,15 @@ from .centralizers import (
     greedy_witness,
     minimal_centralizer_above,
 )
-from .envelope import EnvelopeTrace, build_envelope, fitting, verify_envelope
+from .envelope import build_envelope, fitting, verify_envelope
 from .errors import InternalCheckError, MalformedInputError
-from .formula import (
-    emit_envelope_formula,
-    envelope_formula,
-    evaluate,
-    format_formula,
-    parse,
-)
+from .formula import emit_envelope_formula, envelope_formula, evaluate, format_formula, parse
 from .groups import (
     DEFAULT_ORDER_CAP,
     ElementSet,
     FiniteGroup,
     Subgroup,
+    group_to_dict,
     hall_witt_products,
     mask_of,
 )
@@ -82,7 +81,6 @@ class SuiteConfig:
     threesubgroup_max_order: int = 64
     bryant_max_order: int = 100
     nested_max_order: int = 100
-    workers: int = 1
 
 
 @dataclass(frozen=True)
@@ -191,11 +189,19 @@ def sample_subgroups(G: FiniteGroup, count: int, seed: int) -> list[Subgroup]:
 
 
 class GroupContext:
-    """One group plus its subgroup pool, shared by every suite."""
+    """One group plus its subgroup pool, shared by every suite.
 
-    def __init__(self, label: str, group: FiniteGroup, config: SuiteConfig) -> None:
+    ``digest`` identifies a group that is not a catalog spec (see
+    :func:`group_digest`); failures on it carry the digest so that replay
+    can find the group again.
+    """
+
+    def __init__(
+        self, label: str, group: FiniteGroup, config: SuiteConfig, digest: str | None = None
+    ) -> None:
         self.label = label
         self.group = group
+        self.digest = digest
         self.exhaustive = group.order <= config.max_exhaustive_order
         if self.exhaustive:
             self.subgroups = all_subgroups(group)
@@ -210,13 +216,14 @@ class GroupContext:
             s for s in self.subgroups if nilpotence_class(s) is not None
         )
         self.dimension = dimension(group, node_cap=config.node_cap)
-        self._traces: dict[int, EnvelopeTrace] = {}
+        self._inside: dict[int, list[Subgroup]] = {}
 
-    def trace_for(self, sub: Subgroup) -> EnvelopeTrace:
-        got = self._traces.get(sub.members)
+    def inside(self, mask: int) -> list[Subgroup]:
+        """Pool subgroups contained in ``mask``."""
+        got = self._inside.get(mask)
         if got is None:
-            got = build_envelope(self.group, sub)
-            self._traces[sub.members] = got
+            got = [s for s in self.subgroups if s.members & ~mask == 0]
+            self._inside[mask] = got
         return got
 
     def envelope_pool(self, config: SuiteConfig) -> tuple[Subgroup, ...]:
@@ -232,12 +239,28 @@ class GroupContext:
         return tuple(pool)
 
 
+def group_digest(G: FiniteGroup) -> str:
+    """sha256 of the group's :func:`~nilenv.groups.group_to_dict` JSON."""
+    return hashlib.sha256(json.dumps(group_to_dict(G), sort_keys=True).encode()).hexdigest()
+
+
 def build_contexts(
     config: SuiteConfig, extra_groups: tuple[FiniteGroup, ...] = ()
 ) -> tuple[GroupContext, ...]:
-    """Contexts for the configured catalog specs plus any pre-built groups."""
+    """Contexts for the configured catalog specs plus any pre-built groups.
+
+    A pre-built group whose name is already a label gets the first free
+    label ``name#2``, ``name#3``, ...; catalog labels are the specs.
+    """
     contexts = [GroupContext(spec, from_spec(spec), config) for spec in config.groups]
-    contexts.extend(GroupContext(g.name, g, config) for g in extra_groups)
+    labels = set(config.groups)
+    for g in extra_groups:
+        label, copy = g.name, 1
+        while label in labels:
+            copy += 1
+            label = f"{g.name}#{copy}"
+        labels.add(label)
+        contexts.append(GroupContext(label, g, config, digest=group_digest(g)))
     return tuple(contexts)
 
 
@@ -245,508 +268,337 @@ def _rng_for(config: SuiteConfig, suite: str, label: str) -> random.Random:
     return random.Random(f"{config.seed}:{suite}:{label}")
 
 
-def _gens(sub: Subgroup) -> list[int]:
-    return list(sub.generators)
-
-
 def _from_gens(G: FiniteGroup, gens) -> Subgroup:
     return Subgroup(G, G.closure_mask(mask_of(gens) | 1))
 
 
-# -- Individual suites ------------------------------------------------------
+# -- The checks ------------------------------------------------------------
 
 
-def _suite_hallwitt(ctx: GroupContext, config: SuiteConfig, quota: int | None):
-    G = ctx.group
-    rng = _rng_for(config, "hallwitt", ctx.label)
-    passes = 0
-    failures = []
-    for _ in range(config.hallwitt_triples):
-        x = rng.randrange(G.order)
-        y = rng.randrange(G.order)
-        z = rng.randrange(G.order)
-        first, second = hall_witt_products(G, x, y, z)
-        if first == 0 and second == 0:
-            passes += 1
-        else:
-            failures.append(
-                Failure(
-                    "hallwitt",
-                    ctx.label,
-                    "commutator identity product is not the identity",
-                    {"kind": "hallwitt", "group": ctx.label, "triple": [x, y, z]},
-                )
-            )
-    return passes, failures, ()
+@dataclass(frozen=True)
+class Check:
+    """One failure kind: its check, its failure label, and its subgroup arguments.
+
+    ``fn(G, **args)`` returns True when the check holds, False when it fails,
+    and None when a sampled instance misses the hypotheses of its lemma.  An
+    :class:`InternalCheckError` raised inside counts as a failure.  In a
+    payload, the arguments named in ``subgroups`` are generator lists; all
+    others are ints, strings or element lists, stored as they are.
+    """
+
+    fn: Callable[..., bool | None]
+    label: str
+    subgroups: tuple[str, ...] = ()
 
 
-def _suite_threesubgroup(ctx: GroupContext, config: SuiteConfig, quota: int | None):
-    G = ctx.group
-    rng = _rng_for(config, "threesubgroup", ctx.label)
-    passes = 0
-    failures = []
-    if quota is None:
-        return passes, failures, ()
-    candidates_for: dict[int, list[Subgroup]] = {}
-    hits = 0
-    attempts = 0
-    cap = quota * 60
-    while hits < quota and attempts < cap:
-        attempts += 1
-        n = rng.choice(ctx.subgroups)
-        inside = candidates_for.get(n.members)
-        if inside is None:
-            norm = G.normalizer_mask(n.members)
-            inside = [s for s in ctx.subgroups if s.members & ~norm == 0]
-            candidates_for[n.members] = inside
-        k, l, m = (rng.choice(inside) for _ in range(3))
-        report = check_three_subgroup(k, l, m, n)
-        if not report.hypotheses_hold:
-            continue
-        hits += 1
-        if report.conclusion_holds:
-            passes += 1
-        else:
-            failures.append(
-                Failure(
-                    "threesubgroup",
-                    ctx.label,
-                    "conclusion fails despite both hypotheses",
-                    {
-                        "kind": "threesubgroup",
-                        "group": ctx.label,
-                        "k": _gens(k),
-                        "l": _gens(l),
-                        "m": _gens(m),
-                        "n": _gens(n),
-                    },
-                )
-            )
-    if hits < quota:
-        failures.append(
-            Failure(
-                "threesubgroup",
-                ctx.label,
-                "sampling quota not reached",
-                {
-                    "kind": "quota",
-                    "group": ctx.label,
-                    "suite": "threesubgroup",
-                    "quota": quota,
-                    "achieved": hits,
-                    "attempts": attempts,
-                    "seed": config.seed,
-                },
-            )
-        )
-    return passes, failures, ()
+CHECKS: dict[str, Check] = {}
 
 
-def _suite_hall(ctx: GroupContext, config: SuiteConfig, quota: int | None):
-    G = ctx.group
-    passes = 0
-    failures = []
-    for h in ctx.nilpotent:
-        n = nilpotence_class(h)
-        for k in range(1, n + 1):
-            for i in range(1, k + 1):
-                report = check_hall_bound(G, h, i, k)
-                if report.ok:
-                    passes += 1
-                else:
-                    failures.append(
-                        Failure(
-                            "hall",
-                            ctx.label,
-                            f"commutator bound fails at i={i}, k={k}",
-                            {
-                                "kind": "hall",
-                                "group": ctx.label,
-                                "subgroup": _gens(h),
-                                "i": i,
-                                "k": k,
-                            },
-                        )
-                    )
-    return passes, failures, ()
+def _check(kind: str, label: str, subgroups: tuple[str, ...] = ()):
+    def register(fn):
+        CHECKS[kind] = Check(fn, label, subgroups)
+        return fn
+
+    return register
 
 
-def _suite_bryant(ctx: GroupContext, config: SuiteConfig, quota: int | None):
-    G = ctx.group
-    rng = _rng_for(config, "bryant", ctx.label)
-    passes = 0
-    failures = []
-    if quota is None:
-        return passes, failures, ()
-    inside_cache: dict[int, list[Subgroup]] = {}
-    hits = 0
-    attempts = 0
-    cap = quota * 60
-    while hits < quota and attempts < cap:
-        attempts += 1
-        p = rng.choice(ctx.subgroups)
-        if rng.random() < 0.5:
-            x = p
-        else:
-            inside = inside_cache.get(p.members)
-            if inside is None:
-                inside = [s for s in ctx.subgroups if s.members & ~p.members == 0]
-                inside_cache[p.members] = inside
-            x = rng.choice(inside)
-        k = rng.randint(1, 3)
-        report = check_centralizer_transfer(G, x, p, k)
-        if report.status == "hypotheses-fail":
-            continue
-        hits += 1
-        if report.status == "conclusion-holds":
-            passes += 1
-        else:
-            failures.append(
-                Failure(
-                    "bryant",
-                    ctx.label,
-                    f"level-{k} centralizer transfer fails",
-                    {
-                        "kind": "bryant",
-                        "group": ctx.label,
-                        "x": _gens(x),
-                        "p": _gens(p),
-                        "k": k,
-                    },
-                )
-            )
-    if hits < quota:
-        failures.append(
-            Failure(
-                "bryant",
-                ctx.label,
-                "sampling quota not reached",
-                {
-                    "kind": "quota",
-                    "group": ctx.label,
-                    "suite": "bryant",
-                    "quota": quota,
-                    "achieved": hits,
-                    "attempts": attempts,
-                    "seed": config.seed,
-                },
-            )
-        )
-    return passes, failures, ()
+def _trace(G: FiniteGroup, sub: Subgroup):
+    # memoized: the five envelope checks and the formula check share one trace
+    key = ("suite-trace", sub.members)
+    got = G._memo.get(key)
+    if got is None:
+        got = G._memo[key] = build_envelope(G, sub)
+    return got
 
 
-def _suite_nested(ctx: GroupContext, config: SuiteConfig, quota: int | None):
-    rng = _rng_for(config, "nested", ctx.label)
-    passes = 0
-    failures = []
-    if quota is None:
-        return passes, failures, ()
-    inside_cache: dict[int, list[Subgroup]] = {}
-
-    def inside(sub: Subgroup) -> list[Subgroup]:
-        got = inside_cache.get(sub.members)
-        if got is None:
-            got = [s for s in ctx.subgroups if s.members & ~sub.members == 0]
-            inside_cache[sub.members] = got
-        return got
-
-    hits = 0
-    attempts = 0
-    cap = quota * 60
-    while hits < quota and attempts < cap:
-        attempts += 1
-        c = rng.choice(ctx.subgroups)
-        b = rng.choice(inside(c))
-        a = rng.choice(inside(b))
-        n = rng.randint(1, 3)
-        report = check_nested_towers(a, b, c, n)
-        if not report.hypothesis_holds:
-            continue
-        hits += 1
-        if report.conclusion_holds:
-            passes += 1
-        else:
-            failures.append(
-                Failure(
-                    "nested",
-                    ctx.label,
-                    f"restriction fails at level {report.failed_level}",
-                    {
-                        "kind": "nested",
-                        "group": ctx.label,
-                        "a": _gens(a),
-                        "b": _gens(b),
-                        "c": _gens(c),
-                        "n": n,
-                    },
-                )
-            )
-    if hits < quota:
-        failures.append(
-            Failure(
-                "nested",
-                ctx.label,
-                "sampling quota not reached",
-                {
-                    "kind": "quota",
-                    "group": ctx.label,
-                    "suite": "nested",
-                    "quota": quota,
-                    "achieved": hits,
-                    "attempts": attempts,
-                    "seed": config.seed,
-                },
-            )
-        )
-    return passes, failures, ()
+def _fitting(G: FiniteGroup):
+    got = G._memo.get(("suite-fitting",))
+    if got is None:
+        got = G._memo[("suite-fitting",)] = fitting(G)
+    return got
 
 
-def _suite_bottomchain(ctx: GroupContext, config: SuiteConfig, quota: int | None):
-    passes = 0
-    failures = []
-    for h in ctx.subgroups:
-        try:
-            bottom_chain_classify(h)
-            passes += 1
-        except InternalCheckError as err:
-            failures.append(
-                Failure(
-                    "bottomchain",
-                    ctx.label,
-                    str(err),
-                    {"kind": "bottomchain", "group": ctx.label, "subgroup": _gens(h)},
-                )
-            )
-    return passes, failures, ()
+@_check("hallwitt", "commutator identity product is not the identity")
+def _hallwitt(G, triple):
+    return hall_witt_products(G, *triple) == (0, 0)
 
 
-def _suite_dimension(ctx: GroupContext, config: SuiteConfig, quota: int | None):
-    G = ctx.group
-    rng = _rng_for(config, "dimension", ctx.label)
-    passes = 0
-    failures = []
+@_check("threesubgroup", "conclusion fails despite both hypotheses", ("k", "l", "m", "n"))
+def _threesubgroup(G, k, l, m, n):
+    return check_three_subgroup(k, l, m, n).conclusion_holds
 
-    def fail(label, payload):
-        failures.append(Failure("dimension", ctx.label, label, payload))
 
-    if (ctx.dimension == 1) == G.is_abelian:
-        passes += 1
-    else:
-        fail(
-            "dimension 1 must coincide with being abelian",
-            {"kind": "dimension-abelian", "group": ctx.label},
-        )
+@_check("hall", "commutator bound fails at i={i}, k={k}", ("subgroup",))
+def _hall(G, subgroup, i, k):
+    return check_hall_bound(G, subgroup, i, k).ok
 
-    for _ in range(config.samples_per_group):
-        k = rng.randint(1, min(G.order, 5))
-        subset = ElementSet(G, mask_of(rng.sample(range(G.order), k)))
-        witnesses = greedy_witness(subset)
-        if len(witnesses) <= ctx.dimension:
-            passes += 1
-        else:
-            fail(
-                "greedy witness exceeds the dimension",
-                {
-                    "kind": "greedy-bound",
-                    "group": ctx.label,
-                    "subset": list(subset.elements),
-                },
-            )
-        first = G.centralizer_mask(subset.members)
-        third = G.centralizer_mask(G.centralizer_mask(first))
-        if first == third:
-            passes += 1
-        else:
-            fail(
-                "triple centralizer differs from single centralizer",
-                {
-                    "kind": "triple-law",
-                    "group": ctx.label,
-                    "subset": list(subset.elements),
-                },
-            )
 
-    if ctx.exhaustive:
-        for h in ctx.subgroups:
-            if dimension(h, node_cap=config.node_cap) <= ctx.dimension:
-                passes += 1
-            else:
-                fail(
-                    "subgroup dimension exceeds the ambient dimension",
-                    {
-                        "kind": "subgroup-dimension",
-                        "group": ctx.label,
-                        "subgroup": _gens(h),
-                    },
-                )
-            least, _ = minimal_centralizer_above(h)
-            if G.normalizer_mask(h.members) & ~G.normalizer_mask(least.members) == 0:
-                passes += 1
-            else:
-                fail(
-                    "least centralizer is not normalized by the subgroup normalizer",
-                    {
-                        "kind": "least-centralizer-normality",
-                        "group": ctx.label,
-                        "subgroup": _gens(h),
-                    },
-                )
-    return passes, failures, ()
+@_check("bryant", "level-{k} centralizer transfer fails", ("x", "p"))
+def _bryant(G, x, p, k):
+    status = check_centralizer_transfer(G, x, p, k).status
+    return None if status == "hypotheses-fail" else status == "conclusion-holds"
+
+
+@_check("nested", "restriction fails at a level up to {n}", ("a", "b", "c"))
+def _nested(G, a, b, c, n):
+    return check_nested_towers(a, b, c, n).conclusion_holds
+
+
+@_check("bottomchain", "bottom-chain trichotomy fails", ("subgroup",))
+def _bottomchain(G, subgroup):
+    bottom_chain_classify(subgroup)
+    return True
+
+
+@_check("dimension-abelian", "dimension 1 must coincide with being abelian")
+def _dimension_abelian(G, node_cap=DEFAULT_NODE_CAP):
+    return (dimension(G, node_cap=node_cap) == 1) == G.is_abelian
+
+
+@_check("greedy-bound", "greedy witness exceeds the dimension")
+def _greedy_bound(G, subset, node_cap=DEFAULT_NODE_CAP):
+    witnesses = greedy_witness(ElementSet(G, mask_of(subset)))
+    return len(witnesses) <= dimension(G, node_cap=node_cap)
+
+
+@_check("triple-law", "triple centralizer differs from single centralizer")
+def _triple_law(G, subset):
+    first = G.centralizer_mask(mask_of(subset))
+    return G.centralizer_mask(G.centralizer_mask(first)) == first
+
+
+@_check("subgroup-dimension", "subgroup dimension exceeds the ambient dimension", ("subgroup",))
+def _subgroup_dimension(G, subgroup, node_cap=DEFAULT_NODE_CAP):
+    return dimension(subgroup, node_cap=node_cap) <= dimension(G, node_cap=node_cap)
+
+
+@_check(
+    "least-centralizer-normality",
+    "least centralizer is not normalized by the subgroup normalizer",
+    ("subgroup",),
+)
+def _least_centralizer_normality(G, subgroup):
+    least, _ = minimal_centralizer_above(subgroup)
+    return G.normalizer_mask(subgroup.members) & ~G.normalizer_mask(least.members) == 0
 
 
 _ENVELOPE_CHECKS = ("containment", "class", "normality", "verify", "idempotence")
 
 
-def _envelope_check(ctx: GroupContext, h: Subgroup, which: str, config: SuiteConfig) -> bool:
-    G = ctx.group
-    trace = ctx.trace_for(h)
+@_check("envelope", "{check} check failed", ("subgroup",))
+def _envelope(G, subgroup, check, seed=0):
+    trace = _trace(G, subgroup)
     envelope = trace.envelope
-    if which == "containment":
-        return h.members & ~envelope.members == 0
-    if which == "class":
-        return nilpotence_class(envelope) == trace.nilpotence_class == nilpotence_class(h)
-    if which == "normality":
-        return G.normalizer_mask(h.members) & ~G.normalizer_mask(envelope.members) == 0
-    if which == "verify":
-        return verify_envelope(trace, samples_per_level=2, seed=config.seed).ok
-    return ctx.trace_for(envelope).envelope.members == envelope.members
+    if check == "containment":
+        return subgroup.members & ~envelope.members == 0
+    if check == "class":
+        return nilpotence_class(envelope) == trace.nilpotence_class == nilpotence_class(subgroup)
+    if check == "normality":
+        return G.normalizer_mask(subgroup.members) & ~G.normalizer_mask(envelope.members) == 0
+    if check == "verify":
+        return verify_envelope(trace, samples_per_level=2, seed=seed).ok
+    return _trace(G, envelope).envelope.members == envelope.members
 
 
-def _suite_envelope(ctx: GroupContext, config: SuiteConfig, quota: int | None):
-    passes = 0
-    failures = []
+@_check("formula-solution", "solution set differs from the envelope", ("subgroup",))
+def _formula_solution(G, subgroup, d):
+    trace = _trace(G, subgroup)
+    phi = emit_envelope_formula(trace, d)
+    return evaluate(phi, G, trace.parameters).members == trace.envelope.members
+
+
+@_check("formula-centralizer", "commuting formula disagrees with the centralizer")
+def _formula_centralizer(G, p0):
+    got = evaluate(parse("x*p0 = p0*x"), G, (p0,))
+    return got.members == centralizer(ElementSet(G, 1 << p0)).members
+
+
+@_check("fitting-agreement", "Fitting subgroup computations disagree or are not nilpotent")
+def _fitting_agreement(G):
+    return nilpotence_class(_fitting(G).fitting) is not None
+
+
+@_check(
+    "fitting-containment",
+    "normal nilpotent subgroup escapes the Fitting subgroup",
+    ("subgroup",),
+)
+def _fitting_containment(G, subgroup):
+    return subgroup.members & ~_fitting(G).fitting.members == 0
+
+
+def _encode(value):
+    return list(value.generators) if isinstance(value, Subgroup) else value
+
+
+# -- Suites ----------------------------------------------------------------
+
+
+class _Tally:
+    """Passes and failures of one (suite, group) task, with its sampling quota."""
+
+    def __init__(
+        self,
+        suite: str,
+        label: str,
+        group: FiniteGroup,
+        digest: str | None = None,
+        quota: int | None = None,
+    ) -> None:
+        self.suite = suite
+        self.label = label
+        self.group = group
+        self.digest = digest
+        self.quota = quota
+        self.passes = 0
+        self.failures: list[Failure] = []
+
+    def check(self, kind: str, **args) -> bool | None:
+        """Run one registered check; count a pass, or record a replayable failure.
+
+        Returns the check's outcome; an :class:`InternalCheckError` raised
+        inside is a failure, with its message appended to the label.
+        """
+        detail = ""
+        try:
+            ok = CHECKS[kind].fn(self.group, **args)
+        except InternalCheckError as err:
+            ok, detail = False, f": {err}"
+        if ok:
+            self.passes += 1
+        elif ok is not None:
+            label = CHECKS[kind].label.format(**args) + detail
+            self.fail(label, {"kind": kind, **{k: _encode(v) for k, v in args.items()}})
+        return ok
+
+    def fail(self, label: str, payload: dict) -> None:
+        payload["group"] = self.label
+        if self.digest is not None:
+            payload["digest"] = self.digest
+        self.failures.append(Failure(self.suite, self.label, label, payload))
+
+
+def _suite_hallwitt(ctx: GroupContext, config: SuiteConfig, run: _Tally):
+    rng = _rng_for(config, "hallwitt", ctx.label)
+    for _ in range(config.hallwitt_triples):
+        run.check("hallwitt", triple=[rng.randrange(ctx.group.order) for _ in range(3)])
+
+
+def _sample_to_quota(ctx: GroupContext, config: SuiteConfig, run: _Tally, draw):
+    """Check drawn instances until ``quota`` of them meet their hypotheses.
+
+    ``draw(ctx, rng)`` returns the arguments of the suite's check.  Instances
+    whose hypotheses fail are skipped; after 60 draws per unit of quota the
+    shortfall is reported as one "quota" failure.  Groups without a quota
+    (too large for the suite) are skipped entirely.
+    """
+    quota = run.quota
+    if quota is None:
+        return
+    rng = _rng_for(config, run.suite, ctx.label)
+    hits = attempts = 0
+    while hits < quota and attempts < quota * 60:
+        attempts += 1
+        if run.check(run.suite, **draw(ctx, rng)) is not None:
+            hits += 1
+    if hits < quota:
+        run.fail(
+            "sampling quota not reached",
+            {
+                "kind": "quota",
+                "suite": run.suite,
+                "quota": quota,
+                "achieved": hits,
+                "attempts": attempts,
+                "seed": config.seed,
+            },
+        )
+
+
+def _draw_threesubgroup(ctx: GroupContext, rng: random.Random) -> dict:
+    n = rng.choice(ctx.subgroups)
+    inside = ctx.inside(ctx.group.normalizer_mask(n.members))
+    return {"k": rng.choice(inside), "l": rng.choice(inside), "m": rng.choice(inside), "n": n}
+
+
+def _draw_bryant(ctx: GroupContext, rng: random.Random) -> dict:
+    p = rng.choice(ctx.subgroups)
+    x = p if rng.random() < 0.5 else rng.choice(ctx.inside(p.members))
+    return {"x": x, "p": p, "k": rng.randint(1, 3)}
+
+
+def _draw_nested(ctx: GroupContext, rng: random.Random) -> dict:
+    c = rng.choice(ctx.subgroups)
+    b = rng.choice(ctx.inside(c.members))
+    return {"a": rng.choice(ctx.inside(b.members)), "b": b, "c": c, "n": rng.randint(1, 3)}
+
+
+def _suite_hall(ctx: GroupContext, config: SuiteConfig, run: _Tally):
+    for h in ctx.nilpotent:
+        n = nilpotence_class(h)
+        for k in range(1, n + 1):
+            for i in range(1, k + 1):
+                run.check("hall", subgroup=h, i=i, k=k)
+
+
+def _suite_bottomchain(ctx: GroupContext, config: SuiteConfig, run: _Tally):
+    for h in ctx.subgroups:
+        run.check("bottomchain", subgroup=h)
+
+
+def _suite_dimension(ctx: GroupContext, config: SuiteConfig, run: _Tally):
+    G = ctx.group
+    rng = _rng_for(config, "dimension", ctx.label)
+    run.check("dimension-abelian", node_cap=config.node_cap)
+    for _ in range(config.samples_per_group):
+        k = rng.randint(1, min(G.order, 5))
+        subset = sorted(rng.sample(range(G.order), k))
+        run.check("greedy-bound", subset=subset, node_cap=config.node_cap)
+        run.check("triple-law", subset=subset)
+    if ctx.exhaustive:
+        for h in ctx.subgroups:
+            run.check("subgroup-dimension", subgroup=h, node_cap=config.node_cap)
+            run.check("least-centralizer-normality", subgroup=h)
+
+
+def _suite_envelope(ctx: GroupContext, config: SuiteConfig, run: _Tally):
     for h in ctx.envelope_pool(config):
         for which in _ENVELOPE_CHECKS:
-            try:
-                ok = _envelope_check(ctx, h, which, config)
-            except InternalCheckError as err:
-                ok = False
-                detail = str(err)
-            else:
-                detail = ""
-            if ok:
-                passes += 1
-            else:
-                failures.append(
-                    Failure(
-                        "envelope",
-                        ctx.label,
-                        f"{which} check failed" + (f": {detail}" if detail else ""),
-                        {
-                            "kind": "envelope",
-                            "group": ctx.label,
-                            "subgroup": _gens(h),
-                            "check": which,
-                        },
-                    )
-                )
-    return passes, failures, ()
+            run.check("envelope", subgroup=h, check=which, seed=config.seed)
 
 
-def _suite_formula(ctx: GroupContext, config: SuiteConfig, quota: int | None):
+def _suite_formula(ctx: GroupContext, config: SuiteConfig, run: _Tally):
     G = ctx.group
     rng = _rng_for(config, "formula", ctx.label)
-    passes = 0
-    failures = []
     shapes: dict[tuple[int, int], str] = {}
     for h in ctx.envelope_pool(config):
-        trace = ctx.trace_for(h)
-        phi = emit_envelope_formula(trace, ctx.dimension)
-        shapes.setdefault((ctx.dimension, trace.nilpotence_class), format_formula(phi))
-        solution = evaluate(phi, G, trace.parameters)
-        if solution.members == trace.envelope.members:
-            passes += 1
-        else:
-            failures.append(
-                Failure(
-                    "formula",
-                    ctx.label,
-                    "solution set differs from the envelope",
-                    {
-                        "kind": "formula-solution",
-                        "group": ctx.label,
-                        "subgroup": _gens(h),
-                        "d": ctx.dimension,
-                    },
-                )
-            )
-    commuting = parse("x*p0 = p0*x")
+        run.check("formula-solution", subgroup=h, d=ctx.dimension)
+        shape = (ctx.dimension, nilpotence_class(h))
+        if shape not in shapes:
+            shapes[shape] = format_formula(envelope_formula(*shape))
     for _ in range(8):
-        g = rng.randrange(G.order)
-        got = evaluate(commuting, G, (g,))
-        want = centralizer(ElementSet(G, 1 << g))
-        if got.members == want.members:
-            passes += 1
-        else:
-            failures.append(
-                Failure(
-                    "formula",
-                    ctx.label,
-                    "commuting formula disagrees with the centralizer",
-                    {"kind": "formula-centralizer", "group": ctx.label, "p0": g},
-                )
-            )
-    notes = tuple(
-        (f"phi[{d},{n}]", text) for (d, n), text in sorted(shapes.items())
-    )
-    return passes, failures, notes
+        run.check("formula-centralizer", p0=rng.randrange(G.order))
+    return tuple((f"phi[{d},{n}]", text) for (d, n), text in sorted(shapes.items()))
 
 
-def _suite_fitting(ctx: GroupContext, config: SuiteConfig, quota: int | None):
-    G = ctx.group
-    passes = 0
-    failures = []
-    try:
-        report = fitting(G)
-    except InternalCheckError as err:
-        failures.append(
-            Failure(
-                "fitting",
-                ctx.label,
-                str(err),
-                {"kind": "fitting-agreement", "group": ctx.label},
-            )
-        )
-        return passes, failures, ()
-    passes += 1
-    if nilpotence_class(report.fitting) is not None:
-        passes += 1
-    else:
-        failures.append(
-            Failure(
-                "fitting",
-                ctx.label,
-                "Fitting subgroup is not nilpotent",
-                {"kind": "fitting-agreement", "group": ctx.label},
-            )
-        )
+def _suite_fitting(ctx: GroupContext, config: SuiteConfig, run: _Tally):
+    if not run.check("fitting-agreement"):
+        return
+    # fitting-agreement stands for two facts, each counted as a pass: the
+    # three computations of fitting() agree, and their result is nilpotent
+    run.passes += 1
     for h in ctx.subgroups:
-        if not h.is_normal or nilpotence_class(h) is None:
-            continue
-        if h.members & ~report.fitting.members == 0:
-            passes += 1
-        else:
-            failures.append(
-                Failure(
-                    "fitting",
-                    ctx.label,
-                    "normal nilpotent subgroup escapes the Fitting subgroup",
-                    {
-                        "kind": "fitting-containment",
-                        "group": ctx.label,
-                        "subgroup": _gens(h),
-                    },
-                )
-            )
-    return passes, failures, (("engel-bound", str(report.engel_bound_n)),)
+        if h.is_normal and nilpotence_class(h) is not None:
+            run.check("fitting-containment", subgroup=h)
+    return (("engel-bound", str(_fitting(ctx.group).engel_bound_n)),)
 
 
 _SUITE_FUNCS = {
     "hallwitt": _suite_hallwitt,
-    "threesubgroup": _suite_threesubgroup,
+    "threesubgroup": partial(_sample_to_quota, draw=_draw_threesubgroup),
     "hall": _suite_hall,
-    "bryant": _suite_bryant,
-    "nested": _suite_nested,
+    "bryant": partial(_sample_to_quota, draw=_draw_bryant),
+    "nested": partial(_sample_to_quota, draw=_draw_nested),
     "bottomchain": _suite_bottomchain,
     "dimension": _suite_dimension,
     "envelope": _suite_envelope,
@@ -776,25 +628,27 @@ def _quotas(config: SuiteConfig, contexts) -> dict[tuple[str, str], int | None]:
     return out
 
 
+def _check_suite_name(suite: str) -> None:
+    if suite not in _SUITE_FUNCS:
+        raise MalformedInputError(f"unknown suite {suite!r}")
+
+
 def run_suite(
     suite: str, contexts, config: SuiteConfig, quotas=None
 ) -> list[SuiteOutcome]:
-    """Run one suite over the given contexts, sequentially."""
-    if suite not in _SUITE_FUNCS:
-        raise MalformedInputError(f"unknown suite {suite!r}")
+    """Run one suite over the given contexts."""
+    _check_suite_name(suite)
     if quotas is None:
         quotas = _quotas(config, contexts)
-    out = []
-    for ctx in contexts:
-        out.append(_run_task(suite, ctx, config, quotas.get((suite, ctx.label))))
-    return out
+    return [_run_task(suite, ctx, config, quotas.get((suite, ctx.label))) for ctx in contexts]
 
 
 def _run_task(suite: str, ctx: GroupContext, config: SuiteConfig, quota) -> SuiteOutcome:
     started = time.perf_counter()
-    passes, failures, notes = _SUITE_FUNCS[suite](ctx, config, quota)
+    run = _Tally(suite, ctx.label, ctx.group, ctx.digest, quota)
+    notes = _SUITE_FUNCS[suite](ctx, config, run) or ()
     return SuiteOutcome(
-        suite, ctx.label, passes, tuple(failures), time.perf_counter() - started, notes
+        suite, ctx.label, run.passes, tuple(run.failures), time.perf_counter() - started, notes
     )
 
 
@@ -803,24 +657,10 @@ def run_suites(
 ) -> Report:
     """Run the configured suites and merge outcomes in (suite, group) order."""
     for suite in config.suites:
-        if suite not in _SUITE_FUNCS:
-            raise MalformedInputError(f"unknown suite {suite!r}")
+        _check_suite_name(suite)
     contexts = build_contexts(config, extra_groups)
     quotas = _quotas(config, contexts)
-    tasks = [(suite, ctx) for suite in config.suites for ctx in contexts]
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            outcomes = list(
-                pool.map(
-                    lambda t: _run_task(t[0], t[1], config, quotas.get((t[0], t[1].label))),
-                    tasks,
-                )
-            )
-    else:
-        outcomes = [
-            _run_task(suite, ctx, config, quotas.get((suite, ctx.label)))
-            for suite, ctx in tasks
-        ]
+    outcomes = [o for suite in config.suites for o in run_suite(suite, contexts, config, quotas)]
     outcomes.sort(key=lambda o: (o.suite, o.group))
     outcomes.extend(_uniformity_outcome(outcomes))
     return Report(config, tuple(outcomes))
@@ -857,8 +697,30 @@ def _uniformity_outcome(outcomes) -> list[SuiteOutcome]:
 # -- Failure replay ---------------------------------------------------------
 
 
-def replay_failure(failure: Failure, config: SuiteConfig | None = None) -> bool:
-    """Re-run the single check behind a failure; True when it still fails."""
+def _replay_group(payload: dict, extra_groups: tuple[FiniteGroup, ...]) -> FiniteGroup:
+    """The catalog group named by the payload, or the extra group matching its digest."""
+    digest = payload.get("digest")
+    if digest is None:
+        return from_spec(payload["group"])
+    for g in extra_groups:
+        if group_digest(g) == digest:
+            return g
+    raise MalformedInputError(
+        f"failure on group {payload['group']!r} needs that group among the extra groups"
+    )
+
+
+def replay_failure(
+    failure: Failure,
+    config: SuiteConfig | None = None,
+    extra_groups: tuple[FiniteGroup, ...] = (),
+) -> bool:
+    """Re-run the single check behind a failure; True when it still fails.
+
+    ``extra_groups`` takes the same groups as :func:`run_suites`; a failure on
+    one of them is matched to its group by digest.  ``config`` matters only
+    for a quota failure, whose suite is re-run with the payload's seed.
+    """
     config = config or SuiteConfig()
     payload = failure.payload
     kind = payload["kind"]
@@ -867,90 +729,18 @@ def replay_failure(failure: Failure, config: SuiteConfig | None = None) -> bool:
             format_formula(envelope_formula(*map(int, payload["key"][4:-1].split(","))))
         }
         return len(texts) != 1
-    if kind not in _REPLAY_KINDS:
+    if kind != "quota" and kind not in CHECKS:
         raise MalformedInputError(f"unknown failure kind {kind!r}")
-    G = from_spec(payload["group"])
-    sub = lambda key: _from_gens(G, payload[key])
-    if kind == "hallwitt":
-        first, second = hall_witt_products(G, *payload["triple"])
-        return first != 0 or second != 0
-    if kind == "threesubgroup":
-        report = check_three_subgroup(sub("k"), sub("l"), sub("m"), sub("n"))
-        return not report.implication_holds
-    if kind == "hall":
-        return not check_hall_bound(G, sub("subgroup"), payload["i"], payload["k"]).ok
-    if kind == "bryant":
-        report = check_centralizer_transfer(G, sub("x"), sub("p"), payload["k"])
-        return report.status == "violation"
-    if kind == "nested":
-        report = check_nested_towers(sub("a"), sub("b"), sub("c"), payload["n"])
-        return report.hypothesis_holds and not report.conclusion_holds
-    if kind == "bottomchain":
-        try:
-            bottom_chain_classify(sub("subgroup"))
-            return False
-        except InternalCheckError:
-            return True
-    if kind == "dimension-abelian":
-        return (dimension(G) == 1) != G.is_abelian
-    if kind == "greedy-bound":
-        subset = ElementSet(G, mask_of(payload["subset"]))
-        return len(greedy_witness(subset)) > dimension(G)
-    if kind == "triple-law":
-        first = G.centralizer_mask(mask_of(payload["subset"]))
-        return G.centralizer_mask(G.centralizer_mask(first)) != first
-    if kind == "subgroup-dimension":
-        return dimension(sub("subgroup")) > dimension(G)
-    if kind == "least-centralizer-normality":
-        h = sub("subgroup")
-        least, _ = minimal_centralizer_above(h)
-        return bool(G.normalizer_mask(h.members) & ~G.normalizer_mask(least.members))
-    if kind == "envelope":
-        ctx = GroupContext(payload["group"], G, config)
-        try:
-            return not _envelope_check(ctx, sub("subgroup"), payload["check"], config)
-        except InternalCheckError:
-            return True
-    if kind == "formula-solution":
-        trace = build_envelope(G, sub("subgroup"))
-        phi = emit_envelope_formula(trace, payload["d"])
-        return evaluate(phi, G, trace.parameters).members != trace.envelope.members
-    if kind == "formula-centralizer":
-        got = evaluate(parse("x*p0 = p0*x"), G, (payload["p0"],))
-        return got.members != centralizer(ElementSet(G, 1 << payload["p0"])).members
-    if kind == "fitting-agreement":
-        try:
-            report = fitting(G)
-        except InternalCheckError:
-            return True
-        return nilpotence_class(report.fitting) is None
-    if kind == "fitting-containment":
-        h = sub("subgroup")
-        return bool(h.members & ~fitting(G).fitting.members)
-    ctx = GroupContext(payload["group"], G, replace(config, seed=payload["seed"]))
-    runner = _SUITE_FUNCS[payload["suite"]]
-    _, failures, _ = runner(ctx, replace(config, seed=payload["seed"]), payload["quota"])
-    return any(f.payload.get("kind") == "quota" for f in failures)
-
-
-_REPLAY_KINDS = frozenset(
-    {
-        "hallwitt",
-        "threesubgroup",
-        "hall",
-        "bryant",
-        "nested",
-        "bottomchain",
-        "dimension-abelian",
-        "greedy-bound",
-        "triple-law",
-        "subgroup-dimension",
-        "least-centralizer-normality",
-        "envelope",
-        "formula-solution",
-        "formula-centralizer",
-        "fitting-agreement",
-        "fitting-containment",
-        "quota",
+    G = _replay_group(payload, extra_groups)
+    if kind == "quota":
+        seeded = replace(config, seed=payload["seed"])
+        ctx = GroupContext(payload["group"], G, seeded, payload.get("digest"))
+        outcome = _run_task(payload["suite"], ctx, seeded, payload["quota"])
+        return any(f.payload["kind"] == "quota" for f in outcome.failures)
+    check = CHECKS[kind]
+    args = {
+        key: _from_gens(G, value) if key in check.subgroups else value
+        for key, value in payload.items()
+        if key not in ("kind", "group", "digest")
     }
-)
+    return _Tally(failure.suite, payload["group"], G).check(kind, **args) is False

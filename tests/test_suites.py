@@ -2,20 +2,24 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import replace
 
 import pytest
 
-from nilenv.catalog import from_spec
+from nilenv.catalog import dihedral, from_spec, symmetric
 from nilenv.errors import MalformedInputError
+from nilenv.groups import FiniteGroup, Subgroup, group_from_dict, group_to_dict
 from nilenv.suites import (
     ALL_SUITES,
+    CHECKS,
     Failure,
     GroupContext,
     SuiteConfig,
     all_subgroups,
     build_contexts,
+    group_digest,
     replay_failure,
     run_suite,
     run_suites,
@@ -161,12 +165,11 @@ def test_reduced_run_is_deterministic():
     assert "elapsed=" not in first.stable_text()
     assert first.total_passes == sum(o.passes for o in first.outcomes)
     assert first.failures == ()
-
-
-def test_worker_pool_matches_sequential():
-    sequential = run_suites(SMALL_CONFIG)
-    threaded = run_suites(replace(SMALL_CONFIG, workers=2))
-    assert sequential.stable_text() == threaded.stable_text()
+    assert first.total_passes == 566
+    assert (
+        hashlib.sha256(first.stable_text().encode()).hexdigest()
+        == "707b4ff53a9d8ae486624f156dc46e20527e553b6d8ba3b7ec5dadf95321eb95"
+    )
 
 
 def test_report_notes_and_cross_group_line():
@@ -197,6 +200,19 @@ def test_quota_suites_skip_oversized_groups():
     by_group = {o.group: o for o in report.outcomes}
     assert by_group["dihedral(4)"].passes == 40
     assert by_group["unitriangular(5)"].passes == 0
+    assert report.ok
+
+
+def _renamed(G, name):
+    return group_from_dict({**group_to_dict(G), "name": name})
+
+
+def test_extra_groups_sharing_a_name_keep_their_own_quotas():
+    extra = (_renamed(dihedral(4), "X"), _renamed(symmetric(5), "X"))
+    config = SuiteConfig(groups=(), suites=("bryant",), max_exhaustive_order=10)
+    assert [c.label for c in build_contexts(config, extra)] == ["X", "X#2"]
+    report = run_suites(config, extra_groups=extra)
+    assert [(o.group, o.passes) for o in report.outcomes] == [("X", 10000), ("X#2", 0)]
     assert report.ok
 
 
@@ -268,3 +284,72 @@ def test_replay_unknown_kind_rejected():
     failure = Failure("synthetic", "?", "demo", {"kind": "flux"})
     with pytest.raises(MalformedInputError, match="unknown failure kind"):
         replay_failure(failure)
+
+
+def _hashable(args):
+    return tuple(
+        sorted(
+            (key, value.members if isinstance(value, Subgroup) else json.dumps(value))
+            for key, value in args.items()
+        )
+    )
+
+
+def _wrap_checks(monkeypatch, calls, fail=frozenset()):
+    """Record every registered check call as (kind, args); fail the kinds in ``fail``."""
+    for kind, check in list(CHECKS.items()):
+
+        def fn(G, _kind=kind, _real=check.fn, **args):
+            calls.append((_kind, _hashable(args)))
+            return False if _kind in fail else _real(G, **args)
+
+        monkeypatch.setitem(CHECKS, kind, replace(check, fn=fn))
+
+
+@pytest.fixture(scope="module")
+def suite_of_kind():
+    """The suite that runs each check kind, observed on passing reduced runs."""
+    out = {}
+    for suite in ALL_SUITES:
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            _wrap_checks(mp, calls)
+            assert run_suites(replace(SMALL_CONFIG, suites=(suite,))).ok
+        for kind in {kind for kind, _ in calls}:
+            assert out.setdefault(kind, suite) == suite
+    return out
+
+
+def test_registry_matches_the_kinds_the_suites_check(suite_of_kind):
+    assert set(suite_of_kind) == set(CHECKS)
+
+
+@pytest.mark.parametrize("kind", sorted(CHECKS))
+def test_failing_check_is_reported_and_replays(kind, suite_of_kind, monkeypatch):
+    calls = []
+    _wrap_checks(monkeypatch, calls, fail={kind})
+    config = replace(SMALL_CONFIG, suites=(suite_of_kind[kind],), seed=3, node_cap=5000)
+    failures = [f for f in run_suites(config).failures if f.payload["kind"] == kind]
+    assert failures
+    run_args = {args for called, args in calls if called == kind}
+    del calls[:]
+    assert replay_failure(failures[0], config) is True
+    # replay passes the run's own arguments, seed and node_cap included
+    assert len(calls) == 1 and calls[0][0] == kind and calls[0][1] in run_args
+
+
+def test_failure_on_extra_group_replays_by_digest(monkeypatch):
+    table = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+    k4 = FiniteGroup.from_cayley_table(table, name="k4")
+    config = replace(SMALL_CONFIG, groups=(), suites=("hallwitt",), hallwitt_triples=3)
+    with pytest.MonkeyPatch.context() as mp:
+        _wrap_checks(mp, [], fail={"hallwitt"})
+        failure = run_suites(config, extra_groups=(k4,)).failures[0]
+        assert failure.payload["digest"] == group_digest(k4)
+        assert replay_failure(failure, extra_groups=(k4,)) is True
+    assert replay_failure(failure, extra_groups=(k4,)) is False
+    cyclic4 = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+    impostor = FiniteGroup.from_cayley_table(cyclic4, name="k4")
+    for groups in ((), (impostor,)):
+        with pytest.raises(MalformedInputError, match="extra groups"):
+            replay_failure(failure, extra_groups=groups)
