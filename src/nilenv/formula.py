@@ -6,7 +6,9 @@ connectives ``&``, ``|``, ``!`` and the quantifiers ``A y (...)`` and
 ``E y (...)``, read "for all y" and "exists y".  Evaluation is the direct
 finite-model semantics: quantifiers range over the whole group, and the
 solution set of a formula in the distinguished free variable ``x`` is
-returned as an :class:`~nilenv.groups.ElementSet`.
+returned as an :class:`~nilenv.groups.ElementSet`.  The evaluator caches by
+shape, structure up to renaming of bound variables, so the renamed copies of
+a subformula that make up most of an envelope formula are solved once.
 
 The module also emits the uniform envelope formula: for positive integers
 ``d`` and ``n``, :func:`envelope_formula` builds a formula with ``d * n``
@@ -117,86 +119,101 @@ def conjunction(parts: list[Formula]) -> Formula:
     return out
 
 
-# -- Structural measures -------------------------------------------------
+# -- Shapes and structural measures -------------------------------------
 
 
-def _walk(node, memo: dict, fn):
-    got = memo.get(id(node))
-    if got is None:
-        got = fn(node, lambda child: _walk(child, memo, fn))
-        memo[id(node)] = got
-    return got
+class _Shapes:
+    """One bottom-up pass interning every node as a shape (see :class:`_Evaluator`).
+
+    ``of`` gives a node's shape id and its free variables in first-occurrence
+    order; ``measures`` holds, per shape, the largest parameter slot (-1 for
+    none), the quantifier depth and the tree size.
+    """
+
+    def __init__(self) -> None:
+        self.ids: dict[tuple, int] = {}
+        self.measures: list[tuple[int, int, int]] = []
+        self.nodes: dict[int, tuple[int, tuple[str, ...]]] = {}
+
+    def of(self, node) -> tuple[int, tuple[str, ...]]:
+        got = self.nodes.get(id(node))
+        if got is not None:
+            return got
+        # binary: right's variable positions, None for 0, 1, ...; binder: the
+        # bound variable's position; Param: the slot
+        extra = None
+        if isinstance(node, (Mul, And, Or, Eq)):
+            ls, fv = self.of(node.left)
+            rs, rf = self.of(node.right)
+            kids = (ls, rs)
+            if rf and rf != fv:
+                fv += tuple(v for v in rf if v not in fv)
+                extra = tuple(map(fv.index, rf))
+        elif isinstance(node, Param):
+            fv, kids, extra = (), (), node.index
+        elif isinstance(node, Var):
+            fv, kids = (node.name,), ()
+        elif isinstance(node, (Inv, Not)):
+            s, fv = self.of(node.operand)
+            kids = (s,)
+        elif isinstance(node, (ForAll, Exists)):
+            s, fv = self.of(node.body)
+            kids = (s,)
+            extra = fv.index(node.var) if node.var in fv else -1
+            if extra >= 0:
+                fv = fv[:extra] + fv[extra + 1 :]
+        elif isinstance(node, One):
+            fv, kids = (), ()
+        else:
+            raise MalformedInputError(f"not a formula node: {node!r}")
+        key = (type(node), kids, extra)
+        shape = self.ids.get(key)
+        if shape is None:
+            below = [self.measures[k] for k in kids]
+            shape = self.ids[key] = len(self.measures)
+            self.measures.append(
+                (
+                    max([m[0] for m in below], default=extra if isinstance(node, Param) else -1),
+                    max([m[1] for m in below], default=0) + isinstance(node, (ForAll, Exists)),
+                    1 + sum(m[2] for m in below),
+                )
+            )
+        got = self.nodes[id(node)] = (shape, fv)
+        return got
+
+
+def _measures(node: Formula | Term) -> tuple[int, int, int]:
+    shapes = _Shapes()
+    return shapes.measures[shapes.of(node)[0]]
 
 
 def free_variables(node: Formula | Term) -> frozenset[str]:
     """Free variable names, respecting quantifier binding."""
-
-    def fn(n, rec):
-        if isinstance(n, Var):
-            return frozenset((n.name,))
-        if isinstance(n, (Param, One)):
-            return frozenset()
-        if isinstance(n, (Mul, And, Or, Eq)):
-            return rec(n.left) | rec(n.right)
-        if isinstance(n, (Inv, Not)):
-            return rec(n.operand)
-        if isinstance(n, (ForAll, Exists)):
-            return rec(n.body) - {n.var}
-        raise MalformedInputError(f"not a formula node: {n!r}")
-
-    return _walk(node, {}, fn)
+    return frozenset(_Shapes().of(node)[1])
 
 
 def max_parameter(node: Formula | Term) -> int:
     """Largest parameter slot index appearing in the node, or -1 for none."""
-
-    def fn(n, rec):
-        if isinstance(n, Param):
-            return n.index
-        if isinstance(n, (Var, One)):
-            return -1
-        if isinstance(n, (Mul, And, Or, Eq)):
-            return max(rec(n.left), rec(n.right))
-        if isinstance(n, (Inv, Not)):
-            return rec(n.operand)
-        return rec(n.body)
-
-    return _walk(node, {}, fn)
+    return _measures(node)[0]
 
 
 def quantifier_depth(node: Formula | Term) -> int:
     """Maximum nesting depth of quantifiers."""
-
-    def fn(n, rec):
-        if isinstance(n, (Var, Param, One)):
-            return 0
-        if isinstance(n, (Mul, And, Or, Eq)):
-            return max(rec(n.left), rec(n.right))
-        if isinstance(n, (Inv, Not)):
-            return rec(n.operand)
-        return 1 + rec(n.body)
-
-    return _walk(node, {}, fn)
+    return _measures(node)[1]
 
 
 def size(node: Formula | Term) -> int:
     """Number of nodes in the syntax tree, counting shared subtrees per occurrence."""
+    return _measures(node)[2]
 
-    def fn(n, rec):
-        if isinstance(n, (Var, Param, One)):
-            return 1
-        if isinstance(n, (Mul, And, Or, Eq)):
-            return 1 + rec(n.left) + rec(n.right)
-        if isinstance(n, (Inv, Not)):
-            return 1 + rec(n.operand)
-        return 1 + rec(n.body)
 
-    return _walk(node, {}, fn)
+def _naive_cost(measures: tuple[int, int, int], group: FiniteGroup) -> int:
+    return group.order ** measures[1] * measures[2]
 
 
 def cost_estimate(formula: Formula, group: FiniteGroup) -> int:
     """Naive evaluation cost: order ** quantifier_depth * tree size."""
-    return group.order ** quantifier_depth(formula) * size(formula)
+    return _naive_cost(_measures(formula), group)
 
 
 # -- Parser --------------------------------------------------------------
@@ -404,38 +421,32 @@ _MISSING = object()
 
 
 class _Evaluator:
-    """One evaluation run: fixed group and parameters, reusable caches.
+    """One evaluation run: fixed group and parameters, caches keyed by shape.
 
     Truth values of closed subformulas are cached outright.  A subformula
     with exactly one free variable has a solution set independent of the
     rest of the environment, so it is computed once as a bitset and
     afterwards answered by a single bit test.  Nothing is keyed by full
     variable-assignment frames.
+
+    Both caches are keyed by shape: the constructor, the children's shapes,
+    and where the children's free variables sit in the node's own list of
+    free variables (first-occurrence order); a quantifier records where its
+    bound variable sat in its body's list, or -1.  This is sound: as the key
+    fixes the constructor, the child shapes and the free-variable positions,
+    two nodes with the same key are, by induction, alpha-equivalent up to a
+    positional renaming of their free variables.  Binders record their
+    variable's position, so shadowing is handled.  Every renamed copy of a
+    subformula thus shares one truth value or one solution set.
     """
 
-    def __init__(self, group: FiniteGroup, params: tuple[int, ...]) -> None:
+    def __init__(self, group: FiniteGroup, params: tuple[int, ...], shapes: _Shapes) -> None:
         self.group = group
         self.params = params
-        self.free: dict[int, frozenset[str]] = {}
+        self.nodes = shapes.nodes
         self.bools: dict[int, bool] = {}
         self.bitsets: dict[int, int] = {}
         self.formula_evals = 0
-
-    def free_of(self, node) -> frozenset[str]:
-        got = self.free.get(id(node))
-        if got is None:
-            if isinstance(node, Var):
-                got = frozenset((node.name,))
-            elif isinstance(node, (Param, One)):
-                got = frozenset()
-            elif isinstance(node, (Mul, And, Or, Eq)):
-                got = self.free_of(node.left) | self.free_of(node.right)
-            elif isinstance(node, (Inv, Not)):
-                got = self.free_of(node.operand)
-            else:
-                got = self.free_of(node.body) - {node.var}
-            self.free[id(node)] = got
-        return got
 
     def term(self, node: Term, env: dict[str, int]) -> int:
         if isinstance(node, Var):
@@ -449,16 +460,16 @@ class _Evaluator:
         return self.group.inverse_table[self.term(node.operand, env)]
 
     def eval(self, node: Formula, env: dict[str, int]) -> bool:
-        fv = self.free_of(node)
+        shape, fv = self.nodes[id(node)]
         if not fv:
-            got = self.bools.get(id(node), _MISSING)
+            got = self.bools.get(shape, _MISSING)
             if got is _MISSING:
                 got = self.raw(node, env)
-                self.bools[id(node)] = got
+                self.bools[shape] = got
             return got
         if len(fv) == 1:
             (var,) = fv
-            bits = self.bitsets.get(id(node))
+            bits = self.bitsets.get(shape)
             if bits is None:
                 bits = 0
                 saved = env.get(var, _MISSING)
@@ -470,7 +481,7 @@ class _Evaluator:
                     del env[var]
                 else:
                     env[var] = saved
-                self.bitsets[id(node)] = bits
+                self.bitsets[shape] = bits
             return bool(bits >> env[var] & 1)
         return self.raw(node, env)
 
@@ -484,19 +495,11 @@ class _Evaluator:
             return self.eval(node.left, env) or self.eval(node.right, env)
         if isinstance(node, Not):
             return not self.eval(node.operand, env)
+        values = range(self.group.order)
         if isinstance(node, ForAll):
             guarded = self.guard_value(node, env)
-            if guarded is not None:
-                saved = env.get(node.var, _MISSING)
-                env[node.var] = guarded
-                out = self.eval(node.body, env)
-                if saved is _MISSING:
-                    del env[node.var]
-                else:
-                    env[node.var] = saved
-                return out
-            return self.quantify(node, env, want=True)
-        return self.quantify(node, env, want=False)
+            return self.quantify(node, env, True, values if guarded is None else (guarded,))
+        return self.quantify(node, env, False, values)
 
     def guard_value(self, node: ForAll, env: dict[str, int]) -> int | None:
         """Detect A v (!(v = t) | body) with v not free in t.
@@ -512,15 +515,15 @@ class _Evaluator:
             isinstance(eq, Eq)
             and isinstance(eq.left, Var)
             and eq.left.name == node.var
-            and node.var not in self.free_of(eq.right)
+            and node.var not in self.nodes[id(eq.right)][1]
         ):
             return None
         return self.term(eq.right, env)
 
-    def quantify(self, node: ForAll | Exists, env: dict[str, int], want: bool) -> bool:
+    def quantify(self, node: ForAll | Exists, env: dict[str, int], want: bool, values) -> bool:
         saved = env.get(node.var, _MISSING)
         result = want
-        for g in range(self.group.order):
+        for g in values:
             env[node.var] = g
             if self.eval(node.body, env) is not want:
                 result = not want
@@ -532,9 +535,11 @@ class _Evaluator:
         return result
 
 
-def _check_params(node: Formula, group: FiniteGroup, params) -> tuple[int, ...]:
+def _prepare(shapes: _Shapes, shape: int, group: FiniteGroup, params, warn_budget: int) -> _Evaluator:
+    """Check the parameters, then the cost budget; return the evaluator."""
+    measures = shapes.measures[shape]
     params = tuple(params)
-    expected = max_parameter(node) + 1
+    expected = measures[0] + 1
     if len(params) != expected:
         raise ArityMismatchError(
             f"formula uses parameter slots p0..p{expected - 1}, got {len(params)} values"
@@ -542,17 +547,14 @@ def _check_params(node: Formula, group: FiniteGroup, params) -> tuple[int, ...]:
     for value in params:
         if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < group.order:
             raise MalformedInputError(f"parameter {value!r} is not an element index")
-    return params
-
-
-def _warn_cost(node: Formula, group: FiniteGroup, warn_budget: int) -> None:
-    cost = cost_estimate(node, group)
+    cost = _naive_cost(measures, group)
     if cost > warn_budget:
         warnings.warn(
             f"estimated evaluation cost {cost} exceeds budget {warn_budget}",
             EvaluationCostWarning,
             stacklevel=3,
         )
+    return _Evaluator(group, params, shapes)
 
 
 def evaluate(
@@ -569,15 +571,14 @@ def evaluate(
     """
     if not isinstance(formula, (Eq, And, Or, Not, ForAll, Exists)):
         raise MalformedInputError(f"not a formula: {formula!r}")
-    fv = free_variables(formula)
-    if fv - {"x"}:
-        extra = ", ".join(sorted(fv - {"x"}))
+    shapes = _Shapes()
+    shape, fv = shapes.of(formula)
+    if fv and fv != ("x",):
+        extra = ", ".join(sorted(set(fv) - {"x"}))
         raise MalformedInputError(f"unexpected free variables: {extra}")
-    params = _check_params(formula, group, params)
-    _warn_cost(formula, group, warn_budget)
-    ev = _Evaluator(group, params)
+    ev = _prepare(shapes, shape, group, params, warn_budget)
     bits = 0
-    if "x" in fv:
+    if fv:
         env: dict[str, int] = {}
         for g in range(group.order):
             env["x"] = g
@@ -595,12 +596,11 @@ def sentence_holds(
     warn_budget: int = DEFAULT_WARN_BUDGET,
 ) -> bool:
     """Truth value of a closed formula (no free variables at all)."""
-    fv = free_variables(formula)
+    shapes = _Shapes()
+    shape, fv = shapes.of(formula)
     if fv:
         raise MalformedInputError(f"sentence has free variables: {', '.join(sorted(fv))}")
-    params = _check_params(formula, group, params)
-    _warn_cost(formula, group, warn_budget)
-    return _Evaluator(group, params).eval(formula, {})
+    return _prepare(shapes, shape, group, params, warn_budget).eval(formula, {})
 
 
 # -- The uniform envelope formula ----------------------------------------

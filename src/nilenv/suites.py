@@ -239,9 +239,13 @@ class GroupContext:
         return tuple(pool)
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def group_digest(G: FiniteGroup) -> str:
     """sha256 of the group's :func:`~nilenv.groups.group_to_dict` JSON."""
-    return hashlib.sha256(json.dumps(group_to_dict(G), sort_keys=True).encode()).hexdigest()
+    return _sha256(json.dumps(group_to_dict(G), sort_keys=True))
 
 
 def build_contexts(
@@ -418,6 +422,11 @@ def _fitting_agreement(G):
     return nilpotence_class(_fitting(G).fitting) is not None
 
 
+@_check("fitting-normal", "Fitting subgroup is not normal")
+def _fitting_normal(G):
+    return _fitting(G).fitting.is_normal
+
+
 @_check(
     "fitting-containment",
     "normal nilpotent subgroup escapes the Fitting subgroup",
@@ -584,9 +593,7 @@ def _suite_formula(ctx: GroupContext, config: SuiteConfig, run: _Tally):
 def _suite_fitting(ctx: GroupContext, config: SuiteConfig, run: _Tally):
     if not run.check("fitting-agreement"):
         return
-    # fitting-agreement stands for two facts, each counted as a pass: the
-    # three computations of fitting() agree, and their result is nilpotent
-    run.passes += 1
+    run.check("fitting-normal")
     for h in ctx.subgroups:
         if h.is_normal and nilpotence_class(h) is not None:
             run.check("fitting-containment", subgroup=h)
@@ -688,7 +695,12 @@ def _uniformity_outcome(outcomes) -> list[SuiteOutcome]:
                     "formula",
                     "(cross-group)",
                     f"{key} differs between groups",
-                    {"kind": "uniformity", "key": key, "groups": sorted(texts)},
+                    {
+                        "kind": "uniformity",
+                        "key": key,
+                        "groups": sorted(texts),
+                        "digests": {group: _sha256(text) for group, text in texts.items()},
+                    },
                 )
             )
     return [SuiteOutcome("formula", "(cross-group)", passes, tuple(failures), 0.0)]
@@ -719,16 +731,17 @@ def replay_failure(
 
     ``extra_groups`` takes the same groups as :func:`run_suites`; a failure on
     one of them is matched to its group by digest.  ``config`` matters only
-    for a quota failure, whose suite is re-run with the payload's seed.
+    for a quota failure, whose suite is re-run with the payload's seed.  A
+    ``uniformity`` failure stores each group's sha256 of its formula text; it
+    still fails when any of them differs from the re-emitted formula.
     """
     config = config or SuiteConfig()
     payload = failure.payload
     kind = payload["kind"]
     if kind == "uniformity":
-        texts = {
-            format_formula(envelope_formula(*map(int, payload["key"][4:-1].split(","))))
-        }
-        return len(texts) != 1
+        shape = map(int, payload["key"][4:-1].split(","))  # key reads "phi[d,n]"
+        want = _sha256(format_formula(envelope_formula(*shape)))
+        return any(digest != want for digest in payload.get("digests", {}).values())
     if kind != "quota" and kind not in CHECKS:
         raise MalformedInputError(f"unknown failure kind {kind!r}")
     G = _replay_group(payload, extra_groups)

@@ -6,7 +6,10 @@ import random
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import nilenv.formula as formula_module
 from nilenv.catalog import alternating, dihedral, from_spec, quaternion, symmetric, unitriangular
 from nilenv.centralizers import dimension
 from nilenv.envelope import build_envelope, padded_parameters
@@ -157,6 +160,15 @@ def test_evaluator_matches_brute_force():
         ("E y (!(y = 1) & [x, y] = 1)", 0),
         ("A y (E z (x*y*z = z*y*x))", 0),
         ("A w (!(w = x*p0) | w*w = 1)", 1),
+        # renamed copies, which the evaluator's shape-keyed caches share
+        ("A y (x*y = y*x) & A z (x*z = z*x)", 0),
+        ("A y (A y (x*y = y*x))", 0),
+        ("x = p0 | E y (A x (x*y = y*x))", 1),
+        ("A y ([y, x] = 1) | A z ([z, x] = 1 & z = x)", 0),
+        ("E y (y = x & A z (z*y = y*z)) & E z (z*p0 = x & A y (y*z = z*y))", 1),
+        # equal child shapes, different variable positions
+        ("A y (x*y = y) & A z (x*z = x)", 0),
+        ("E y (x = y*y) & A y (E x (x = y*y))", 0),
     ]
     rng = random.Random(59)
     for G in (symmetric(3), dihedral(4), quaternion()):
@@ -165,7 +177,85 @@ def test_evaluator_matches_brute_force():
             params = tuple(rng.randrange(G.order) for _ in range(arity))
             got = evaluate(tree, G, params)
             expected = [g for g in range(G.order) if brute_eval(tree, G, {"x": g}, params)]
-            assert got.elements == tuple(expected)
+            assert got.elements == tuple(expected), (text, G.name)
+
+
+_NAMES = ("x", "y", "z")
+_terms = st.recursive(
+    st.sampled_from([Var(v) for v in _NAMES] + [Param(0)]),
+    lambda sub: st.one_of(st.builds(Mul, sub, sub), st.builds(Inv, sub)),
+    max_leaves=3,
+)
+
+
+def _rewire(node, rename):
+    """A copy with every variable name, bound or free, passed through ``rename``."""
+    if isinstance(node, Var):
+        return Var(rename(node.name))
+    if isinstance(node, (ForAll, Exists)):
+        return type(node)(rename(node.var), _rewire(node.body, rename))
+    if isinstance(node, (Mul, Eq, And, Or)):
+        return type(node)(_rewire(node.left, rename), _rewire(node.right, rename))
+    if isinstance(node, (Inv, Not)):
+        return type(node)(_rewire(node.operand, rename))
+    return node
+
+
+def _renamed_copy(node, image, everywhere):
+    # renamed everywhere, the copy has the same shape but maybe another free
+    # variable; renamed in the right operand of its topmost connective or
+    # equation only, it has the same child shapes there but other positions
+    rename = dict(zip(_NAMES, image)).__getitem__
+    if everywhere:
+        return _rewire(node, rename)
+    if isinstance(node, (ForAll, Exists)):
+        return type(node)(node.var, _renamed_copy(node.body, image, everywhere))
+    if isinstance(node, Not):
+        return Not(_renamed_copy(node.operand, image, everywhere))
+    return type(node)(node.left, _rewire(node.right, rename))
+
+
+_formulas = st.recursive(
+    st.builds(Eq, _terms, _terms),
+    lambda sub: st.one_of(
+        st.builds(And, sub, sub),
+        st.builds(Or, sub, sub),
+        st.builds(Not, sub),
+        st.builds(ForAll, st.sampled_from(_NAMES), sub),
+        st.builds(Exists, st.sampled_from(_NAMES), sub),
+    ),
+    max_leaves=5,
+)
+
+
+def _close(formula, names, universal):
+    for i, v in enumerate(sorted(names)):
+        formula = ForAll(v, formula) if universal ^ (i % 2 == 1) else Exists(v, formula)
+    return formula
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    _formulas,
+    st.lists(st.tuples(st.permutations(_NAMES), st.booleans()), min_size=1, max_size=2),
+    st.booleans(),
+    st.integers(min_value=0),
+)
+def test_random_formulas_with_reused_names_match_brute_force(formula, renamings, universal, seed):
+    # the symmetric difference of the copies' solution sets shows any copy
+    # that wrongly shares another's cache entry
+    copies = [formula] + [_renamed_copy(formula, *renaming) for renaming in renamings]
+    closed = [_close(c, free_variables(c) - {"x"}, universal) for c in copies]
+    open_in_x = closed[0]
+    for c in closed[1:]:
+        open_in_x = Or(And(open_in_x, Not(c)), And(Not(open_in_x), c))
+    sentence = _close(open_in_x, free_variables(open_in_x), not universal)
+    for G in (symmetric(3), quaternion()):
+        params = (seed % G.order,) if max_parameter(open_in_x) == 0 else ()
+        got = evaluate(open_in_x, G, params)
+        expected = [g for g in range(G.order) if brute_eval(open_in_x, G, {"x": g}, params)]
+        assert got.elements == tuple(expected)
+        assert sentence_holds(sentence, G, params) == brute_eval(sentence, G, {}, params)
 
 
 def test_closed_formulas_match_brute_force():
@@ -279,6 +369,48 @@ def test_emitted_formula_solves_envelope():
         phi = emit_envelope_formula(trace)
         solutions = evaluate(phi, G, trace.parameters)
         assert solutions.members == trace.envelope.members
+
+
+def test_class_four_envelope_formulas_solve_envelopes():
+    G = dihedral(16)
+    whole = build_envelope(G, G.as_subgroup())
+    assert whole.nilpotence_class == 4
+    phi = emit_envelope_formula(whole)
+    assert parse(format_formula(phi)) == phi
+    proper = build_envelope(G, closure(G, [2, 16]))
+    assert proper.original.order == 16 and proper.nilpotence_class == 3
+    for trace in (whole, proper):
+        with warnings.catch_warnings():
+            # the naive cost estimate is far above the default budget here
+            warnings.simplefilter("ignore", EvaluationCostWarning)
+            got = evaluate(emit_envelope_formula(trace), G, trace.parameters)
+        assert got.members == trace.envelope.members
+
+
+def test_evaluation_work_is_bounded_by_shapes(monkeypatch):
+    evaluators = []
+
+    class Recording(formula_module._Evaluator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            evaluators.append(self)
+
+    monkeypatch.setattr(formula_module, "_Evaluator", Recording)
+    G = dihedral(16)
+    trace = build_envelope(G, G.as_subgroup())
+    phi = envelope_formula(2, 4)
+    assert emit_envelope_formula(trace) is phi
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EvaluationCostWarning)
+        assert evaluate(phi, G, trace.parameters).members == trace.envelope.members
+    (ev,) = evaluators
+    shapes = formula_module._Shapes()
+    shapes.of(phi)
+    # the tree holds about 114k node objects but only 124 shapes; keying the
+    # caches by node identity again took 2.86M formula evaluations
+    assert len(shapes.measures) <= 300
+    assert len(ev.bools) + len(ev.bitsets) <= len(shapes.measures)
+    assert ev.formula_evals < 100_000
 
 
 def test_emitted_formula_at_wider_padding():

@@ -5,11 +5,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
+import nilenv.suites as suites
 from nilenv.catalog import dihedral, from_spec, symmetric
 from nilenv.errors import MalformedInputError
+from nilenv.formula import envelope_formula, format_formula
 from nilenv.groups import FiniteGroup, Subgroup, group_from_dict, group_to_dict
 from nilenv.suites import (
     ALL_SUITES,
@@ -17,6 +20,8 @@ from nilenv.suites import (
     Failure,
     GroupContext,
     SuiteConfig,
+    SuiteOutcome,
+    _uniformity_outcome,
     all_subgroups,
     build_contexts,
     group_digest,
@@ -250,6 +255,7 @@ HEALTHY_PAYLOADS = [
     {"kind": "formula-solution", "group": "dihedral(4)", "subgroup": [2], "d": 2},
     {"kind": "formula-centralizer", "group": "symmetric(3)", "p0": 3},
     {"kind": "fitting-agreement", "group": "symmetric(4)"},
+    {"kind": "fitting-normal", "group": "symmetric(4)"},
     {"kind": "fitting-containment", "group": "symmetric(3)", "subgroup": [2]},
     {
         "kind": "quota",
@@ -277,6 +283,38 @@ def test_replay_healthy_payloads_report_no_failure():
 def test_replay_detects_genuine_violation():
     payload = {"kind": "fitting-containment", "group": "symmetric(3)", "subgroup": [1, 2]}
     failure = Failure("fitting", "symmetric(3)", "demo", payload)
+    assert replay_failure(failure) is True
+
+
+def test_fitting_normal_check_fails_on_a_non_normal_subgroup(monkeypatch):
+    G = symmetric(3)
+    report = SimpleNamespace(fitting=next(h for h in all_subgroups(G) if h.order == 2))
+    monkeypatch.setattr(suites, "_fitting", lambda group: report)
+    assert CHECKS["fitting-normal"].fn(G) is False
+
+
+def test_uniformity_replay_compares_formula_digests():
+    (legacy,) = [p for p in HEALTHY_PAYLOADS if p["kind"] == "uniformity"]
+    emitted = hashlib.sha256(format_formula(envelope_formula(2, 3)).encode()).hexdigest()
+    healthy = {**legacy, "digests": {"dihedral(4)": emitted, "symmetric(3)": emitted}}
+    forged = {**legacy, "digests": {"dihedral(4)": emitted, "symmetric(3)": "0" * 64}}
+    for payload, still_fails in ((legacy, False), (healthy, False), (forged, True)):
+        failure = Failure("formula", "(cross-group)", "demo", payload)
+        assert replay_failure(failure) is still_fails
+
+
+def test_uniformity_failure_stores_formula_digests():
+    outcome = _uniformity_outcome(
+        [
+            SuiteOutcome("formula", "dihedral(4)", 1, (), 0.0, (("phi[2,2]", "x = 1"),)),
+            SuiteOutcome("formula", "symmetric(3)", 1, (), 0.0, (("phi[2,2]", "x = x"),)),
+        ]
+    )
+    (failure,) = outcome[0].failures
+    assert failure.payload["digests"] == {
+        "dihedral(4)": hashlib.sha256(b"x = 1").hexdigest(),
+        "symmetric(3)": hashlib.sha256(b"x = x").hexdigest(),
+    }
     assert replay_failure(failure) is True
 
 
