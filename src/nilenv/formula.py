@@ -127,12 +127,13 @@ class _Shapes:
 
     ``of`` gives a node's shape id and its free variables in first-occurrence
     order; ``measures`` holds, per shape, the largest parameter slot (-1 for
-    none), the quantifier depth and the tree size.
+    none), the quantifier depth, the tree size and the width: the number of
+    free variables, plus one for a quantifier's bound variable.
     """
 
     def __init__(self) -> None:
         self.ids: dict[tuple, int] = {}
-        self.measures: list[tuple[int, int, int]] = []
+        self.measures: list[tuple[int, int, int, int]] = []
         self.nodes: dict[int, tuple[int, tuple[str, ...]]] = {}
 
     def of(self, node) -> tuple[int, tuple[str, ...]]:
@@ -176,13 +177,14 @@ class _Shapes:
                     max([m[0] for m in below], default=extra if isinstance(node, Param) else -1),
                     max([m[1] for m in below], default=0) + isinstance(node, (ForAll, Exists)),
                     1 + sum(m[2] for m in below),
+                    len(fv) + isinstance(node, (ForAll, Exists)),
                 )
             )
         got = self.nodes[id(node)] = (shape, fv)
         return got
 
 
-def _measures(node: Formula | Term) -> tuple[int, int, int]:
+def _measures(node: Formula | Term) -> tuple[int, int, int, int]:
     shapes = _Shapes()
     return shapes.measures[shapes.of(node)[0]]
 
@@ -207,13 +209,15 @@ def size(node: Formula | Term) -> int:
     return _measures(node)[2]
 
 
-def _naive_cost(measures: tuple[int, int, int], group: FiniteGroup) -> int:
-    return group.order ** measures[1] * measures[2]
+def _cost(shapes: _Shapes, group: FiniteGroup) -> int:
+    return sum(group.order ** m[3] for m in shapes.measures)
 
 
 def cost_estimate(formula: Formula, group: FiniteGroup) -> int:
-    """Naive evaluation cost: order ** quantifier_depth * tree size."""
-    return _naive_cost(_measures(formula), group)
+    """Sum over shapes of order ** width, the assignments each can see (Vardi, PODS 1995)."""
+    shapes = _Shapes()
+    shapes.of(formula)
+    return _cost(shapes, group)
 
 
 # -- Parser --------------------------------------------------------------
@@ -547,7 +551,7 @@ def _prepare(shapes: _Shapes, shape: int, group: FiniteGroup, params, warn_budge
     for value in params:
         if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < group.order:
             raise MalformedInputError(f"parameter {value!r} is not an element index")
-    cost = _naive_cost(measures, group)
+    cost = _cost(shapes, group)
     if cost > warn_budget:
         warnings.warn(
             f"estimated evaluation cost {cost} exceeds budget {warn_budget}",

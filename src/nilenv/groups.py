@@ -10,7 +10,6 @@ supported: explicit Cayley tables and permutation groups given by generators
 from __future__ import annotations
 
 import json
-import random
 
 import numpy as np
 
@@ -23,8 +22,6 @@ from .errors import (
 
 DEFAULT_ORDER_CAP = 100_000
 TABLE_MAX_ORDER = 2048
-ASSOCIATIVITY_EXHAUSTIVE_MAX = 256
-ASSOCIATIVITY_SAMPLES = 20_000
 
 
 def iter_mask(mask: int):
@@ -66,9 +63,9 @@ class FiniteGroup:
         """Build a group from a full multiplication table.
 
         The table is relabelled if needed so that the identity is element 0.
-        With ``validate`` set, the table is checked to be a Latin square with
-        a two-sided identity, and associativity is checked exhaustively up to
-        order 256 (by random sampling above that).
+        With ``validate`` set, the table is checked exactly: it must be a
+        Latin square with a two-sided identity, and associative by Light's
+        test (see :meth:`_check_associative`).
         """
         if not isinstance(table, (list, tuple)) or not table:
             raise MalformedInputError("table must be a nonempty list of rows")
@@ -82,9 +79,9 @@ class FiniteGroup:
                     raise MalformedInputError(f"row {i} contains bad entry {v!r}")
             rows.append(list(row))
 
-        arr = np.array(rows, dtype=np.int64)
+        arr = np.array(rows, dtype=np.int32)
         if validate:
-            expect = np.arange(n, dtype=np.int64)
+            expect = np.arange(n, dtype=np.int32)
             for axis, what in ((1, "row"), (0, "column")):
                 ok = (np.sort(arr, axis=axis) == (expect[None, :] if axis == 1 else expect[:, None])).all()
                 if not ok:
@@ -98,7 +95,7 @@ class FiniteGroup:
             sigma = list(range(n))
             sigma[0], sigma[e] = e, 0
             rows = [[sigma[rows[sigma[i]][sigma[j]]] for j in range(n)] for i in range(n)]
-            arr = np.array(rows, dtype=np.int64)
+            arr = np.array(rows, dtype=np.int32)
 
         if validate:
             cls._check_associative(arr, n)
@@ -108,23 +105,32 @@ class FiniteGroup:
 
     @staticmethod
     def _check_associative(arr, n: int) -> None:
-        if n <= ASSOCIATIVITY_EXHAUSTIVE_MAX:
-            for k in range(n):
-                left = arr[arr, k]
-                right = arr[:, arr[:, k]]
-                if not np.array_equal(left, right):
-                    i, j = np.argwhere(left != right)[0]
-                    raise MalformedInputError(
-                        f"multiplication is not associative at ({i}, {j}, {k})"
-                    )
-        else:
-            rng = random.Random(0xA55)
-            for _ in range(ASSOCIATIVITY_SAMPLES):
-                i, j, k = (rng.randrange(n) for _ in range(3))
-                if arr[arr[i, j], k] != arr[i, arr[j, k]]:
-                    raise MalformedInputError(
-                        f"multiplication is not associative at ({i}, {j}, {k})"
-                    )
+        """Light's test (Clifford & Preston 1961, 1.2): check (x*y)*g == x*(y*g).
+
+        The g that pass are closed under products, so it suffices to check a
+        generating set, picked greedily: each element not yet reached from 1
+        by right multiplication (a plain search: ``closure_mask`` assumes
+        associativity) is checked, then added.  While all pass, the reached
+        set is a subloop, which each new generator at least doubles.
+        """
+        reached = np.zeros(n, dtype=bool)
+        reached[0] = True
+        gens = []
+        for k in range(n):
+            if reached[k]:
+                continue
+            left = arr[arr, k]
+            right = arr[:, arr[:, k]]
+            if not np.array_equal(left, right):
+                i, j = np.argwhere(left != right)[0]
+                raise MalformedInputError(f"multiplication is not associative at ({i}, {j}, {k})")
+            gens.append(k)
+            frontier = np.flatnonzero(reached)
+            while frontier.size:
+                step = np.zeros(n, dtype=bool)
+                step[arr[np.ix_(frontier, gens)]] = True
+                frontier = np.flatnonzero(step & ~reached)
+                reached |= step
 
     @classmethod
     def from_permutations(
@@ -288,22 +294,34 @@ class FiniteGroup:
         return out
 
     def closure_mask(self, seedmask: int) -> int:
-        """Mask of the subgroup generated by the elements of ``seedmask``."""
+        """Mask of the subgroup generated by the elements of ``seedmask``.
+
+        Dimino's algorithm (Butler, LNCS 559, 1991): each seed, ascending, not
+        yet in the subgroup H built so far becomes a generator, and the new
+        subgroup is the union of right cosets of H found from r = 1 by adding
+        H*(r*g) for each representative r and generator g with r*g uncovered.
+        """
         key = ("closure", seedmask)
         cached = self._memo.get(key)
         if cached is None:
-            gens = list(iter_mask(seedmask))
+            mul = self._mul
             cached = 1
-            frontier = [0]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for s in gens:
-                        y = self._mul(x, s)
+            elems = [0]
+            gens = []
+            for s in iter_mask(seedmask):
+                if cached >> s & 1:
+                    continue
+                gens.append(s)
+                old = elems[:]
+                reps = [0]
+                for r in reps:
+                    for g in gens:
+                        y = mul(r, g)
                         if not cached >> y & 1:
-                            cached |= 1 << y
-                            nxt.append(y)
-                frontier = nxt
+                            reps.append(y)
+                            coset = [mul(h, y) for h in old]
+                            elems += coset
+                            cached |= mask_of(coset)
             self._memo[key] = cached
         return cached
 

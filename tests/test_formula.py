@@ -28,6 +28,7 @@ from nilenv.formula import (
     Param,
     Var,
     commutator,
+    cost_estimate,
     dimension_sentence,
     emit_envelope_formula,
     envelope_formula,
@@ -381,8 +382,7 @@ def test_class_four_envelope_formulas_solve_envelopes():
     assert proper.original.order == 16 and proper.nilpotence_class == 3
     for trace in (whole, proper):
         with warnings.catch_warnings():
-            # the naive cost estimate is far above the default budget here
-            warnings.simplefilter("ignore", EvaluationCostWarning)
+            warnings.simplefilter("error", EvaluationCostWarning)
             got = evaluate(emit_envelope_formula(trace), G, trace.parameters)
         assert got.members == trace.envelope.members
 
@@ -401,7 +401,8 @@ def test_evaluation_work_is_bounded_by_shapes(monkeypatch):
     phi = envelope_formula(2, 4)
     assert emit_envelope_formula(trace) is phi
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EvaluationCostWarning)
+        # the shape-aware estimate stays under the default budget
+        warnings.simplefilter("error", EvaluationCostWarning)
         assert evaluate(phi, G, trace.parameters).members == trace.envelope.members
     (ev,) = evaluators
     shapes = formula_module._Shapes()
@@ -466,6 +467,14 @@ def test_dimension_sentence_on_symmetric_4():
     assert dimension(G) == 4
     assert not sentence_holds(dimension_sentence(2), G)
     assert not sentence_holds(dimension_sentence(3), G)
+
+
+def test_cost_estimate_sums_shapes():
+    # shapes: the variable (width 1), x*y and y*x (one shape, width 2), the
+    # equation (width 2), the quantifier (width 1 + its bound variable)
+    assert cost_estimate(parse("A y (x*y = y*x)"), symmetric(3)) == 6 + 3 * 6**2
+    # renamed copies share shapes, so phi_{2,4} (113,509 nodes) costs about 5e5
+    assert cost_estimate(envelope_formula(2, 4), dihedral(16)) < 10**6
 
 
 def test_cost_warning():

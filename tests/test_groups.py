@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilenv.catalog import cyclic, dihedral, from_spec, quaternion, symmetric, unitriangular
 from nilenv.errors import (
@@ -14,6 +17,7 @@ from nilenv.errors import (
     ParentMismatchError,
 )
 from nilenv.groups import (
+    TABLE_MAX_ORDER,
     ElementSet,
     FiniteGroup,
     Subgroup,
@@ -22,6 +26,7 @@ from nilenv.groups import (
     group_from_dict,
     group_to_dict,
     hall_witt_products,
+    iter_mask,
     load_group,
     mask_of,
     normal_closure,
@@ -89,6 +94,101 @@ def test_nonassociative_table_names_a_triple():
         FiniteGroup.from_cayley_table(NONASSOCIATIVE_TABLE)
 
 
+def intercalate_switch(table, i, j, k, m):
+    """Copy of ``table`` with the intercalate in rows i, k and columns j, m swapped."""
+    assert table[i][j] == table[k][m] and table[i][m] == table[k][j]
+    out = [list(row) for row in table]
+    out[i][j], out[i][m] = table[i][m], table[i][j]
+    out[k][j], out[k][m] = table[k][m], table[k][j]
+    return out
+
+
+def exhaustive_triple(table):
+    """First (i, j, k) with (i*j)*k != i*(j*k), or None; the n^3 reference."""
+    n = len(table)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if table[table[i][j]][k] != table[i][table[j][k]]:
+                    return i, j, k
+    return None
+
+
+def assert_named_triple_fails(table, message):
+    i, j, k = map(int, re.search(r"\((\d+), (\d+), (\d+)\)", message).groups())
+    assert table[table[i][j]][k] != table[i][table[j][k]]
+
+
+def test_large_nonassociative_table_is_rejected():
+    # rows and columns 1 and 257 of cyclic(512) hold the intercalate 2/258;
+    # swapping it keeps a Latin square with identity 0 but breaks
+    # associativity in only about 16 of every n^2 triples, so a sampled
+    # check would likely miss it
+    table = intercalate_switch(cyclic(512)._table, 1, 1, 257, 257)
+    with pytest.raises(MalformedInputError, match="not associative") as info:
+        FiniteGroup.from_cayley_table(table)
+    assert_named_triple_fails(table, str(info.value))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "cyclic(300)",
+        "dihedral(8)",
+        "quaternion",
+        "unitriangular(7)",
+        "product(dihedral(4), symmetric(3))",
+        "symmetric(5)",
+        "alternating(4)",
+    ],
+)
+def test_catalog_tables_pass_the_associativity_check(spec):
+    G = from_spec(spec)
+    H = FiniteGroup.from_cayley_table(G._table)
+    assert H.order == G.order and H._table == G._table
+
+
+def _switchable_loops():
+    """Loops one or two intercalate switches away from groups of order 8."""
+    out = []
+    for base in (cyclic(8)._table, dihedral(4)._table, quaternion()._table):
+        spots = [
+            (i, j, k, m)
+            for i in range(1, 8)
+            for k in range(i + 1, 8)
+            for j in range(1, 8)
+            for m in range(j + 1, 8)
+            if base[i][j] == base[k][m] and base[i][m] == base[k][j]
+        ]
+        out.append((base, spots))
+    return out
+
+
+_LOOPS = _switchable_loops()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, len(_LOOPS) - 1), st.lists(st.integers(min_value=0), min_size=1, max_size=2))
+def test_associativity_check_matches_exhaustive_reference(which, picks):
+    table, spots = _LOOPS[which]
+    for pick in picks:
+        spots = [
+            (i, j, k, m)
+            for i, j, k, m in spots
+            if table[i][j] == table[k][m] and table[i][m] == table[k][j]
+        ]
+        if not spots:
+            break
+        table = intercalate_switch(table, *spots[pick % len(spots)])
+    expected = exhaustive_triple(table)
+    if expected is None:
+        FiniteGroup.from_cayley_table(table)
+    else:
+        with pytest.raises(MalformedInputError, match="not associative") as info:
+            FiniteGroup.from_cayley_table(table)
+        assert_named_triple_fails(table, str(info.value))
+
+
 def test_permutation_group_construction():
     G = FiniteGroup.from_permutations(3, [[1, 0, 2], [1, 2, 0]])
     assert G.order == 6
@@ -142,6 +242,45 @@ def test_inverses_and_commutators():
             lhs = G.mul(G.mul(G.mul(G.inv(a), G.inv(b)), a), b)
             assert G.comm(a, b) == lhs
             assert G.conj(a, b) == G.mul(G.mul(G.inv(b), a), b)
+
+
+def bfs_closure_mask(G: FiniteGroup, seed) -> int:
+    """The subgroup generated by ``seed``: right multiplication from 1 until closed."""
+    seed = list(seed)
+    got = {0}
+    frontier = [0]
+    while frontier:
+        frontier = [y for y in {G.mul(x, s) for x in frontier for s in seed} if y not in got]
+        got.update(frontier)
+    return mask_of(got)
+
+
+# fresh groups, so closure_mask memo entries come only from this test
+_CLOSURE_GROUPS = (
+    FiniteGroup.from_cayley_table(dihedral(8)._table),
+    FiniteGroup.from_cayley_table(unitriangular(5)._table),
+    FiniteGroup.from_cayley_table(from_spec("product(dihedral(4), symmetric(3))")._table),
+    FiniteGroup.from_cayley_table(quaternion()._table),
+    FiniteGroup.from_permutations(5, [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]]),
+    FiniteGroup.from_permutations(6, [[1, 2, 0, 3, 4, 5], [0, 1, 3, 4, 5, 2], [5, 4, 3, 2, 1, 0]]),
+    FiniteGroup.from_permutations(7, [[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0]]),
+)
+
+
+def test_closure_groups_cover_both_multiplication_paths():
+    big = _CLOSURE_GROUPS[-1]
+    assert big.order == 5040 > TABLE_MAX_ORDER and big._table is None
+    assert all(G._table is not None for G in _CLOSURE_GROUPS[:-1])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_closure_mask_matches_bfs_reference(data):
+    G = data.draw(st.sampled_from(_CLOSURE_GROUPS))
+    seed = data.draw(st.lists(st.integers(0, G.order - 1), min_size=1, max_size=6))
+    got = G.closure_mask(mask_of(seed))
+    assert got == bfs_closure_mask(G, seed)
+    assert all(got >> G.inv(g) & 1 for g in iter_mask(got))
 
 
 def test_closure_against_brute_force():

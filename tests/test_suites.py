@@ -51,6 +51,8 @@ SUBGROUP_COUNTS = {
     "unitriangular(3)": 19,
     "dihedral(8)": 19,
     "product(dihedral(4), symmetric(3))": 120,
+    "symmetric(5)": 156,
+    "unitriangular(7)": 67,
 }
 
 
