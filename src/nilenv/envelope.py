@@ -75,11 +75,7 @@ class EnvelopeTrace:
 
 def _condition_mask(G: FiniteGroup, ambient_mask: int, h: int, center_mask: int) -> int:
     """The set {x in ambient : [x, h] in center}."""
-    out = 0
-    for x in iter_mask(ambient_mask):
-        if center_mask >> G._comm(x, h) & 1:
-            out |= 1 << x
-    return out
+    return G._select("comm", ambient_mask, 1 << h, center_mask)
 
 
 def build_envelope(G: FiniteGroup, H: Subgroup) -> EnvelopeTrace:
@@ -459,6 +455,14 @@ def fitting(G: FiniteGroup) -> FittingReport:
     envelope of that product, which must reproduce it, and (iii) the set of
     bounded left Engel elements.  Disagreement raises
     :class:`InternalCheckError`.
+
+    The Engel set does not use (i).  For each x it iterates image sets:
+    S_0 = G and S_{k+1} = {[y, x] : y in S_k}, so S_k holds every
+    [g, x, ..., x] with k copies of x.  S_1 <= S_0 = G, so by induction
+    S_{k+1} <= S_k: the chain is nested, and it stops when it stabilizes.
+    The identity is fixed by y -> [y, x], so x is a bounded Engel element
+    exactly when the chain reaches {1}, and the least such k is the largest
+    :func:`engel_iterate` over g, which ``engel_bound_n`` maximizes over x.
     """
     cores = G.trivial_subgroup()
     for p in _prime_factors(G.order):
@@ -473,15 +477,15 @@ def fitting(G: FiniteGroup) -> FittingReport:
     engel_mask = 0
     bound = 0
     for x in range(G.order):
-        steps = []
-        for g in range(G.order):
-            s = engel_iterate(G, g, x)
-            if s is None:
+        image, steps = G.full_mask, 0
+        while image != 1:
+            nxt = G._image("comm", image, 1 << x)
+            if nxt == image:
                 break
-            steps.append(s)
-        else:
+            image, steps = nxt, steps + 1
+        if image == 1:
             engel_mask |= 1 << x
-            bound = max(bound, max(steps))
+            bound = max(bound, steps)
     if not is_subgroup_mask(G, engel_mask):
         raise InternalCheckError("bounded Engel set is not a subgroup")
     by_engel = Subgroup(G, engel_mask)

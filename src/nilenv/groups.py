@@ -2,9 +2,17 @@
 
 Elements of a group of order n are the integers 0..n-1, with 0 always the
 identity.  Subsets are represented as Python int bitmasks, so intersections
-are single AND operations and membership tests are shifts.  Two backends are
-supported: explicit Cayley tables and permutation groups given by generators
-(which also get a table when small enough).
+are single AND operations and membership tests are shifts.
+
+Every group given by a Cayley table, and every permutation group of order
+at most ``TABLE_MAX_ORDER``, is held as one numpy Cayley table,
+``T[a, b] = a * b``.  The list-of-lists rows in ``_table`` are derived from
+it, with one shared int object per element, for scalar ``_mul``.  The
+quadratic kernels (:meth:`FiniteGroup._select`, :meth:`FiniteGroup._image`
+and the element centralizers) gather through the numpy table, converting
+masks at the boundary; up to ``_SCALAR_MAX_WORK`` element pairs they run a
+scalar loop instead, which is faster there.  Larger permutation groups have
+no table: they multiply permutation tuples and always take the scalar loops.
 """
 
 from __future__ import annotations
@@ -23,6 +31,14 @@ from .errors import (
 DEFAULT_ORDER_CAP = 100_000
 TABLE_MAX_ORDER = 2048
 
+# A kernel visiting at most this many element pairs runs the scalar loop.
+# Numpy's fixed cost per call (mask conversions and gathers, 5-30 us) is
+# about that of the whole loop there; 64 keeps every kernel on a group of
+# order 8 scalar.
+_SCALAR_MAX_WORK = 64
+# Element pairs per numpy block, which bounds the kernels' temporaries.
+_BLOCK_PAIRS = 1 << 14
+
 
 def iter_mask(mask: int):
     """Yield the set bit positions of ``mask`` in ascending order."""
@@ -40,21 +56,44 @@ def mask_of(indices) -> int:
     return mask
 
 
+def _index_dtype(n: int):
+    return np.int16 if n < 1 << 15 else np.int32
+
+
+def _bool_vector(mask: int, n: int) -> np.ndarray:
+    """The mask as a length-n boolean array."""
+    raw = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little").view(bool)
+
+
+def _vector_mask(flags: np.ndarray) -> int:
+    """The mask of the true entries of a boolean array."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
 class FiniteGroup:
     """A finite group on elements 0..order-1 with identity 0."""
 
-    def __init__(self, order, name, kind, table, perms, perm_generators):
+    def __init__(self, order, name, kind, array, perms, perm_generators):
         self.order = order
         self.name = name
         self.kind = kind
-        self._table = table
+        self._array = array
         self._perms = perms
         self._perm_generators = perm_generators
         self._perm_index = {p: i for i, p in enumerate(perms)} if perms else None
         self.full_mask = (1 << order) - 1
         self._elem_cent: list[int | None] = [None] * order
         self._memo: dict = {}
-        self.inverse_table = self._build_inverses()
+        if array is None:
+            self._table = None
+            self.inverse_table = self._perm_inverses()
+            self._inv_array = None
+        else:
+            interned = np.array(range(order), dtype=object)
+            self._table = [interned[row].tolist() for row in array]
+            self._inv_array = array.argmin(axis=1).astype(array.dtype)
+            self.inverse_table = interned[self._inv_array].tolist()
 
     # -- construction -------------------------------------------------
 
@@ -70,38 +109,35 @@ class FiniteGroup:
         if not isinstance(table, (list, tuple)) or not table:
             raise MalformedInputError("table must be a nonempty list of rows")
         n = len(table)
-        rows = []
         for i, row in enumerate(table):
             if not isinstance(row, (list, tuple)) or len(row) != n:
                 raise MalformedInputError(f"row {i} does not have length {n}")
+            if set(map(type, row)) == {int} and min(row) >= 0 and max(row) < n:
+                continue  # the common case, checked in C; else find the bad entry
             for v in row:
                 if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
                     raise MalformedInputError(f"row {i} contains bad entry {v!r}")
-            rows.append(list(row))
 
-        arr = np.array(rows, dtype=np.int32)
+        arr = np.array(table, dtype=_index_dtype(n))
+        expect = np.arange(n)
         if validate:
-            expect = np.arange(n, dtype=np.int32)
             for axis, what in ((1, "row"), (0, "column")):
                 ok = (np.sort(arr, axis=axis) == (expect[None, :] if axis == 1 else expect[:, None])).all()
                 if not ok:
                     raise MalformedInputError(f"some {what} is not a permutation of 0..{n - 1}")
 
-        ident = [e for e in range(n) if rows[e] == list(range(n)) and all(rows[i][e] == i for i in range(n))]
+        ident = np.flatnonzero((arr == expect[None, :]).all(axis=1) & (arr == expect[:, None]).all(axis=0))
         if len(ident) != 1:
             raise MalformedInputError("table has no two-sided identity element")
-        e = ident[0]
+        e = int(ident[0])
         if e != 0:
-            sigma = list(range(n))
+            sigma = np.arange(n)
             sigma[0], sigma[e] = e, 0
-            rows = [[sigma[rows[sigma[i]][sigma[j]]] for j in range(n)] for i in range(n)]
-            arr = np.array(rows, dtype=np.int32)
+            arr = sigma[arr[np.ix_(sigma, sigma)]].astype(arr.dtype)
 
         if validate:
             cls._check_associative(arr, n)
-        interned = list(range(n))
-        rows = [[interned[v] for v in row] for row in rows]
-        return cls(n, name, "cayley", rows, None, None)
+        return cls(n, name, "cayley", arr, None, None)
 
     @staticmethod
     def _check_associative(arr, n: int) -> None:
@@ -144,9 +180,17 @@ class FiniteGroup:
         """Build the group generated by permutations of 0..degree-1.
 
         Permutations compose left to right: (g * h) moves i to h[g[i]].
+        Elements are numbered in breadth-first order from the identity, each
+        new permutation p * s (s a generator) taking the next index.
         Enumeration stops with :class:`CapExceededError` if the group grows
-        past ``order_cap``.  A multiplication table is precomputed when the
-        order is at most ``table_max_order``.
+        past ``order_cap``.
+
+        When the order is at most ``table_max_order`` a table is built from
+        what the search saw, with no permutation arithmetic: the search
+        records ``right[k, s]``, the index of perms[k] * gens[s], and each
+        element's parent (k, s).  If b = perms[k] * gens[s], then
+        a * b = (a * perms[k]) * gens[s], so column b of the table is
+        ``right[column k, s]``, one gather per element.
         """
         if not isinstance(degree, int) or degree < 1:
             raise MalformedInputError("degree must be a positive integer")
@@ -160,46 +204,50 @@ class FiniteGroup:
         identity = tuple(range(degree))
         perms = [identity]
         index = {identity: 0}
+        # right[k * len(gens) + s] is the index of perms[k] * gens[s]: the
+        # search expands perms in index order, each by every generator.
+        right = []
+        parent = [0]
         frontier = [identity]
         while frontier:
             nxt = []
             for p in frontier:
                 for s in gens:
                     q = tuple(s[v] for v in p)
-                    if q not in index:
+                    k = index.get(q)
+                    if k is None:
                         if len(perms) >= order_cap:
                             raise CapExceededError(
                                 f"group order exceeds cap {order_cap}", partial=len(perms)
                             )
-                        index[q] = len(perms)
+                        k = index[q] = len(perms)
+                        parent.append(len(right))
                         perms.append(q)
                         nxt.append(q)
+                    right.append(k)
             frontier = nxt
 
         n = len(perms)
         table = None
         if n <= table_max_order:
-            interned = list(range(n))
-            table = [
-                [interned[index[tuple(q[v] for v in p)]] for q in perms]
-                for p in perms
-            ]
+            m = len(gens)
+            dtype = _index_dtype(n)
+            by_gen = np.array(right, dtype=dtype).reshape(n, m).T.copy()
+            table = np.empty((n, n), dtype=dtype)
+            table[:, 0] = np.arange(n)
+            for b in range(1, n):
+                k, s = divmod(parent[b], m)
+                table[:, b] = by_gen[s][table[:, k]]
         return cls(n, name, "perm", table, tuple(perms), tuple(gens))
 
-    def _build_inverses(self) -> list[int]:
-        if self._perms is not None:
-            out = []
-            for p in self._perms:
-                inv = [0] * len(p)
-                for i, v in enumerate(p):
-                    inv[v] = i
-                out.append(self._perm_index[tuple(inv)])
-            return out
-        table = self._table
-        inv = [-1] * self.order
-        for i in range(self.order):
-            inv[i] = table[i].index(0)
-        return inv
+    def _perm_inverses(self) -> list[int]:
+        out = []
+        for p in self._perms:
+            inv = [0] * len(p)
+            for i, v in enumerate(p):
+                inv[v] = i
+            out.append(self._perm_index[tuple(inv)])
+        return out
 
     # -- the operations -----------------------------------------------
 
@@ -243,16 +291,84 @@ class FiniteGroup:
         self._check_index(h)
         return self._comm(g, h)
 
+    # -- kernels over element pairs ---------------------------------------
+    #
+    # op(x, p) is one of "mul": x * p, "comm": [x, p], "conj": p^x = x^-1 p x.
+
+    def _scalar_op(self, op: str):
+        if op == "mul":
+            return self._mul
+        if op == "comm":
+            return self._comm
+        return lambda x, p: self._conj(p, x)
+
+    def _pair_values(self, op: str, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
+        """The array op(x, p) for x in ``xs`` (rows) and p in ``ps`` (columns)."""
+        T, inv = self._array, self._inv_array
+        x, p = xs[:, None], ps[None, :]
+        if op == "mul":
+            return T[x, p]
+        if op == "comm":
+            return T[inv[T[p, x]], T[x, p]]
+        return T[T[inv[x], p], x]
+
+    def _blocks(self, xs: int, ps: int):
+        """Index arrays (x block, ps) covering xs x ps, or None for the scalar loop."""
+        work = xs.bit_count() * ps.bit_count()
+        if self._array is None or work <= _SCALAR_MAX_WORK:
+            return None
+        n = self.order
+        x_idx = np.flatnonzero(_bool_vector(xs, n))
+        p_idx = np.flatnonzero(_bool_vector(ps, n))
+        step = max(1, _BLOCK_PAIRS // len(p_idx))
+        return [(x_idx[i : i + step], p_idx) for i in range(0, len(x_idx), step)]
+
+    def _select(self, op: str, xs: int, ps: int, target: int) -> int:
+        """Mask of the x in ``xs`` with op(x, p) in ``target`` for every p in ``ps``."""
+        blocks = self._blocks(xs, ps)
+        if blocks is None:
+            f = self._scalar_op(op)
+            plist = list(iter_mask(ps))
+            out = 0
+            for x in iter_mask(xs):
+                if all(target >> f(x, p) & 1 for p in plist):
+                    out |= 1 << x
+            return out
+        inside = _bool_vector(target, self.order)
+        flags = np.zeros(self.order, dtype=bool)
+        for x_idx, p_idx in blocks:
+            flags[x_idx[inside[self._pair_values(op, x_idx, p_idx)].all(axis=1)]] = True
+        return _vector_mask(flags)
+
+    def _image(self, op: str, xs: int, ps: int) -> int:
+        """Mask of all op(x, p) with x in ``xs`` and p in ``ps``."""
+        blocks = self._blocks(xs, ps)
+        if blocks is None:
+            f = self._scalar_op(op)
+            plist = list(iter_mask(ps))
+            out = 0
+            for x in iter_mask(xs):
+                for p in plist:
+                    out |= 1 << f(x, p)
+            return out
+        flags = np.zeros(self.order, dtype=bool)
+        for x_idx, p_idx in blocks:
+            flags[self._pair_values(op, x_idx, p_idx)] = True
+        return _vector_mask(flags)
+
     # -- masks ----------------------------------------------------------
 
     def element_centralizer_mask(self, g: int) -> int:
         """Mask of all x with x * g == g * x."""
         cached = self._elem_cent[g]
         if cached is None:
-            cached = 0
-            for x in range(self.order):
-                if self._mul(x, g) == self._mul(g, x):
-                    cached |= 1 << x
+            if self._array is None or self.order <= _SCALAR_MAX_WORK:
+                cached = 0
+                for x in range(self.order):
+                    if self._mul(x, g) == self._mul(g, x):
+                        cached |= 1 << x
+            else:
+                cached = _vector_mask(self._array[:, g] == self._array[g])
             self._elem_cent[g] = cached
         return cached
 
@@ -279,19 +395,12 @@ class FiniteGroup:
         key = ("norm", mask)
         cached = self._memo.get(key)
         if cached is None:
-            members = list(iter_mask(mask))
-            cached = 0
-            for g in range(self.order):
-                if all(mask >> self._conj(x, g) & 1 for x in members):
-                    cached |= 1 << g
+            cached = self._select("conj", self.full_mask, mask, mask)
             self._memo[key] = cached
         return cached
 
     def conjugate_mask(self, mask: int, g: int) -> int:
-        out = 0
-        for x in iter_mask(mask):
-            out |= 1 << self._conj(x, g)
-        return out
+        return self._image("conj", 1 << g, mask)
 
     def closure_mask(self, seedmask: int) -> int:
         """Mask of the subgroup generated by the elements of ``seedmask``.
@@ -460,14 +569,7 @@ def _ambient_pair(ambient) -> tuple[FiniteGroup, int]:
 
 def is_subgroup_mask(parent: FiniteGroup, mask: int) -> bool:
     """Check that a nonempty mask is closed under multiplication."""
-    if not mask & 1:
-        return False
-    elems = list(iter_mask(mask))
-    for a in elems:
-        for b in elems:
-            if not mask >> parent._mul(a, b) & 1:
-                return False
-    return True
+    return bool(mask & 1) and parent._select("mul", mask, mask, mask) == mask
 
 
 def closure(parent: FiniteGroup, seed) -> Subgroup:
@@ -484,11 +586,7 @@ def commutator_subgroup(first: ElementSet, second: ElementSet) -> Subgroup:
     key = ("commsub", min(a_mask, b_mask), max(a_mask, b_mask))
     cached = G._memo.get(key)
     if cached is None:
-        seed = 0
-        for a in iter_mask(a_mask):
-            for b in iter_mask(b_mask):
-                seed |= 1 << G._comm(a, b)
-        cached = G.closure_mask(seed)
+        cached = G.closure_mask(G._image("comm", a_mask, b_mask))
         G._memo[key] = cached
     return Subgroup(G, cached)
 
@@ -503,10 +601,7 @@ def normal_closure(parent: FiniteGroup, g: int) -> Subgroup:
     key = ("ncl", g)
     cached = parent._memo.get(key)
     if cached is None:
-        orbit = 0
-        for h in range(parent.order):
-            orbit |= 1 << parent._conj(g, h)
-        cached = parent.closure_mask(orbit)
+        cached = parent.closure_mask(parent._image("conj", parent.full_mask, 1 << g))
         parent._memo[key] = cached
     return Subgroup(parent, cached)
 
@@ -520,14 +615,8 @@ def product_set(first: Subgroup, second: Subgroup) -> Subgroup:
     if first.parent is not second.parent:
         raise ParentMismatchError("product of subgroups of different groups")
     G = first.parent
-    ab = 0
-    for a in first:
-        for b in second:
-            ab |= 1 << G._mul(a, b)
-    ba = 0
-    for b in second:
-        for a in first:
-            ba |= 1 << G._mul(b, a)
+    ab = G._image("mul", first.members, second.members)
+    ba = G._image("mul", second.members, first.members)
     if ab != ba:
         raise NotASubgroupError("product set AB differs from BA, so AB is not a subgroup")
     out = Subgroup(G, ab)
@@ -582,7 +671,12 @@ def group_from_dict(data: dict, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGro
     if kind == "cayley":
         if "table" not in data:
             raise MalformedInputError("cayley group description needs a 'table'")
-        return FiniteGroup.from_cayley_table(data["table"], name=name)
+        table = data["table"]
+        if isinstance(table, (list, tuple)) and len(table) > order_cap:
+            raise CapExceededError(
+                f"group order {len(table)} exceeds cap {order_cap}", partial=len(table)
+            )
+        return FiniteGroup.from_cayley_table(table, name=name)
     if kind == "perm":
         if "degree" not in data or "generators" not in data:
             raise MalformedInputError("perm group description needs 'degree' and 'generators'")

@@ -56,16 +56,12 @@ def upper_central_series(P: Subgroup) -> CentralSeries:
     key = ("ucs", P.members)
     cached = G._memo.get(key)
     if cached is None:
-        members = P.elements
         masks = [1]
         while len(masks) <= G.order + 1:
             prev = masks[-1]
             if prev == P.members:
                 break
-            nxt = 0
-            for x in members:
-                if all(prev >> G._comm(x, p) & 1 for p in members):
-                    nxt |= 1 << x
+            nxt = G._select("comm", P.members, P.members, prev)
             if nxt == prev:
                 break
             masks.append(nxt)
@@ -124,14 +120,10 @@ def iterated_centralizer(ambient, base: Subgroup, n: int) -> IteratedCentralizer
     terms, norm_inter = G._memo.get(key, ((1,), amb))
     if len(terms) <= n:
         terms = list(terms)
-        base_elems = base.elements
         while len(terms) <= n:
             prev = terms[-1]
             norm_inter &= G.normalizer_mask(prev) if prev != 1 else amb
-            level = 0
-            for x in iter_mask(norm_inter):
-                if all(prev >> G._comm(x, p) & 1 for p in base_elems):
-                    level |= 1 << x
+            level = G._select("comm", norm_inter, base.members, prev)
             if not is_subgroup_mask(G, level):
                 raise InternalCheckError("iterated centralizer level is not a subgroup")
             terms.append(level)

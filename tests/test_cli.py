@@ -264,3 +264,14 @@ def test_order_cap_on_loaded_file_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "info", "--group", str(path), "--cap", "10")
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_order_cap_on_loaded_cayley_table_exits_2(capsys, tmp_path):
+    path = tmp_path / "d8.json"
+    save_group(from_spec("dihedral(8)"), path)
+    assert json.loads(path.read_text())["kind"] == "cayley"
+    code, out, err = run(capsys, "info", "--group", str(path), "--cap", "10")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "exceeds cap 10" in err
+    code, _, _ = run(capsys, "info", "--group", str(path), "--cap", "16")
+    assert code == 0
