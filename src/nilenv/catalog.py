@@ -8,16 +8,18 @@ lookups share element indexing and memoized computations.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
-from .errors import CapExceededError, MalformedInputError
-from .groups import TABLE_MAX_ORDER, FiniteGroup
+from .errors import MalformedInputError
+from .groups import FiniteGroup, check_order
 
 
 def cyclic(n: int) -> FiniteGroup:
     """The cyclic group of order n."""
     if n < 1:
         raise MalformedInputError("cyclic order must be at least 1")
+    check_order(n)
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     return FiniteGroup.from_cayley_table(table, name=f"cyclic({n})", validate=False)
 
@@ -30,6 +32,7 @@ def dihedral(n: int) -> FiniteGroup:
     """
     if n < 1:
         raise MalformedInputError("dihedral argument must be at least 1")
+    check_order(2 * n)
     table = [[0] * (2 * n) for _ in range(2 * n)]
     for e1 in (0, 1):
         for i1 in range(n):
@@ -40,10 +43,21 @@ def dihedral(n: int) -> FiniteGroup:
     return FiniteGroup.from_cayley_table(table, name=f"dihedral({n})", validate=False)
 
 
+def _check_permutation_order(n: int, index: int) -> None:
+    """Refuse a group of order n! / index above the limit before any generator is built.
+
+    Generators of degree n cost memory linear in n each, and alternating(n)
+    has n - 2 of them.  Only the factors up to 20 are multiplied out, so for
+    n > 20 the order checked is a lower bound.
+    """
+    check_order(max(1, math.factorial(min(n, 20)) // index), at_least=n > 20)
+
+
 def symmetric(n: int) -> FiniteGroup:
     """The symmetric group on n points."""
     if n < 1:
         raise MalformedInputError("symmetric degree must be at least 1")
+    _check_permutation_order(n, 1)
     gens = []
     if n >= 2:
         gens.append([1, 0] + list(range(2, n)))
@@ -56,6 +70,7 @@ def alternating(n: int) -> FiniteGroup:
     """The alternating group on n points, generated by consecutive 3-cycles."""
     if n < 1:
         raise MalformedInputError("alternating degree must be at least 1")
+    _check_permutation_order(n, 2)
     gens = []
     for i in range(n - 2):
         # the 3-cycle sending i -> i+1 -> i+2 -> i
@@ -89,6 +104,7 @@ def unitriangular(p: int) -> FiniteGroup:
     The matrix with top row (1, a, b) and middle row (0, 1, c) is encoded
     as a*p*p + b*p + c, so the group has order p**3 and class 2.
     """
+    check_order(p**3)
     if p < 2 or any(p % q == 0 for q in range(2, p)):
         raise MalformedInputError("unitriangular argument must be a prime")
     n = p * p * p
@@ -110,10 +126,7 @@ def unitriangular(p: int) -> FiniteGroup:
 def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     """The direct product, with (g, h) encoded as g * H.order + h."""
     n = G.order * H.order
-    if n > TABLE_MAX_ORDER:
-        raise CapExceededError(
-            f"direct product order {n} exceeds table limit {TABLE_MAX_ORDER}", partial=n
-        )
+    check_order(n)
     m = H.order
     table = [[0] * n for _ in range(n)]
     for g1 in range(G.order):

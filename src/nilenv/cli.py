@@ -30,9 +30,11 @@ from .errors import (
     WitnessBoundError,
 )
 from .formula import emit_envelope_formula, evaluate, format_formula, free_variables, parse, sentence_holds
-from .groups import DEFAULT_ORDER_CAP, FiniteGroup, Subgroup, load_group, subgroup_from_dict
+from .groups import MAX_ORDER, FiniteGroup, Subgroup, load_group, subgroup_from_dict
 from .series import lower_central_series, nilpotence_class, upper_central_series
 from .suites import ALL_SUITES, SuiteConfig, run_suites
+
+_CAP_HELP = f"largest group order accepted when loading a file (at most {MAX_ORDER}, the default)"
 
 _KNOWN_ERRORS = (
     ArityMismatchError,
@@ -207,10 +209,7 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    kwargs = {
-        "seed": args.seed,
-        "order_cap": args.cap,
-    }
+    kwargs = {"seed": args.seed}
     if args.suites:
         kwargs["suites"] = tuple(s.strip() for s in args.suites.split(",") if s.strip())
     if args.groups:
@@ -266,12 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="JSON subgroup file or comma-separated element indices",
             )
         p.add_argument("--seed", type=int, default=0, help="seed for any randomized step")
-        p.add_argument(
-            "--cap",
-            type=int,
-            default=DEFAULT_ORDER_CAP,
-            help="largest group order accepted when loading a file",
-        )
+        p.add_argument("--cap", type=int, default=MAX_ORDER, help=_CAP_HELP)
         return p
 
     add_command("info", "Order, center, and nilpotence class of a group.")
@@ -306,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="JSON group file to test alongside the catalog (repeatable)",
     )
     verify_p.add_argument("--seed", type=int, default=0, help="suite sampling seed")
-    verify_p.add_argument("--cap", type=int, default=DEFAULT_ORDER_CAP, help="order cap for loaded files")
+    verify_p.add_argument("--cap", type=int, default=MAX_ORDER, help=_CAP_HELP)
     verify_p.add_argument("--samples", type=int, help="random subsets per group for sampled suites")
     verify_p.add_argument(
         "--max-exhaustive-order",

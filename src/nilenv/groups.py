@@ -4,15 +4,16 @@ Elements of a group of order n are the integers 0..n-1, with 0 always the
 identity.  Subsets are represented as Python int bitmasks, so intersections
 are single AND operations and membership tests are shifts.
 
-Every group given by a Cayley table, and every permutation group of order
-at most ``TABLE_MAX_ORDER``, is held as one numpy Cayley table,
-``T[a, b] = a * b``.  The list-of-lists rows in ``_table`` are derived from
-it, with one shared int object per element, for scalar ``_mul``.  The
-quadratic kernels (:meth:`FiniteGroup._select`, :meth:`FiniteGroup._image`
-and the element centralizers) gather through the numpy table, converting
-masks at the boundary; up to ``_SCALAR_MAX_WORK`` element pairs they run a
-scalar loop instead, which is faster there.  Larger permutation groups have
-no table: they multiply permutation tuples and always take the scalar loops.
+Every group is held as one numpy Cayley table, ``T[a, b] = a * b``, and no
+group is larger than ``MAX_ORDER``: every constructor calls
+:func:`check_order` before any work quadratic in the order.  The
+list-of-lists rows in ``_table`` are derived from the numpy table, with one
+shared int object per element, for scalar ``_mul``.  The quadratic kernels
+(:meth:`FiniteGroup._select`, :meth:`FiniteGroup._image` and the element
+centralizers) gather through the numpy table, converting masks at the
+boundary; up to ``_SCALAR_MAX_WORK`` element pairs they run a scalar loop
+instead, which is faster there.  Permutation groups also keep their
+permutations, for reading and writing files only.
 """
 
 from __future__ import annotations
@@ -28,8 +29,10 @@ from .errors import (
     ParentMismatchError,
 )
 
-DEFAULT_ORDER_CAP = 100_000
-TABLE_MAX_ORDER = 2048
+# The only limit on a group's order.  Every group is a Cayley table and the
+# algorithms here are exhaustive, at least quadratic in the order; at 2048 a
+# table is 8 MB, and element indices below 2**15 keep every table int16.
+MAX_ORDER = 2048
 
 # A kernel visiting at most this many element pairs runs the scalar loop.
 # Numpy's fixed cost per call (mask conversions and gathers, 5-30 us) is
@@ -56,8 +59,20 @@ def mask_of(indices) -> int:
     return mask
 
 
-def _index_dtype(n: int):
-    return np.int16 if n < 1 << 15 else np.int32
+def check_order(order: int, cap: int = MAX_ORDER, *, at_least: bool = False) -> None:
+    """Raise :class:`CapExceededError` if ``order`` exceeds ``min(cap, MAX_ORDER)``.
+
+    A caller's ``cap`` can lower the limit but not raise it.  With
+    ``at_least``, ``order`` is only a lower bound on the order, and
+    ``partial`` is ``order - 1``: what an enumeration had found when it
+    stopped one element past the limit.
+    """
+    limit = min(cap, MAX_ORDER)
+    if order > limit:
+        what = f"at least {order}" if at_least else str(order)
+        raise CapExceededError(
+            f"group order {what} exceeds cap {limit}", partial=order - 1 if at_least else order
+        )
 
 
 def _bool_vector(mask: int, n: int) -> np.ndarray:
@@ -74,26 +89,22 @@ def _vector_mask(flags: np.ndarray) -> int:
 class FiniteGroup:
     """A finite group on elements 0..order-1 with identity 0."""
 
-    def __init__(self, order, name, kind, array, perms, perm_generators):
-        self.order = order
+    def __init__(self, name, kind, array, perms=None, perm_generators=None, perm_index=None):
+        self.order = order = len(array)
         self.name = name
         self.kind = kind
         self._array = array
+        # permutation groups only, for reading and writing files
         self._perms = perms
         self._perm_generators = perm_generators
-        self._perm_index = {p: i for i, p in enumerate(perms)} if perms else None
+        self._perm_index = perm_index
         self.full_mask = (1 << order) - 1
         self._elem_cent: list[int | None] = [None] * order
         self._memo: dict = {}
-        if array is None:
-            self._table = None
-            self.inverse_table = self._perm_inverses()
-            self._inv_array = None
-        else:
-            interned = np.array(range(order), dtype=object)
-            self._table = [interned[row].tolist() for row in array]
-            self._inv_array = array.argmin(axis=1).astype(array.dtype)
-            self.inverse_table = interned[self._inv_array].tolist()
+        interned = np.array(range(order), dtype=object)
+        self._table = [interned[row].tolist() for row in array]
+        self._inv_array = array.argmin(axis=1).astype(array.dtype)
+        self.inverse_table = interned[self._inv_array].tolist()
 
     # -- construction -------------------------------------------------
 
@@ -109,6 +120,7 @@ class FiniteGroup:
         if not isinstance(table, (list, tuple)) or not table:
             raise MalformedInputError("table must be a nonempty list of rows")
         n = len(table)
+        check_order(n)
         for i, row in enumerate(table):
             if not isinstance(row, (list, tuple)) or len(row) != n:
                 raise MalformedInputError(f"row {i} does not have length {n}")
@@ -118,7 +130,7 @@ class FiniteGroup:
                 if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
                     raise MalformedInputError(f"row {i} contains bad entry {v!r}")
 
-        arr = np.array(table, dtype=_index_dtype(n))
+        arr = np.array(table, dtype=np.int16)
         expect = np.arange(n)
         if validate:
             for axis, what in ((1, "row"), (0, "column")):
@@ -137,7 +149,7 @@ class FiniteGroup:
 
         if validate:
             cls._check_associative(arr, n)
-        return cls(n, name, "cayley", arr, None, None)
+        return cls(name, "cayley", arr)
 
     @staticmethod
     def _check_associative(arr, n: int) -> None:
@@ -174,23 +186,22 @@ class FiniteGroup:
         degree: int,
         generators,
         name: str = "G",
-        order_cap: int = DEFAULT_ORDER_CAP,
-        table_max_order: int = TABLE_MAX_ORDER,
+        order_cap: int = MAX_ORDER,
     ) -> FiniteGroup:
         """Build the group generated by permutations of 0..degree-1.
 
         Permutations compose left to right: (g * h) moves i to h[g[i]].
         Elements are numbered in breadth-first order from the identity, each
         new permutation p * s (s a generator) taking the next index.
-        Enumeration stops with :class:`CapExceededError` if the group grows
-        past ``order_cap``.
+        Enumeration stops with :class:`CapExceededError` as soon as the group
+        grows past ``min(order_cap, MAX_ORDER)`` (see :func:`check_order`).
 
-        When the order is at most ``table_max_order`` a table is built from
-        what the search saw, with no permutation arithmetic: the search
-        records ``right[k, s]``, the index of perms[k] * gens[s], and each
-        element's parent (k, s).  If b = perms[k] * gens[s], then
-        a * b = (a * perms[k]) * gens[s], so column b of the table is
-        ``right[column k, s]``, one gather per element.
+        The table is built from what the search saw, with no permutation
+        arithmetic: the search records ``right[k, s]``, the index of
+        perms[k] * gens[s], and each element's parent (k, s).  If
+        b = perms[k] * gens[s], then a * b = (a * perms[k]) * gens[s], so
+        column b of the table is ``right[column k, s]``, one gather per
+        element.
         """
         if not isinstance(degree, int) or degree < 1:
             raise MalformedInputError("degree must be a positive integer")
@@ -216,10 +227,7 @@ class FiniteGroup:
                     q = tuple(s[v] for v in p)
                     k = index.get(q)
                     if k is None:
-                        if len(perms) >= order_cap:
-                            raise CapExceededError(
-                                f"group order exceeds cap {order_cap}", partial=len(perms)
-                            )
+                        check_order(len(perms) + 1, order_cap, at_least=True)
                         k = index[q] = len(perms)
                         parent.append(len(right))
                         perms.append(q)
@@ -227,35 +235,19 @@ class FiniteGroup:
                     right.append(k)
             frontier = nxt
 
-        n = len(perms)
-        table = None
-        if n <= table_max_order:
-            m = len(gens)
-            dtype = _index_dtype(n)
-            by_gen = np.array(right, dtype=dtype).reshape(n, m).T.copy()
-            table = np.empty((n, n), dtype=dtype)
-            table[:, 0] = np.arange(n)
-            for b in range(1, n):
-                k, s = divmod(parent[b], m)
-                table[:, b] = by_gen[s][table[:, k]]
-        return cls(n, name, "perm", table, tuple(perms), tuple(gens))
-
-    def _perm_inverses(self) -> list[int]:
-        out = []
-        for p in self._perms:
-            inv = [0] * len(p)
-            for i, v in enumerate(p):
-                inv[v] = i
-            out.append(self._perm_index[tuple(inv)])
-        return out
+        n, m = len(perms), len(gens)
+        by_gen = np.array(right, dtype=np.int16).reshape(n, m).T.copy()
+        table = np.empty((n, n), dtype=np.int16)
+        table[:, 0] = np.arange(n)
+        for b in range(1, n):
+            k, s = divmod(parent[b], m)
+            table[:, b] = by_gen[s][table[:, k]]
+        return cls(name, "perm", table, tuple(perms), tuple(gens), index)
 
     # -- the operations -----------------------------------------------
 
     def _mul(self, a: int, b: int) -> int:
-        if self._table is not None:
-            return self._table[a][b]
-        p, q = self._perms[a], self._perms[b]
-        return self._perm_index[tuple(q[v] for v in p)]
+        return self._table[a][b]
 
     def _inv(self, a: int) -> int:
         return self.inverse_table[a]
@@ -315,7 +307,7 @@ class FiniteGroup:
     def _blocks(self, xs: int, ps: int):
         """Index arrays (x block, ps) covering xs x ps, or None for the scalar loop."""
         work = xs.bit_count() * ps.bit_count()
-        if self._array is None or work <= _SCALAR_MAX_WORK:
+        if work <= _SCALAR_MAX_WORK:
             return None
         n = self.order
         x_idx = np.flatnonzero(_bool_vector(xs, n))
@@ -362,7 +354,7 @@ class FiniteGroup:
         """Mask of all x with x * g == g * x."""
         cached = self._elem_cent[g]
         if cached is None:
-            if self._array is None or self.order <= _SCALAR_MAX_WORK:
+            if self.order <= _SCALAR_MAX_WORK:
                 cached = 0
                 for x in range(self.order):
                     if self._mul(x, g) == self._mul(g, x):
@@ -663,7 +655,7 @@ def group_to_dict(G: FiniteGroup) -> dict:
     return {"kind": "cayley", "name": G.name, "order": G.order, "table": G._table}
 
 
-def group_from_dict(data: dict, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def group_from_dict(data: dict, order_cap: int = MAX_ORDER) -> FiniteGroup:
     if not isinstance(data, dict) or "kind" not in data:
         raise MalformedInputError("group description must be a dict with a 'kind' key")
     kind = data["kind"]
@@ -672,10 +664,8 @@ def group_from_dict(data: dict, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGro
         if "table" not in data:
             raise MalformedInputError("cayley group description needs a 'table'")
         table = data["table"]
-        if isinstance(table, (list, tuple)) and len(table) > order_cap:
-            raise CapExceededError(
-                f"group order {len(table)} exceeds cap {order_cap}", partial=len(table)
-            )
+        if isinstance(table, (list, tuple)):
+            check_order(len(table), order_cap)
         return FiniteGroup.from_cayley_table(table, name=name)
     if kind == "perm":
         if "degree" not in data or "generators" not in data:
@@ -686,7 +676,7 @@ def group_from_dict(data: dict, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGro
     raise MalformedInputError(f"unknown group kind {kind!r}")
 
 
-def load_group(path, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def load_group(path, order_cap: int = MAX_ORDER) -> FiniteGroup:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)

@@ -32,7 +32,6 @@ from .envelope import build_envelope, fitting, verify_envelope
 from .errors import InternalCheckError, MalformedInputError
 from .formula import emit_envelope_formula, envelope_formula, evaluate, format_formula, parse
 from .groups import (
-    DEFAULT_ORDER_CAP,
     ElementSet,
     FiniteGroup,
     Subgroup,
@@ -70,7 +69,6 @@ class SuiteConfig:
     max_exhaustive_order: int = 200
     samples_per_group: int = 200
     node_cap: int = DEFAULT_NODE_CAP
-    order_cap: int = DEFAULT_ORDER_CAP
     suites: tuple[str, ...] = ALL_SUITES
     groups: tuple[str, ...] = DEFAULT_CATALOG
     hallwitt_triples: int = 1000
@@ -78,9 +76,6 @@ class SuiteConfig:
     bryant_target: int = 10000
     nested_target: int = 5000
     envelope_samples: int = 24
-    threesubgroup_max_order: int = 64
-    bryant_max_order: int = 100
-    nested_max_order: int = 100
 
 
 @dataclass(frozen=True)
@@ -613,19 +608,19 @@ _SUITE_FUNCS = {
     "fitting": _suite_fitting,
 }
 
+# suite -> (config field of its sample quota, largest eligible group order)
 _QUOTA_SUITES = {
-    "threesubgroup": ("threesubgroup_target", "threesubgroup_max_order"),
-    "bryant": ("bryant_target", "bryant_max_order"),
-    "nested": ("nested_target", "nested_max_order"),
+    "threesubgroup": ("threesubgroup_target", 64),
+    "bryant": ("bryant_target", 100),
+    "nested": ("nested_target", 100),
 }
 
 
 def _quotas(config: SuiteConfig, contexts) -> dict[tuple[str, str], int | None]:
     """Per-(suite, group) sampling quotas, split evenly over eligible groups."""
     out: dict[tuple[str, str], int | None] = {}
-    for suite, (target_field, order_field) in _QUOTA_SUITES.items():
+    for suite, (target_field, max_order) in _QUOTA_SUITES.items():
         target = getattr(config, target_field)
-        max_order = getattr(config, order_field)
         eligible = [c for c in contexts if c.group.order <= max_order]
         for c in contexts:
             if c in eligible:

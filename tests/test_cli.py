@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from nilenv.catalog import cyclic, from_spec
 from nilenv.cli import main
 from nilenv.formula import parse
@@ -275,3 +277,25 @@ def test_order_cap_on_loaded_cayley_table_exits_2(capsys, tmp_path):
     assert err.startswith("error:") and "exceeds cap 10" in err
     code, _, _ = run(capsys, "info", "--group", str(path), "--cap", "16")
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("info", "--group", "symmetric(7)"),
+        ("info", "--group", "alternating(7)"),
+        ("info", "--group", "cyclic(4096)"),
+        ("info", "--group", "dihedral(1025)"),
+        ("info", "--group", "unitriangular(13)"),
+        ("verify", "--groups", "symmetric(7)"),
+        ("info", "--group", "S7_FILE", "--cap", "100000"),
+    ],
+    ids=" ".join,
+)
+def test_groups_over_the_order_limit_exit_2(capsys, tmp_path, argv):
+    path = tmp_path / "s7.json"
+    s7 = {"kind": "perm", "name": "s7", "degree": 7, "generators": [[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0]]}
+    path.write_text(json.dumps(s7), encoding="utf-8")
+    code, out, err = run(capsys, *(str(path) if a == "S7_FILE" else a for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "exceeds cap 2048" in err

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilenv.catalog import cyclic, dihedral, from_spec, quaternion, symmetric, unitriangular
+from nilenv.catalog import alternating, cyclic, dihedral, from_spec, quaternion, symmetric, unitriangular
 from nilenv.errors import (
     CapExceededError,
     MalformedInputError,
@@ -17,7 +17,6 @@ from nilenv.errors import (
     ParentMismatchError,
 )
 from nilenv.groups import (
-    TABLE_MAX_ORDER,
     ElementSet,
     FiniteGroup,
     Subgroup,
@@ -202,6 +201,17 @@ def test_permutation_order_cap():
     assert excinfo.value.partial == 10
 
 
+def test_catalog_refuses_orders_above_the_limit_before_building():
+    with pytest.raises(CapExceededError, match=r"^group order 5040 exceeds cap 2048$"):
+        symmetric(7)
+    # 20! / 2: without the up-front check, 198 generators of degree 200 are built first
+    with pytest.raises(CapExceededError, match=r"^group order at least 1216451004088320000 exceeds cap 2048$"):
+        alternating(200)
+    with pytest.raises(CapExceededError, match=r"^group order 2197 exceeds cap 2048$"):
+        unitriangular(13)
+    assert [alternating(n).order for n in (1, 2, 3, 6)] == [1, 1, 3, 360]
+
+
 def test_bad_permutations_are_rejected():
     with pytest.raises(MalformedInputError):
         FiniteGroup.from_permutations(3, [[0, 0, 1]])
@@ -263,14 +273,8 @@ _CLOSURE_GROUPS = (
     FiniteGroup.from_cayley_table(quaternion()._table),
     FiniteGroup.from_permutations(5, [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]]),
     FiniteGroup.from_permutations(6, [[1, 2, 0, 3, 4, 5], [0, 1, 3, 4, 5, 2], [5, 4, 3, 2, 1, 0]]),
-    FiniteGroup.from_permutations(7, [[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0]]),
+    FiniteGroup.from_permutations(7, [[1, 2, 3, 4, 5, 6, 0], [0, 2, 1, 6, 4, 5, 3]]),
 )
-
-
-def test_closure_groups_cover_both_multiplication_paths():
-    big = _CLOSURE_GROUPS[-1]
-    assert big.order == 5040 > TABLE_MAX_ORDER and big._table is None
-    assert all(G._table is not None for G in _CLOSURE_GROUPS[:-1])
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

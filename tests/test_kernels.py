@@ -15,11 +15,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nilenv.catalog import from_spec, symmetric
+from nilenv.catalog import from_spec
 from nilenv.envelope import fitting
 from nilenv.errors import NotASubgroupError
 from nilenv.groups import (
-    TABLE_MAX_ORDER,
+    MAX_ORDER,
     ElementSet,
     FiniteGroup,
     Subgroup,
@@ -178,7 +178,7 @@ def test_inputs_reach_both_sides_of_the_work_size():
     # every kernel on dihedral(4) is scalar; every one on unitriangular(5),
     # even an element centralizer (order-many pairs), can be vectorized
     small, large = from_spec("dihedral(4)"), from_spec("unitriangular(5)")
-    assert small.order * small.order <= _SCALAR_MAX_WORK < large.order <= TABLE_MAX_ORDER
+    assert small.order * small.order <= _SCALAR_MAX_WORK < large.order <= MAX_ORDER
 
 
 # op(x, p) of the private kernels FiniteGroup._select and FiniteGroup._image
@@ -267,7 +267,7 @@ def test_fitting_engel_set_matches_reference(G):
 # -- element indices and tables of permutation groups -----------------------
 
 
-def naive_permutation_group(degree, generators, with_table=True):
+def naive_permutation_group(degree, generators):
     """Breadth-first enumeration by tuple composition, and the table by lookups."""
     gens = [tuple(g) for g in generators]
     identity = tuple(range(degree))
@@ -282,8 +282,6 @@ def naive_permutation_group(degree, generators, with_table=True):
                     perms.append(q)
                     nxt.append(q)
         frontier = nxt
-    if not with_table:
-        return perms, None
     return perms, [[index[tuple(q[v] for v in p)] for q in perms] for p in perms]
 
 
@@ -322,14 +320,3 @@ def test_random_permutation_tables_match_naive_enumeration(case):
     G = FiniteGroup.from_permutations(degree, gens)
     perms, table = naive_permutation_group(degree, gens)
     assert list(G._perms) == perms and G._table == table
-
-
-def test_large_permutation_group_keeps_its_order_and_has_no_table():
-    G = symmetric(7)
-    gens = [list(p) for p in G._perm_generators]
-    perms, _ = naive_permutation_group(7, gens, with_table=False)
-    assert G.order == 5040 > TABLE_MAX_ORDER and G._table is None
-    assert list(G._perms) == perms
-    for a in range(0, G.order, 97):
-        p, q = perms[a], perms[G.inverse_table[a]]
-        assert tuple(q[v] for v in p) == perms[0]
