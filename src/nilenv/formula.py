@@ -6,9 +6,15 @@ connectives ``&``, ``|``, ``!`` and the quantifiers ``A y (...)`` and
 ``E y (...)``, read "for all y" and "exists y".  Evaluation is the direct
 finite-model semantics: quantifiers range over the whole group, and the
 solution set of a formula in the distinguished free variable ``x`` is
-returned as an :class:`~nilenv.groups.ElementSet`.  The evaluator caches by
+returned as an :class:`~nilenv.groups.ElementSet`.
+
+The evaluator works a set at a time: a subformula's relation, its truth
+value at every assignment of its free variables, is one numpy array, and a
+quantifier reduces its body's array along one axis.  Relations are cached by
 shape, structure up to renaming of bound variables, so the renamed copies of
-a subformula that make up most of an envelope formula are solved once.
+a subformula that make up most of an envelope formula are solved once, and
+no array has more than two variable axes; :class:`_Evaluator` gives the
+soundness argument.
 
 The module also emits the uniform envelope formula: for positive integers
 ``d`` and ``n``, :func:`envelope_formula` builds a formula with ``d * n``
@@ -19,14 +25,17 @@ trace, is exactly the constructed envelope.
 from __future__ import annotations
 
 import itertools
+import re
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .centralizers import dimension
 from .envelope import EnvelopeTrace, padded_parameters
 from .errors import ArityMismatchError, FormulaSyntaxError, MalformedInputError
-from .groups import ElementSet, FiniteGroup
+from .groups import ElementSet, FiniteGroup, _vector_mask
 
 
 DEFAULT_WARN_BUDGET = 10**18
@@ -222,44 +231,27 @@ def cost_estimate(formula: Formula, group: FiniteGroup) -> int:
 
 # -- Parser --------------------------------------------------------------
 
-_SYMBOLS = ("^-1", "(", ")", "[", "]", ",", "*", "=", "&", "|", "!")
+# one token per match, after optional whitespace: a parameter slot, an
+# identifier, the identity, a symbol, or any other character, an error.  An
+# identifier starts with a letter or "_"; the pattern also lets through a
+# leading digit that is not decimal, such as "²", which _tokenize refuses.
+_TOKEN = re.compile(r"\s*(?:(p\d+)|([^\W\d]\w*)|(1)|(\^-1|[()\[\],*=&|!])|(\S))")
+_KINDS = (None, "param", "ident", "one", "sym")
 
 
 def _tokenize(text: str) -> list[tuple[str, str | int, int]]:
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c == "p" and i + 1 < n and text[i + 1].isdigit():
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("param", int(text[i + 1 : j]), i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], i))
-            i = j
-            continue
-        if c == "1":
-            tokens.append(("one", "1", i))
-            i += 1
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(("sym", sym, i))
-                i += len(sym)
-                break
+    for match in _TOKEN.finditer(text):
+        group = match.lastindex
+        value = match[group]
+        at = match.start(group)
+        if group == 1:
+            tokens.append(("param", int(value[1:]), at))
+        elif group == 5 or (group == 2 and not (value[0].isalpha() or value[0] == "_")):
+            raise FormulaSyntaxError(f"unexpected character {value[0]!r}", at)
         else:
-            raise FormulaSyntaxError(f"unexpected character {c!r}", i)
-    tokens.append(("end", "", n))
+            tokens.append((_KINDS[group], value, at))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -421,122 +413,133 @@ def _format_formula(node: Formula, context: int) -> str:
 
 # -- Evaluator -----------------------------------------------------------
 
-_MISSING = object()
+
+def _lift(value, have: tuple[str, ...], want: tuple[str, ...]):
+    """A relation over the variables ``have`` laid onto the axes ``want``, a superset."""
+    if len(have) == 2:
+        return value if have == want else value.T
+    if have and have[0] != want[-1]:
+        return value[:, None]
+    return value
 
 
 class _Evaluator:
-    """One evaluation run: fixed group and parameters, caches keyed by shape.
+    """One evaluation run: fixed group and parameters, relations keyed by shape.
 
-    Truth values of closed subformulas are cached outright.  A subformula
-    with exactly one free variable has a solution set independent of the
-    rest of the environment, so it is computed once as a bitset and
-    afterwards answered by a single bit test.  Nothing is keyed by full
-    variable-assignment frames.
+    A node's relation is its truth value at every assignment of its open
+    variables, the free ones that ``env`` does not fix, as a boolean array
+    with one axis per open variable in first-occurrence order: a bool when
+    there are none, a length-n vector for one, an n x n array for two.
+    Terms are int16 arrays of element indices, gathered through the group's
+    multiplication and inverse tables.  Connectives and equations lay their
+    operands onto the node's axes and combine them; ``Exists`` and
+    ``ForAll`` reduce their body's relation along the bound variable's axis
+    with ``any`` and ``all``.  This is the bounded-variable evaluation of
+    Vardi (PODS 1995) that :func:`cost_estimate` counts.
 
-    Both caches are keyed by shape: the constructor, the children's shapes,
-    and where the children's free variables sit in the node's own list of
-    free variables (first-occurrence order); a quantifier records where its
-    bound variable sat in its body's list, or -1.  This is sound: as the key
-    fixes the constructor, the child shapes and the free-variable positions,
-    two nodes with the same key are, by induction, alpha-equivalent up to a
-    positional renaming of their free variables.  Binders record their
-    variable's position, so shadowing is handled.  Every renamed copy of a
-    subformula thus shares one truth value or one solution set.
+    The key of a relation is the node's shape: the constructor, the
+    children's shapes, and where the children's free variables sit in the
+    node's own list of free variables; a quantifier records where its bound
+    variable sat in its body's list, or -1.  This is sound: as the key fixes
+    the constructor, the child shapes and the free-variable positions, two
+    nodes with the same key are, by induction, alpha-equivalent up to a
+    positional renaming of their free variables, so their relations agree
+    axis by axis.  Binders record their variable's position, so shadowing
+    is handled.  A node evaluated with some free variables fixed is keyed by
+    its shape and the fixed values at their positions, sound for the same
+    reason.  Every renamed copy of a subformula thus shares one relation.
+    Relations with fewer than two axes are cached; an n x n one is built for
+    the node that asked for it, which combines or reduces it at once, and
+    is not kept.
+
+    A guarded ``A v (!(v = t) | B)``, with v not free in t, holds exactly
+    when B holds at v := t, since the guard lets through one value of v
+    only.  Its relation is therefore B's relation gathered at t's values,
+    and the wider equation, negation and disjunction under the quantifier
+    are never built.
+
+    No relation has more than two axes.  A quantifier whose body would have
+    three open variables has two open variables itself; it is evaluated
+    with the first of them fixed to each element in turn, through this same
+    kernel and cache, and the rows are stacked.
     """
 
     def __init__(self, group: FiniteGroup, params: tuple[int, ...], shapes: _Shapes) -> None:
         self.group = group
         self.params = params
         self.nodes = shapes.nodes
-        self.bools: dict[int, bool] = {}
-        self.bitsets: dict[int, int] = {}
+        self.cache: dict = {}
         self.formula_evals = 0
+        self.elements = np.arange(group.order, dtype=group._array.dtype)
+        self.column = self.elements[:, None]
 
-    def term(self, node: Term, env: dict[str, int]) -> int:
+    def relation(self, node: Formula, env: dict[str, int]):
+        """The node's relation, computed once per cache key, and its open variables."""
+        shape, fv = self.nodes[id(node)]
+        key, open_ = shape, fv
+        if env and not env.keys().isdisjoint(fv):
+            key = (shape, tuple(env.get(v, -1) for v in fv))
+            open_ = tuple(v for v in fv if v not in env)
+        got = self.cache.get(key)
+        if got is None:
+            self.formula_evals += 1
+            got = self.compute(node, env, open_)
+            if len(open_) < 2:
+                self.cache[key] = got
+        return got, open_
+
+    def compute(self, node: Formula, env: dict[str, int], open_: tuple[str, ...]):
+        if isinstance(node, Eq):
+            return np.equal(self.term(node.left, env, open_), self.term(node.right, env, open_))
+        if isinstance(node, Not):
+            return np.logical_not(self.relation(node.operand, env)[0])
+        if isinstance(node, (And, Or)):
+            left, have_left = self.relation(node.left, env)
+            right, have_right = self.relation(node.right, env)
+            combine = np.logical_and if isinstance(node, And) else np.logical_or
+            return combine(_lift(left, have_left, open_), _lift(right, have_right, open_))
+        return self.quantify(node, env, open_)
+
+    def term(self, node: Term, env: dict[str, int], axes: tuple[str, ...]):
+        """The term's values laid onto ``axes``, which hold its open variables."""
         if isinstance(node, Var):
-            return env[node.name]
+            g = env.get(node.name)
+            if g is not None:
+                return g
+            return self.elements if node.name == axes[-1] else self.column
         if isinstance(node, Param):
             return self.params[node.index]
         if isinstance(node, One):
             return 0
         if isinstance(node, Mul):
-            return self.group._mul(self.term(node.left, env), self.term(node.right, env))
-        return self.group.inverse_table[self.term(node.operand, env)]
+            return self.group._array[self.term(node.left, env, axes), self.term(node.right, env, axes)]
+        return self.group._inv_array[self.term(node.operand, env, axes)]
 
-    def eval(self, node: Formula, env: dict[str, int]) -> bool:
-        shape, fv = self.nodes[id(node)]
-        if not fv:
-            got = self.bools.get(shape, _MISSING)
-            if got is _MISSING:
-                got = self.raw(node, env)
-                self.bools[shape] = got
-            return got
-        if len(fv) == 1:
-            (var,) = fv
-            bits = self.bitsets.get(shape)
-            if bits is None:
-                bits = 0
-                saved = env.get(var, _MISSING)
-                for g in range(self.group.order):
-                    env[var] = g
-                    if self.raw(node, env):
-                        bits |= 1 << g
-                if saved is _MISSING:
-                    del env[var]
-                else:
-                    env[var] = saved
-                self.bitsets[shape] = bits
-            return bool(bits >> env[var] & 1)
-        return self.raw(node, env)
-
-    def raw(self, node: Formula, env: dict[str, int]) -> bool:
-        self.formula_evals += 1
-        if isinstance(node, Eq):
-            return self.term(node.left, env) == self.term(node.right, env)
-        if isinstance(node, And):
-            return self.eval(node.left, env) and self.eval(node.right, env)
-        if isinstance(node, Or):
-            return self.eval(node.left, env) or self.eval(node.right, env)
-        if isinstance(node, Not):
-            return not self.eval(node.operand, env)
-        values = range(self.group.order)
-        if isinstance(node, ForAll):
-            guarded = self.guard_value(node, env)
-            return self.quantify(node, env, True, values if guarded is None else (guarded,))
-        return self.quantify(node, env, False, values)
-
-    def guard_value(self, node: ForAll, env: dict[str, int]) -> int | None:
-        """Detect A v (!(v = t) | body) with v not free in t.
-
-        Exactly one element satisfies the guard, so the quantifier reduces
-        to evaluating the body at the value of t.
-        """
-        body = node.body
-        if not (isinstance(body, Or) and isinstance(body.left, Not)):
-            return None
-        eq = body.left.operand
-        if not (
-            isinstance(eq, Eq)
-            and isinstance(eq.left, Var)
-            and eq.left.name == node.var
-            and node.var not in self.nodes[id(eq.right)][1]
+    def quantify(self, node: ForAll | Exists, env: dict[str, int], open_: tuple[str, ...]):
+        var, body, guard = node.var, node.body, None
+        if var in env:  # the binder shadows a fixed variable
+            env = {k: g for k, g in env.items() if k != var}
+        if (
+            isinstance(node, ForAll)
+            and isinstance(body, Or)
+            and isinstance(body.left, Not)
+            and isinstance(body.left.operand, Eq)
+            and body.left.operand.left == Var(var)
+            and var not in self.nodes[id(body.left.operand.right)][1]
         ):
-            return None
-        return self.term(eq.right, env)
-
-    def quantify(self, node: ForAll | Exists, env: dict[str, int], want: bool, values) -> bool:
-        saved = env.get(node.var, _MISSING)
-        result = want
-        for g in values:
-            env[node.var] = g
-            if self.eval(node.body, env) is not want:
-                result = not want
-                break
-        if saved is _MISSING:
-            del env[node.var]
-        else:
-            env[node.var] = saved
-        return result
+            body, guard = body.right, body.left.operand.right
+        if sum(v not in env for v in self.nodes[id(body)][1]) > 2:
+            first = open_[0]
+            return np.stack([self.relation(node, {**env, first: g})[0] for g in range(self.group.order)])
+        held, have = self.relation(body, env)
+        if guard is not None:
+            if var not in have:
+                return np.broadcast_to(_lift(held, have, open_), (self.group.order,) * len(open_))
+            return held[tuple(self.term(guard if v == var else Var(v), env, open_) for v in have)]
+        if var not in have:
+            return held
+        reduce = np.all if isinstance(node, ForAll) else np.any
+        return reduce(held, axis=have.index(var))
 
 
 def _prepare(shapes: _Shapes, shape: int, group: FiniteGroup, params, warn_budget: int) -> _Evaluator:
@@ -580,17 +583,8 @@ def evaluate(
     if fv and fv != ("x",):
         extra = ", ".join(sorted(set(fv) - {"x"}))
         raise MalformedInputError(f"unexpected free variables: {extra}")
-    ev = _prepare(shapes, shape, group, params, warn_budget)
-    bits = 0
-    if fv:
-        env: dict[str, int] = {}
-        for g in range(group.order):
-            env["x"] = g
-            if ev.eval(formula, env):
-                bits |= 1 << g
-    elif ev.eval(formula, {}):
-        bits = group.full_mask
-    return ElementSet(group, bits)
+    holds = _prepare(shapes, shape, group, params, warn_budget).relation(formula, {})[0]
+    return ElementSet(group, _vector_mask(holds) if fv else group.full_mask if holds else 0)
 
 
 def sentence_holds(
@@ -604,7 +598,7 @@ def sentence_holds(
     shape, fv = shapes.of(formula)
     if fv:
         raise MalformedInputError(f"sentence has free variables: {', '.join(sorted(fv))}")
-    return _prepare(shapes, shape, group, params, warn_budget).eval(formula, {})
+    return bool(_prepare(shapes, shape, group, params, warn_budget).relation(formula, {})[0])
 
 
 # -- The uniform envelope formula ----------------------------------------

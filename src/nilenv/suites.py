@@ -406,9 +406,12 @@ def _formula_solution(G, subgroup, d):
     return evaluate(phi, G, trace.parameters).members == trace.envelope.members
 
 
+_COMMUTES_WITH_P0 = parse("x*p0 = p0*x")
+
+
 @_check("formula-centralizer", "commuting formula disagrees with the centralizer")
 def _formula_centralizer(G, p0):
-    got = evaluate(parse("x*p0 = p0*x"), G, (p0,))
+    got = evaluate(_COMMUTES_WITH_P0, G, (p0,))
     return got.members == centralizer(ElementSet(G, 1 << p0)).members
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -129,6 +130,18 @@ def test_parse_errors_carry_positions():
         parse("A (x = 1)")
     with pytest.raises(FormulaSyntaxError):
         parse("")
+
+
+def test_tokens_outside_ascii():
+    # identifiers start with a letter or "_" and go on with letters, digits
+    # and "_"; a parameter slot is "p" and decimal digits of any script
+    assert parse("é*p٣ = x²_1") == Eq(Mul(Var("é"), Param(3)), Var("x²_1"))
+    assert parse("p² = 1") == Eq(Var("p²"), One())
+    for text in ("x = ²", "x = 2", "x = ٣"):
+        with pytest.raises(FormulaSyntaxError) as excinfo:
+            parse(text)
+        assert excinfo.value.position == 4
+        assert f"unexpected character {text[4]!r}" in str(excinfo.value)
 
 
 def test_format_precedence():
@@ -257,6 +270,29 @@ def test_random_formulas_with_reused_names_match_brute_force(formula, renamings,
         expected = [g for g in range(G.order) if brute_eval(open_in_x, G, {"x": g}, params)]
         assert got.elements == tuple(expected)
         assert sentence_holds(sentence, G, params) == brute_eval(sentence, G, {}, params)
+
+
+_guard_terms = st.recursive(
+    st.sampled_from([Var("x"), Var("y"), Var("z"), Param(0), One()]),
+    lambda sub: st.one_of(st.builds(Mul, sub, sub), st.builds(Inv, sub)),
+    max_leaves=3,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_guard_terms, _formulas, st.booleans(), st.integers(min_value=0))
+def test_guarded_quantifiers_match_brute_force(t, body, universal, seed):
+    # the evaluator gathers body at z := t, unless z is free in t, where the
+    # quantifier is no guard
+    guarded = ForAll("z", Or(Not(Eq(Var("z"), t)), body))
+    # the conjunct keeps x free where the guarded formula lacks it
+    for open_in_x in (guarded, And(Eq(Var("x"), Var("x")), guarded)):
+        open_in_x = _close(open_in_x, free_variables(open_in_x) - {"x"}, universal)
+        for G in (symmetric(3), quaternion()):
+            params = (seed % G.order,) if max_parameter(open_in_x) == 0 else ()
+            got = evaluate(open_in_x, G, params)
+            expected = [g for g in range(G.order) if brute_eval(open_in_x, G, {"x": g}, params)]
+            assert got.elements == tuple(expected)
 
 
 def test_closed_formulas_match_brute_force():
@@ -408,10 +444,48 @@ def test_evaluation_work_is_bounded_by_shapes(monkeypatch):
     shapes = formula_module._Shapes()
     shapes.of(phi)
     # the tree holds about 114k node objects but only 124 shapes; keying the
-    # caches by node identity again took 2.86M formula evaluations
+    # cache by node identity again took 2.86M formula evaluations
     assert len(shapes.measures) <= 300
-    assert len(ev.bools) + len(ev.bitsets) <= len(shapes.measures)
-    assert ev.formula_evals < 100_000
+    assert len(ev.cache) <= len(shapes.measures)
+    assert ev.formula_evals <= len(shapes.measures)
+
+
+def test_relations_have_at_most_two_axes(monkeypatch):
+    built = []
+    evaluators = []
+
+    class Recording(formula_module._Evaluator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            evaluators.append(self)
+
+        def compute(self, *args):
+            out = super().compute(*args)
+            built.append(np.ndim(out))
+            return out
+
+        def term(self, *args):
+            out = super().term(*args)
+            built.append(np.ndim(out))
+            return out
+
+    monkeypatch.setattr(formula_module, "_Evaluator", Recording)
+    G = dihedral(16)
+    trace = build_envelope(G, G.as_subgroup())
+    assert evaluate(envelope_formula(2, 4), G, trace.parameters).members == trace.envelope.members
+    # four levels of quantifiers over up to four variables: fixed one at a time
+    assert not sentence_holds(dimension_sentence(3), symmetric(4))
+    assert any(isinstance(key, tuple) for key in evaluators[-1].cache)
+    assert built and max(built) <= 2
+
+
+def test_whole_group_envelope_formulas_on_larger_groups():
+    for spec, n in (("unitriangular(7)", 2), ("product(dihedral(8),cyclic(3))", 3)):
+        G = from_spec(spec)
+        trace = build_envelope(G, G.as_subgroup())
+        assert trace.nilpotence_class == n
+        got = evaluate(emit_envelope_formula(trace), G, trace.parameters)
+        assert got.members == trace.envelope.members
 
 
 def test_emitted_formula_at_wider_padding():
