@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import MalformedInputError
 from .groups import FiniteGroup, check_order
 
@@ -20,8 +22,9 @@ def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise MalformedInputError("cyclic order must be at least 1")
     check_order(n)
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return FiniteGroup.from_cayley_table(table, name=f"cyclic({n})", validate=False)
+    i = np.arange(n, dtype=np.int32)
+    table = (i[:, None] + i) % n
+    return FiniteGroup(f"cyclic({n})", "cayley", table.astype(np.int16))
 
 
 def dihedral(n: int) -> FiniteGroup:
@@ -33,14 +36,10 @@ def dihedral(n: int) -> FiniteGroup:
     if n < 1:
         raise MalformedInputError("dihedral argument must be at least 1")
     check_order(2 * n)
-    table = [[0] * (2 * n) for _ in range(2 * n)]
-    for e1 in (0, 1):
-        for i1 in range(n):
-            for e2 in (0, 1):
-                for i2 in range(n):
-                    i = (i1 + (i2 if e1 == 0 else -i2)) % n
-                    table[e1 * n + i1][e2 * n + i2] = (e1 ^ e2) * n + i
-    return FiniteGroup.from_cayley_table(table, name=f"dihedral({n})", validate=False)
+    e, i = np.divmod(np.arange(2 * n, dtype=np.int32), n)
+    # r^i1 s^e1 * r^i2 s^e2 = r^(i1 +- i2) s^(e1 + e2), minus when e1 == 1
+    table = (e[:, None] ^ e) * n + (i[:, None] + (1 - 2 * e)[:, None] * i) % n
+    return FiniteGroup(f"dihedral({n})", "cayley", table.astype(np.int16))
 
 
 def _check_permutation_order(n: int, index: int) -> None:
@@ -107,20 +106,11 @@ def unitriangular(p: int) -> FiniteGroup:
     check_order(p**3)
     if p < 2 or any(p % q == 0 for q in range(2, p)):
         raise MalformedInputError("unitriangular argument must be a prime")
-    n = p * p * p
-    table = [[0] * n for _ in range(n)]
-    for a1 in range(p):
-        for b1 in range(p):
-            for c1 in range(p):
-                row = table[a1 * p * p + b1 * p + c1]
-                for a2 in range(p):
-                    for b2 in range(p):
-                        for c2 in range(p):
-                            a = (a1 + a2) % p
-                            b = (b1 + b2 + a1 * c2) % p
-                            c = (c1 + c2) % p
-                            row[a2 * p * p + b2 * p + c2] = a * p * p + b * p + c
-    return FiniteGroup.from_cayley_table(table, name=f"unitriangular({p})", validate=False)
+    a, b, c = (x.ravel() for x in np.indices((p, p, p), dtype=np.int32))
+    # (1, a1, b1; 0, 1, c1) * (1, a2, b2; 0, 1, c2) = (1, a1 + a2, b1 + b2 + a1 c2; 0, 1, c1 + c2)
+    A, C = a[:, None], c[:, None]
+    table = ((A + a) % p * p + (b[:, None] + b + A * c) % p) * p + (C + c) % p
+    return FiniteGroup(f"unitriangular({p})", "cayley", table.astype(np.int16))
 
 
 def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
@@ -128,17 +118,10 @@ def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     n = G.order * H.order
     check_order(n)
     m = H.order
-    table = [[0] * n for _ in range(n)]
-    for g1 in range(G.order):
-        for h1 in range(m):
-            row = table[g1 * m + h1]
-            for g2 in range(G.order):
-                gm = G._mul(g1, g2) * m
-                for h2 in range(m):
-                    row[g2 * m + h2] = gm + H._mul(h1, h2)
-    return FiniteGroup.from_cayley_table(
-        table, name=f"product({G.name},{H.name})", validate=False
-    )
+    # axes (g1, h1, g2, h2), so row g1 * m + h1 and column g2 * m + h2
+    table = G._array.astype(np.int32)[:, None, :, None] * m + H._array[None, :, None, :]
+    table = table.reshape(n, n).astype(np.int16)
+    return FiniteGroup(f"product({G.name},{H.name})", "cayley", table)
 
 
 _SIMPLE_BUILDERS = {

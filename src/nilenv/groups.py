@@ -159,8 +159,13 @@ class FiniteGroup:
         generating set, picked greedily: each element not yet reached from 1
         by right multiplication (a plain search: ``closure_mask`` assumes
         associativity) is checked, then added.  While all pass, the reached
-        set is a subloop, which each new generator at least doubles.
+        set is a subloop, which each new generator at least doubles.  Tables
+        of at most ``_SCALAR_MAX_WORK`` entries run the same test as a scalar
+        loop, where numpy's per-call cost is most of the work.
         """
+        if n * n <= _SCALAR_MAX_WORK:
+            FiniteGroup._check_associative_scalar(arr.tolist(), n)
+            return
         reached = np.zeros(n, dtype=bool)
         reached[0] = True
         gens = []
@@ -178,6 +183,26 @@ class FiniteGroup:
                 step = np.zeros(n, dtype=bool)
                 step[arr[np.ix_(frontier, gens)]] = True
                 frontier = np.flatnonzero(step & ~reached)
+                reached |= step
+
+    @staticmethod
+    def _check_associative_scalar(T: list[list[int]], n: int) -> None:
+        """:meth:`_check_associative` on a list table, failing at the same (i, j, k)."""
+        reached = 1
+        gens = []
+        for k in range(n):
+            if reached >> k & 1:
+                continue
+            for i in range(n):
+                row = T[i]
+                for j in range(n):
+                    if T[row[j]][k] != row[T[j][k]]:
+                        raise MalformedInputError(f"multiplication is not associative at ({i}, {j}, {k})")
+            gens.append(k)
+            frontier = list(iter_mask(reached))
+            while frontier:
+                step = mask_of(T[x][g] for x in frontier for g in gens)
+                frontier = list(iter_mask(step & ~reached))
                 reached |= step
 
     @classmethod

@@ -13,11 +13,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 import time
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
+
+import numpy as np
 
 from .catalog import DEFAULT_CATALOG, from_spec
 from .centralizers import (
@@ -35,6 +38,7 @@ from .groups import (
     ElementSet,
     FiniteGroup,
     Subgroup,
+    _bool_vector,
     group_to_dict,
     hall_witt_products,
     mask_of,
@@ -142,27 +146,76 @@ class Report:
 # -- Subgroup pools --------------------------------------------------------
 
 
+def _cyclic_subgroups(G: FiniteGroup) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """Every cyclic subgroup once, found by walking each element's powers.
+
+    Returns (gen, mask, label): ``gen[c]`` is the least element generating
+    the c-th cyclic subgroup, ``mask[c]`` its mask, and ``label[x]`` the c
+    with <x> the c-th one.  The generators of <x> are the powers x^k with
+    k prime to the order of x.
+    """
+    label = [-1] * G.order
+    gens, masks = [], []
+    for x in range(G.order):
+        if label[x] >= 0:
+            continue
+        powers = [x]
+        while powers[-1]:
+            powers.append(G._mul(powers[-1], x))
+        for k, y in enumerate(powers, 1):
+            if math.gcd(k, len(powers)) == 1:
+                label[y] = len(gens)
+        gens.append(x)
+        masks.append(mask_of(powers))
+    return np.array(gens), masks, np.array(label)
+
+
 def all_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
-    """Every subgroup, as the join-closure of the cyclic subgroups."""
+    """Every subgroup, sorted by (order, mask), by cyclic extension up to conjugacy.
+
+    Neubüser's cyclic extension (1960): every subgroup is the join of the
+    cyclic subgroups it contains, so a set of subgroups that holds the
+    trivial one and is closed under joining with any cyclic subgroup holds
+    them all.  The set found here is a union of conjugacy classes, each
+    entered whole (the orbit of one representative under the generators of
+    G), and every representative H is joined with every cyclic subgroup C
+    not inside H.  So the join of any member H^g with C, which is
+    (H v C^(g^-1))^g, is found too.  C is taken only up to conjugacy by the
+    normalizer N(H), because H v C^n = (H v C)^n for n in N(H); each
+    N(H)-orbit of cyclic subgroups is read off one gather of the labels of
+    the conjugates c^n.
+    """
     key = ("allsubs",)
     got = G._memo.get(key)
     if got is None:
-        masks = {1}
-        for g in range(G.order):
-            masks.add(G.closure_mask(1 << g | 1))
-        frontier = list(masks)
-        known = set(masks)
-        while frontier:
-            fresh = []
-            for a in frontier:
-                for b in known.copy():
-                    joined = G.closure_mask(a | b)
-                    if joined not in known:
-                        known.add(joined)
-                        fresh.append(joined)
-            frontier = fresh
+        cyc_gen, cyc_mask, cyc_label = _cyclic_subgroups(G)
+        conjugators = G.as_subgroup().generators
+        T, inv = G._array, G._inv_array
+        found = {1}
+        reps = [1]
+        for H in reps:
+            outside = ~_bool_vector(H, G.order)[cyc_gen]
+            if not outside.any():
+                continue
+            N = np.flatnonzero(_bool_vector(G.normalizer_mask(H), G.order))
+            # orbits[i, c] is the label of <cyc_gen[c]^n> for the i-th n in N(H)
+            orbits = cyc_label[T[T[inv[N][:, None], cyc_gen], N[:, None]]]
+            least = orbits.min(axis=0) == np.arange(len(cyc_gen))
+            for c in np.flatnonzero(least & outside):
+                J = G.closure_mask(H | cyc_mask[c])
+                if J in found:
+                    continue
+                reps.append(J)
+                found.add(J)
+                orbit = [J]
+                for K in orbit:
+                    for g in conjugators:
+                        L = G.conjugate_mask(K, g)
+                        if L not in found:
+                            found.add(L)
+                            orbit.append(L)
         got = tuple(
-            Subgroup(G, m) for m in sorted(known, key=lambda m: (m.bit_count(), m))
+            Subgroup(G, m) for m in sorted(found, key=lambda m: (m.bit_count(), m))
         )
         G._memo[key] = got
     return got

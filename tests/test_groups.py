@@ -5,11 +5,22 @@ from __future__ import annotations
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilenv.catalog import alternating, cyclic, dihedral, from_spec, quaternion, symmetric, unitriangular
+from nilenv import groups
+from nilenv.catalog import (
+    alternating,
+    cyclic,
+    dihedral,
+    direct_product,
+    from_spec,
+    quaternion,
+    symmetric,
+    unitriangular,
+)
 from nilenv.errors import (
     CapExceededError,
     MalformedInputError,
@@ -91,6 +102,35 @@ def test_bad_tables_are_rejected():
 def test_nonassociative_table_names_a_triple():
     with pytest.raises(MalformedInputError, match=r"not associative at \(\d+, \d+, \d+\)"):
         FiniteGroup.from_cayley_table(NONASSOCIATIVE_TABLE)
+
+
+# A loop of order 6 with identity 0: 1 generates the subgroup {0, 1, 2},
+# so Light's test passes its first generator and fails at the second, 3.
+NONASSOCIATIVE_TABLE_6 = [
+    [0, 1, 2, 3, 4, 5],
+    [1, 2, 0, 4, 5, 3],
+    [2, 0, 1, 5, 3, 4],
+    [3, 4, 5, 0, 1, 2],
+    [4, 5, 3, 2, 0, 1],
+    [5, 3, 4, 1, 2, 0],
+]
+
+
+@pytest.mark.parametrize(
+    "table, triple",
+    [(NONASSOCIATIVE_TABLE, "(2, 1, 1)"), (NONASSOCIATIVE_TABLE_6, "(1, 3, 3)")],
+)
+@pytest.mark.parametrize("scalar_max_work", [groups._SCALAR_MAX_WORK, 0])
+def test_small_nonassociative_tables_fail_alike_on_both_paths(
+    monkeypatch, table, triple, scalar_max_work
+):
+    # tables of at most _SCALAR_MAX_WORK entries take the scalar loop; with
+    # the limit at 0 the same table takes the numpy path, and both must
+    # name the same failing triple
+    monkeypatch.setattr(groups, "_SCALAR_MAX_WORK", scalar_max_work)
+    with pytest.raises(MalformedInputError) as info:
+        FiniteGroup.from_cayley_table(table)
+    assert str(info.value) == f"multiplication is not associative at {triple}"
 
 
 def intercalate_switch(table, i, j, k, m):
@@ -186,6 +226,80 @@ def test_associativity_check_matches_exhaustive_reference(which, picks):
         with pytest.raises(MalformedInputError, match="not associative") as info:
             FiniteGroup.from_cayley_table(table)
         assert_named_triple_fails(table, str(info.value))
+
+
+def cyclic_formula(n):
+    return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+
+def dihedral_formula(n):
+    table = [[0] * (2 * n) for _ in range(2 * n)]
+    for e1 in (0, 1):
+        for i1 in range(n):
+            for e2 in (0, 1):
+                for i2 in range(n):
+                    i = (i1 + (i2 if e1 == 0 else -i2)) % n
+                    table[e1 * n + i1][e2 * n + i2] = (e1 ^ e2) * n + i
+    return table
+
+
+def unitriangular_formula(p):
+    n = p * p * p
+    table = [[0] * n for _ in range(n)]
+    for a1 in range(p):
+        for b1 in range(p):
+            for c1 in range(p):
+                row = table[a1 * p * p + b1 * p + c1]
+                for a2 in range(p):
+                    for b2 in range(p):
+                        for c2 in range(p):
+                            a = (a1 + a2) % p
+                            b = (b1 + b2 + a1 * c2) % p
+                            c = (c1 + c2) % p
+                            row[a2 * p * p + b2 * p + c2] = a * p * p + b * p + c
+    return table
+
+
+def product_formula(G, H):
+    n, m = G.order * H.order, H.order
+    table = [[0] * n for _ in range(n)]
+    for g1 in range(G.order):
+        for h1 in range(m):
+            row = table[g1 * m + h1]
+            for g2 in range(G.order):
+                gm = G._mul(g1, g2) * m
+                for h2 in range(m):
+                    row[g2 * m + h2] = gm + H._mul(h1, h2)
+    return table
+
+
+def assert_catalog_table(G, expected):
+    assert G._array.dtype == np.int16
+    assert G._array.tolist() == expected
+    assert G._table == expected
+    # catalog tables are built unvalidated, so check them here
+    assert FiniteGroup.from_cayley_table(expected)._table == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 12, 33, 128])
+def test_cyclic_and_dihedral_tables_match_their_formulas(n):
+    assert_catalog_table(cyclic(n), cyclic_formula(n))
+    assert_catalog_table(dihedral(n), dihedral_formula(n))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_unitriangular_tables_match_their_formula(p):
+    assert_catalog_table(unitriangular(p), unitriangular_formula(p))
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [("cyclic(1)", "cyclic(3)"), ("dihedral(4)", "symmetric(3)"), ("quaternion", "cyclic(2)"),
+     ("symmetric(3)", "alternating(4)")],
+)
+def test_direct_product_tables_match_their_formula(first, second):
+    G, H = from_spec(first), from_spec(second)
+    assert_catalog_table(direct_product(G, H), product_formula(G, H))
 
 
 def test_permutation_group_construction():

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from dataclasses import replace
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
 
 import nilenv.suites as suites
-from nilenv.catalog import dihedral, from_spec, symmetric
+from nilenv.catalog import DEFAULT_CATALOG, dihedral, from_spec, symmetric
 from nilenv.errors import MalformedInputError
 from nilenv.formula import envelope_formula, format_formula
 from nilenv.groups import FiniteGroup, Subgroup, group_from_dict, group_to_dict
@@ -92,6 +94,120 @@ def test_all_subgroups_sorted_unique_and_closed():
     assert subs[0].order == 1 and subs[-1].order == G.order
     for s in subs:
         assert G.closure_mask(s.members) == s.members
+
+
+def join_closure(G):
+    """Every subgroup mask, sorted, by closing each new subgroup with every known one.
+
+    The pairwise join that :func:`all_subgroups` replaced, kept as its
+    differential reference.
+    """
+    masks = {1}
+    for g in range(G.order):
+        masks.add(G.closure_mask(1 << g | 1))
+    frontier = list(masks)
+    known = set(masks)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for b in known.copy():
+                joined = G.closure_mask(a | b)
+                if joined not in known:
+                    known.add(joined)
+                    fresh.append(joined)
+        frontier = fresh
+    return tuple(sorted(known, key=lambda m: (m.bit_count(), m)))
+
+
+def relabelled_symmetric5():
+    """symmetric(5) from a Cayley table with its elements renamed at random."""
+    table = symmetric(5)._table
+    perm = list(range(len(table)))
+    random.Random(5).shuffle(perm)
+    out = [[0] * len(table) for _ in table]
+    for a, row in enumerate(table):
+        for b, c in enumerate(row):
+            out[perm[a]][perm[b]] = perm[c]
+    return FiniteGroup.from_cayley_table(out, name="relabelled symmetric(5)")
+
+
+def conjugated_symmetric5():
+    """symmetric(5) from conjugated generating permutations, listed in reverse."""
+    sigma = [3, 0, 4, 1, 2]
+    gens = []
+    for g in reversed(group_to_dict(symmetric(5))["generators"]):
+        h = [0] * 5
+        for i, gi in enumerate(g):
+            h[sigma[i]] = sigma[gi]
+        gens.append(h)
+    return FiniteGroup.from_permutations(5, gens, name="conjugated symmetric(5)")
+
+
+DIFFERENTIAL_GROUPS = [
+    *((spec, partial(from_spec.__wrapped__, spec)) for spec in DEFAULT_CATALOG),
+    *(
+        (spec, partial(from_spec.__wrapped__, spec))
+        for spec in ("symmetric(5)", "dihedral(32)", "product(symmetric(3),symmetric(3))")
+    ),
+    ("relabelled symmetric(5)", relabelled_symmetric5),
+    ("conjugated symmetric(5)", conjugated_symmetric5),
+]
+
+
+@pytest.mark.parametrize(
+    "build", [b for _, b in DIFFERENTIAL_GROUPS], ids=[n for n, _ in DIFFERENTIAL_GROUPS]
+)
+def test_all_subgroups_matches_the_pairwise_join(build):
+    G = build()
+    got = tuple(s.members for s in all_subgroups(G))
+    assert got == join_closure(build())
+
+
+def test_differential_presentations_of_symmetric5_renumber_elements():
+    table = symmetric(5)._table
+    assert relabelled_symmetric5()._table != table
+    assert conjugated_symmetric5()._table != table
+
+
+def conjugacy_class_count(G, masks) -> int:
+    """Classes of the subgroups ``masks`` under conjugation, which must permute them."""
+    gens = G.as_subgroup().generators
+    seen = set()
+    classes = 0
+    for m in masks:
+        if m in seen:
+            continue
+        classes += 1
+        seen.add(m)
+        orbit = [m]
+        for k in orbit:
+            for g in gens:
+                c = G.conjugate_mask(k, g)
+                if c not in seen:
+                    seen.add(c)
+                    orbit.append(c)
+    assert seen == set(masks)
+    return classes
+
+
+def test_all_subgroups_memo_is_bounded_by_classes_times_cyclic_subgroups():
+    G = symmetric(5)
+    masks = [s.members for s in all_subgroups(G)]
+    entries = sum(1 for key in G._memo if key[0] == "closure")
+    cyclic = {G.closure_mask(1 << g | 1) for g in range(G.order)}
+    classes = conjugacy_class_count(G, masks)
+    assert (len(masks), classes, len(cyclic)) == (156, 19, 67)
+    # the pairwise join left 11,252 entries here
+    assert entries <= classes * len(cyclic)
+
+
+def test_symmetric6_has_1455_subgroups_in_56_classes():
+    G = symmetric(6)
+    subs = all_subgroups(G)
+    masks = [s.members for s in subs]
+    assert len(masks) == 1455
+    assert masks == sorted(set(masks), key=lambda m: (m.bit_count(), m))
+    assert conjugacy_class_count(G, masks) == 56
 
 
 def test_sample_subgroups_covers_basic_shapes():
