@@ -34,28 +34,44 @@ class CentralizerLattice:
         self.ambient = ambient
         self.nodes = nodes
         self.witnesses = witnesses
+        self._below: tuple[int, ...] | None = None
         self._hasse: tuple[tuple[int, int], ...] | None = None
 
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def hasse_edges(self) -> tuple[tuple[int, int], ...]:
-        """Covering pairs (i, j): node i properly contains node j with nothing between."""
-        if self._hasse is None:
+    def _containment(self) -> tuple[int, ...]:
+        """Bitsets over node indices: bit j of entry i when node i properly contains node j.
+
+        The nodes are distinct and sorted by descending order, so every such
+        j is greater than i, and only those are tested.
+        """
+        if self._below is None:
             masks = [s.members for s in self.nodes]
-            edges = []
+            out = []
             for i, big in enumerate(masks):
-                below = [j for j, small in enumerate(masks) if small != big and small & big == small]
-                for j in below:
-                    direct = not any(
-                        masks[k] != masks[j]
-                        and masks[k] & big == masks[k]
-                        and masks[k] != big
-                        and masks[j] & masks[k] == masks[j]
-                        for k in below
-                    )
-                    if direct:
-                        edges.append((i, j))
+                bits = 0
+                for j in range(i + 1, len(masks)):
+                    if masks[j] & big == masks[j]:
+                        bits |= 1 << j
+                out.append(bits)
+            self._below = tuple(out)
+        return self._below
+
+    def hasse_edges(self) -> tuple[tuple[int, int], ...]:
+        """Covering pairs (i, j): node i properly contains node j with nothing between.
+
+        The covers of i are the nodes below i that are not below another node
+        below i, listed by ascending j.
+        """
+        if self._hasse is None:
+            below = self._containment()
+            edges = []
+            for i, under in enumerate(below):
+                deeper = 0
+                for k in iter_mask(under):
+                    deeper |= below[k]
+                edges.extend((i, j) for j in iter_mask(under & ~deeper))
             self._hasse = tuple(edges)
         return self._hasse
 
@@ -136,17 +152,23 @@ class ChainReport:
 
 
 def c_dimension(lattice: CentralizerLattice) -> ChainReport:
-    """Extract a longest descending centralizer chain from a lattice."""
-    masks = [s.members for s in lattice.nodes]
-    n = len(masks)
+    """Extract a longest descending centralizer chain from a lattice.
+
+    Node i's longest chain extends the first of the longest chains among
+    the nodes above it, scanned by ascending index.
+    """
+    n = len(lattice.nodes)
+    above = [0] * n
+    for j, under in enumerate(lattice._containment()):
+        for i in iter_mask(under):
+            above[i] |= 1 << j
     best = [1] * n
     back = [-1] * n
     for i in range(n):
-        for j in range(i):
-            if masks[i] != masks[j] and masks[i] & masks[j] == masks[i]:
-                if best[j] + 1 > best[i]:
-                    best[i] = best[j] + 1
-                    back[i] = j
+        for j in iter_mask(above[i]):
+            if best[j] + 1 > best[i]:
+                best[i] = best[j] + 1
+                back[i] = j
     end = max(range(n), key=lambda i: (best[i], -i))
     path = []
     while end != -1:

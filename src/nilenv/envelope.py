@@ -13,6 +13,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .centralizers import dimension, greedy_witness, minimal_centralizer_above
 from .errors import (
     ArityMismatchError,
@@ -22,14 +24,15 @@ from .errors import (
     ParentMismatchError,
 )
 from .groups import (
+    _BLOCK_PAIRS,
     ElementSet,
     FiniteGroup,
     Subgroup,
+    _vector_mask,
     commutator_subgroup,
     is_subgroup_mask,
     iter_mask,
     mask_of,
-    normal_closure,
     product_set,
     subgroup_to_dict,
 )
@@ -293,7 +296,7 @@ def verify_envelope(trace: EnvelopeTrace, samples_per_level: int = 4, seed: int 
         for h in picked:
             ekh = Subgroup(G, _condition_mask(G, prev.members, h, prev_center.members))
             gamma = Subgroup(G, _series_term(_lower_masks(ekh), k - 1))
-            ok = commutator_subgroup(gamma, Subgroup(G, 1 << h | 1)).members == 1
+            ok = commutator_subgroup(gamma, ElementSet(G, 1 << h | 1)).members == 1
             note(k, "commutators of gamma_k of a one-witness stage with its witness vanish",
                  ok, detail=f"h={h}")
 
@@ -385,8 +388,10 @@ def envelope_of_normal(G: FiniteGroup, H: Subgroup) -> EnvelopeTrace:
 def engel_iterate(G: FiniteGroup, g: int, x: int, max_steps: int | None = None) -> int | None:
     """Least i with [g, x, x, ..., x] (i copies of x) equal to the identity.
 
-    Returns None when the iteration cycles without reaching the identity;
-    within order(G) steps the sequence must repeat, so None is definitive.
+    Returns None when the iteration cycles without reaching the identity,
+    or when it has not reached the identity after ``max_steps`` steps.  With
+    ``max_steps`` at least order(G), the default, None is definitive: within
+    order(G) steps the sequence either reaches the identity or repeats.
     """
     G._check_index(g)
     G._check_index(x)
@@ -427,14 +432,54 @@ def _is_prime_power(n: int, p: int) -> bool:
 
 
 def p_core(G: FiniteGroup, p: int) -> Subgroup:
-    """The largest normal p-subgroup: elements whose normal closure is a p-group."""
+    """The largest normal p-subgroup: elements whose normal closure is a p-group.
+
+    The normal closure of x is the subgroup generated by its conjugacy
+    class, and conjugates have the same one.  So the p-core is the union of
+    the classes whose closure is a p-group, one closure per class.
+    """
     mask = 0
-    for x in range(G.order):
-        if _is_prime_power(len(normal_closure(G, x)), p):
-            mask |= 1 << x
+    for cls in G.conjugacy_classes():
+        if _is_prime_power(G.closure_mask(cls).bit_count(), p):
+            mask |= cls
     if not is_subgroup_mask(G, mask):
         raise InternalCheckError(f"{p}-core candidate set is not a subgroup")
     return Subgroup(G, mask)
+
+
+def _engel_set(G: FiniteGroup) -> tuple[int, int]:
+    """(mask of the bounded left Engel elements, largest Engel bound).
+
+    Runs the image-set chains of :func:`fitting` for a block of x at a time,
+    with block * order at most ``_BLOCK_PAIRS``.  Row b of ``image`` holds
+    S_k for x = xs[b] as a bool vector, and ``step[b, y]`` is [y, x].  A row
+    leaves ``live`` once it is {1}, or once a step leaves it unchanged.
+    """
+    n = G.order
+    everything = np.arange(n)
+    engel = np.zeros(n, dtype=bool)
+    bound = 0
+    block = max(1, _BLOCK_PAIRS // n)
+    for start in range(0, n, block):
+        xs = everything[start : start + block]
+        step = G._pair_values("comm", everything, xs).T
+        image = np.ones((len(xs), n), dtype=bool)
+        live = np.arange(len(xs))
+        steps = 0
+        while live.size:
+            done = ~image[live, 1:].any(axis=1)
+            if done.any():
+                engel[xs[live[done]]] = True
+                bound = max(bound, steps)
+                live = live[~done]
+            rows, ys = np.nonzero(image[live])
+            nxt = np.zeros((len(live), n), dtype=bool)
+            nxt[rows, step[live[rows], ys]] = True
+            moved = (nxt != image[live]).any(axis=1)
+            image[live] = nxt
+            live = live[moved]
+            steps += 1
+    return _vector_mask(engel), bound
 
 
 @dataclass(frozen=True)
@@ -463,6 +508,7 @@ def fitting(G: FiniteGroup) -> FittingReport:
     The identity is fixed by y -> [y, x], so x is a bounded Engel element
     exactly when the chain reaches {1}, and the least such k is the largest
     :func:`engel_iterate` over g, which ``engel_bound_n`` maximizes over x.
+    :func:`_engel_set` runs these chains for a block of x at a time.
     """
     cores = G.trivial_subgroup()
     for p in _prime_factors(G.order):
@@ -474,18 +520,7 @@ def fitting(G: FiniteGroup) -> FittingReport:
     trace = build_envelope(G, by_cores)
     by_envelope = trace.envelope
 
-    engel_mask = 0
-    bound = 0
-    for x in range(G.order):
-        image, steps = G.full_mask, 0
-        while image != 1:
-            nxt = G._image("comm", image, 1 << x)
-            if nxt == image:
-                break
-            image, steps = nxt, steps + 1
-        if image == 1:
-            engel_mask |= 1 << x
-            bound = max(bound, steps)
+    engel_mask, bound = _engel_set(G)
     if not is_subgroup_mask(G, engel_mask):
         raise InternalCheckError("bounded Engel set is not a subgroup")
     by_engel = Subgroup(G, engel_mask)

@@ -400,6 +400,19 @@ class FiniteGroup:
             self._memo["center"] = cached
         return cached
 
+    def conjugacy_classes(self) -> tuple[int, ...]:
+        """Masks of the conjugacy classes, in order of their least element."""
+        cached = self._memo.get("classes")
+        if cached is None:
+            cached, seen = [], 0
+            while seen != self.full_mask:
+                least = ~seen & (seen + 1)
+                cls = self._image("conj", self.full_mask, least)
+                cached.append(cls)
+                seen |= cls
+            cached = self._memo["classes"] = tuple(cached)
+        return cached
+
     def centralizer_mask(self, setmask: int, within: int | None = None) -> int:
         """Mask of elements of ``within`` commuting with everything in ``setmask``."""
         result = self.full_mask if within is None else within
@@ -595,7 +608,15 @@ def closure(parent: FiniteGroup, seed) -> Subgroup:
 
 
 def commutator_subgroup(first: ElementSet, second: ElementSet) -> Subgroup:
-    """The subgroup generated by all commutators [a, b], a in first, b in second."""
+    """The subgroup generated by all commutators [a, b], a in first, b in second.
+
+    When both arguments are subgroups, H = <X> and K = <Y>, this is [H, K],
+    the normal closure in <H, K> of {[x, y] : x in X, y in Y} (Robinson, A
+    Course in the Theory of Groups, 5.1.7).  It is found from the subgroups'
+    generators: close those commutators, then conjugate by X and Y and close
+    again until nothing changes.  Other sets take the closure of the image
+    of all pairs.
+    """
     if first.parent is not second.parent:
         raise ParentMismatchError("commutator of sets in different groups")
     G = first.parent
@@ -603,7 +624,17 @@ def commutator_subgroup(first: ElementSet, second: ElementSet) -> Subgroup:
     key = ("commsub", min(a_mask, b_mask), max(a_mask, b_mask))
     cached = G._memo.get(key)
     if cached is None:
-        cached = G.closure_mask(G._image("comm", a_mask, b_mask))
+        if isinstance(first, Subgroup) and isinstance(second, Subgroup):
+            xs, ys = first.generators, second.generators
+            cached = G.closure_mask(mask_of(G._comm(x, y) for x in xs for y in ys))
+            conjugators = mask_of(xs + ys)
+            while True:
+                grown = G._image("conj", conjugators, cached)
+                if grown & ~cached == 0:
+                    break
+                cached = G.closure_mask(cached | grown)
+        else:
+            cached = G.closure_mask(G._image("comm", a_mask, b_mask))
         G._memo[key] = cached
     return Subgroup(G, cached)
 

@@ -19,6 +19,7 @@ from .groups import (
     commutator_subgroup,
     is_subgroup_mask,
     iter_mask,
+    mask_of,
 )
 
 
@@ -51,17 +52,23 @@ def lower_central_series(P: Subgroup) -> CentralSeries:
 
 
 def upper_central_series(P: Subgroup) -> CentralSeries:
-    """The series 1 = Z_0 <= Z_1 <= ... of P, stopped at stabilization."""
+    """The series 1 = Z_0 <= Z_1 <= ... of P, stopped at stabilization.
+
+    Z_(i+1) is the set of x in P with [x, g] in Z_i for every generator g
+    of P.  That suffices because Z_i is normal in P: x Z_i is central in
+    P / Z_i exactly when it commutes with the images of P's generators.
+    """
     G = P.parent
     key = ("ucs", P.members)
     cached = G._memo.get(key)
     if cached is None:
+        gens = mask_of(P.generators)
         masks = [1]
         while len(masks) <= G.order + 1:
             prev = masks[-1]
             if prev == P.members:
                 break
-            nxt = G._select("comm", P.members, P.members, prev)
+            nxt = G._select("comm", P.members, gens, prev)
             if nxt == prev:
                 break
             masks.append(nxt)

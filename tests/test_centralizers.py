@@ -213,6 +213,57 @@ def test_bottom_chain_trichotomy():
     assert bottom_chain_classify(S3.subgroup([0])).case == 1
 
 
+def triple_loop_hasse_edges(masks) -> tuple[tuple[int, int], ...]:
+    """Covering pairs by definition: i properly contains j, and no node lies strictly between."""
+    edges = []
+    for i, big in enumerate(masks):
+        below = [j for j, small in enumerate(masks) if small != big and small & big == small]
+        for j in below:
+            direct = not any(
+                masks[k] != masks[j]
+                and masks[k] & big == masks[k]
+                and masks[k] != big
+                and masks[j] & masks[k] == masks[j]
+                for k in below
+            )
+            if direct:
+                edges.append((i, j))
+    return tuple(edges)
+
+
+def quadratic_longest_chain(masks) -> list[int]:
+    """Node indices of a longest descending chain, each node extending the first best one above it."""
+    n = len(masks)
+    best, back = [1] * n, [-1] * n
+    for i in range(n):
+        for j in range(i):
+            if masks[i] != masks[j] and masks[i] & masks[j] == masks[i] and best[j] + 1 > best[i]:
+                best[i], back[i] = best[j] + 1, j
+    end = max(range(n), key=lambda i: (best[i], -i))
+    path = []
+    while end != -1:
+        path.append(end)
+        end = back[end]
+    return path[::-1]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["symmetric(4)", "symmetric(5)", "dihedral(6)", "unitriangular(5)", "product(dihedral(4),symmetric(3))"],
+)
+def test_hasse_edges_and_chain_match_pairwise_loops(spec):
+    lattice = centralizer_lattice(from_spec(spec))
+    masks = [node.members for node in lattice.nodes]
+    assert lattice.hasse_edges() == triple_loop_hasse_edges(masks)
+    report = c_dimension(lattice)
+    path = quadratic_longest_chain(masks)
+    assert [node.members for node in report.chain] == [masks[i] for i in path]
+    wit = 0
+    for got, i in zip(report.witness_sets, path):
+        wit |= lattice.witnesses[i].members
+        assert got.members == wit
+
+
 def test_hasse_edges_symmetric_3():
     lattice = centralizer_lattice(symmetric(3))
     assert lattice.hasse_edges() == ((0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 5), (3, 5), (4, 5))

@@ -248,6 +248,11 @@ def test_fitting_anchor_values():
     assert fitting(from_spec("product(dihedral(4),symmetric(3))")).fitting.order == 24
     assert fitting(cyclic(12)).fitting.order == 12
 
+    report = fitting(symmetric(6))
+    assert (report.fitting.order, report.engel_bound_n) == (1, 1)
+    report = fitting(unitriangular(7))
+    assert (report.fitting.order, report.engel_bound_n) == (343, 2)
+
 
 def test_fitting_is_nilpotent_and_engel_bound_small():
     for spec in ("symmetric(3)", "symmetric(4)", "dihedral(6)", "unitriangular(3)"):

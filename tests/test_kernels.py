@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nilenv.catalog import from_spec
+from nilenv.catalog import from_spec, symmetric
 from nilenv.envelope import fitting
 from nilenv.errors import NotASubgroupError
 from nilenv.groups import (
@@ -31,7 +31,7 @@ from nilenv.groups import (
     normal_closure,
     product_set,
 )
-from nilenv.series import iterated_centralizer, upper_central_series
+from nilenv.series import iterated_centralizer, nilpotence_class, upper_central_series
 
 KERNEL_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -104,6 +104,19 @@ def ref_iterated_centralizer(G, amb, base, n) -> list[int]:
             candidates &= ref_normalizer(G, t)
         terms.append(ref_centralizing(G, candidates, base, terms[-1]))
     return terms
+
+
+def ref_fitting_by_cores(G) -> int:
+    """The product of the p-cores: x is in one when its normal closure has prime-power order."""
+
+    def prime_power(m):
+        p = next((d for d in range(2, m + 1) if m % d == 0), None)
+        while p and m % p == 0:
+            m //= p
+        return m == 1
+
+    in_cores = [x for x in range(G.order) if prime_power(ref_normal_closure(G, x).bit_count())]
+    return ref_closure(G, in_cores)
 
 
 def ref_engel(G) -> tuple[int, int]:
@@ -226,6 +239,12 @@ def test_group_kernels_match_references(rng):
     assert got == ref_commutator_subgroup(G, a, b)
 
     h, k = random_subgroup(rng, G), random_subgroup(rng, G)
+    # the memo is keyed by the two masks alone; clear it so that the
+    # generator path for subgroups runs, not the all-pairs result above
+    G._memo.clear()
+    got = commutator_subgroup(Subgroup(G, h), Subgroup(G, k)).members
+    assert got == ref_commutator_subgroup(G, h, k)
+
     ab = mask_of(G.mul(x, y) for x in iter_mask(h) for y in iter_mask(k))
     ba = mask_of(G.mul(y, x) for x in iter_mask(h) for y in iter_mask(k))
     if ab == ba:
@@ -262,6 +281,39 @@ def test_fitting_engel_set_matches_reference(G):
     mask, bound = ref_engel(G)
     assert report.by_engel.members == mask
     assert report.engel_bound_n == bound
+    assert report.by_op_cores.members == ref_fitting_by_cores(G)
+
+
+def test_normal_structure_work_is_bounded(monkeypatch):
+    """The kernels run on generators and conjugacy classes, not on all element pairs."""
+    work = {"pairs": 0, "images": 0}
+    select, image = FiniteGroup._select, FiniteGroup._image
+
+    def counting_select(self, op, xs, ps, target):
+        work["pairs"] += xs.bit_count() * ps.bit_count()
+        return select(self, op, xs, ps, target)
+
+    def counting_image(self, op, xs, ps):
+        work["pairs"] += xs.bit_count() * ps.bit_count()
+        work["images"] += 1
+        return image(self, op, xs, ps)
+
+    monkeypatch.setattr(FiniteGroup, "_select", counting_select)
+    monkeypatch.setattr(FiniteGroup, "_image", counting_image)
+
+    # catalog.symmetric builds a fresh group each call, with empty memos
+    assert nilpotence_class(symmetric(6).as_subgroup()) is None
+    # all pairs would be 720 * 720 = 518,400 for [S6, S6] alone, and as
+    # many again for Z_1; the generators make it about 4,000
+    assert work["pairs"] <= 20_000
+
+    G = symmetric(6)
+    work["images"] = 0
+    assert fitting(G).fitting.order == 1
+    # one image per class, and a few products; the image-set iteration
+    # over each x made 3,898 calls
+    assert len(G.conjugacy_classes()) == 11
+    assert work["images"] <= 3 * 11
 
 
 # -- element indices and tables of permutation groups -----------------------
