@@ -615,7 +615,9 @@ def commutator_subgroup(first: ElementSet, second: ElementSet) -> Subgroup:
     Course in the Theory of Groups, 5.1.7).  It is found from the subgroups'
     generators: close those commutators, then conjugate by X and Y and close
     again until nothing changes.  Other sets take the closure of the image
-    of all pairs.
+    of all pairs.  The result is memoized per pair of masks and shared by
+    every call: callers must not mutate it, and its generators depend only
+    on its members.
     """
     if first.parent is not second.parent:
         raise ParentMismatchError("commutator of sets in different groups")
@@ -626,17 +628,17 @@ def commutator_subgroup(first: ElementSet, second: ElementSet) -> Subgroup:
     if cached is None:
         if isinstance(first, Subgroup) and isinstance(second, Subgroup):
             xs, ys = first.generators, second.generators
-            cached = G.closure_mask(mask_of(G._comm(x, y) for x in xs for y in ys))
+            mask = G.closure_mask(mask_of(G._comm(x, y) for x in xs for y in ys))
             conjugators = mask_of(xs + ys)
             while True:
-                grown = G._image("conj", conjugators, cached)
-                if grown & ~cached == 0:
+                grown = G._image("conj", conjugators, mask)
+                if grown & ~mask == 0:
                     break
-                cached = G.closure_mask(cached | grown)
+                mask = G.closure_mask(mask | grown)
         else:
-            cached = G.closure_mask(G._image("comm", a_mask, b_mask))
-        G._memo[key] = cached
-    return Subgroup(G, cached)
+            mask = G.closure_mask(G._image("comm", a_mask, b_mask))
+        cached = G._memo[key] = Subgroup(G, mask)
+    return cached
 
 
 def normalizer(subset: ElementSet) -> Subgroup:
@@ -644,14 +646,18 @@ def normalizer(subset: ElementSet) -> Subgroup:
 
 
 def normal_closure(parent: FiniteGroup, g: int) -> Subgroup:
-    """The smallest normal subgroup containing g."""
+    """The smallest normal subgroup containing g.
+
+    The result is memoized per g and shared by every call: callers must not
+    mutate it, and its generators depend only on its members.
+    """
     parent._check_index(g)
     key = ("ncl", g)
     cached = parent._memo.get(key)
     if cached is None:
-        cached = parent.closure_mask(parent._image("conj", parent.full_mask, 1 << g))
-        parent._memo[key] = cached
-    return Subgroup(parent, cached)
+        mask = parent.closure_mask(parent._image("conj", parent.full_mask, 1 << g))
+        cached = parent._memo[key] = Subgroup(parent, mask)
+    return cached
 
 
 def product_set(first: Subgroup, second: Subgroup) -> Subgroup:

@@ -33,22 +33,24 @@ class CentralSeries:
 
 
 def lower_central_series(P: Subgroup) -> CentralSeries:
-    """The series P = gamma_1 >= gamma_2 >= ..., stopped at stabilization."""
+    """The series P = gamma_1 >= gamma_2 >= ..., stopped at stabilization.
+
+    The series is memoized per P and shared by every call: callers must not
+    mutate it, and the generators of its terms depend only on their members.
+    """
     G = P.parent
     key = ("lcs", P.members)
-    cached = G._memo.get(key)
-    if cached is None:
-        masks = [P.members]
-        while len(masks) <= G.order:
-            nxt = commutator_subgroup(Subgroup(G, masks[-1]), P).members
-            if nxt == masks[-1]:
+    series = G._memo.get(key)
+    if series is None:
+        terms = [Subgroup(G, P.members)]
+        while len(terms) <= G.order:
+            nxt = commutator_subgroup(terms[-1], P)
+            if nxt.members == terms[-1].members:
                 break
-            masks.append(nxt)
-        cls = len(masks) - 1 if masks[-1] == 1 else None
-        cached = (tuple(masks), cls)
-        G._memo[key] = cached
-    masks, cls = cached
-    return CentralSeries("lower", tuple(Subgroup(G, m) for m in masks), cls)
+            terms.append(nxt)
+        cls = len(terms) - 1 if terms[-1].members == 1 else None
+        series = G._memo[key] = CentralSeries("lower", tuple(terms), cls)
+    return series
 
 
 def upper_central_series(P: Subgroup) -> CentralSeries:
@@ -57,11 +59,13 @@ def upper_central_series(P: Subgroup) -> CentralSeries:
     Z_(i+1) is the set of x in P with [x, g] in Z_i for every generator g
     of P.  That suffices because Z_i is normal in P: x Z_i is central in
     P / Z_i exactly when it commutes with the images of P's generators.
+    The series is memoized per P and shared by every call: callers must not
+    mutate it, and the generators of its terms depend only on their members.
     """
     G = P.parent
     key = ("ucs", P.members)
-    cached = G._memo.get(key)
-    if cached is None:
+    series = G._memo.get(key)
+    if series is None:
         gens = mask_of(P.generators)
         masks = [1]
         while len(masks) <= G.order + 1:
@@ -73,10 +77,8 @@ def upper_central_series(P: Subgroup) -> CentralSeries:
                 break
             masks.append(nxt)
         cls = len(masks) - 1 if masks[-1] == P.members else None
-        cached = (tuple(masks), cls)
-        G._memo[key] = cached
-    masks, cls = cached
-    return CentralSeries("upper", tuple(Subgroup(G, m) for m in masks), cls)
+        series = G._memo[key] = CentralSeries("upper", tuple(Subgroup(G, m) for m in masks), cls)
+    return series
 
 
 def nilpotence_class(P: Subgroup) -> int | None:
@@ -113,7 +115,9 @@ def iterated_centralizer(ambient, base: Subgroup, n: int) -> IteratedCentralizer
     Level m is computed literally: elements of the intersection of the
     ambient normalizers of all lower terms whose commutator with every
     element of ``base`` lies in level m-1.  Each term is verified to be a
-    subgroup.
+    subgroup.  The terms are memoized per (ambient, base) and shared by every
+    call: callers must not mutate them, and their generators depend only on
+    their members.
     """
     G, amb = _ambient_pair(ambient)
     if base.parent is not G:
@@ -124,28 +128,26 @@ def iterated_centralizer(ambient, base: Subgroup, n: int) -> IteratedCentralizer
         raise HypothesisError("tower level must be nonnegative")
 
     key = ("tower", amb, base.members)
-    terms, norm_inter = G._memo.get(key, ((1,), amb))
+    terms, norm_inter = G._memo.get(key) or ((Subgroup(G, 1),), amb)
     if len(terms) <= n:
         terms = list(terms)
         while len(terms) <= n:
-            prev = terms[-1]
+            prev = terms[-1].members
             norm_inter &= G.normalizer_mask(prev) if prev != 1 else amb
             level = G._select("comm", norm_inter, base.members, prev)
             if not is_subgroup_mask(G, level):
                 raise InternalCheckError("iterated centralizer level is not a subgroup")
-            terms.append(level)
+            terms.append(Subgroup(G, level))
         terms = tuple(terms)
         G._memo[key] = (terms, norm_inter)
 
     amb_sub = ambient if isinstance(ambient, Subgroup) else G.as_subgroup()
-    return IteratedCentralizerTower(
-        amb_sub, base, tuple(Subgroup(G, m) for m in terms[: n + 1])
-    )
+    return IteratedCentralizerTower(amb_sub, base, terms[: n + 1])
 
 
-def _series_term(masks, i: int) -> int:
+def _series_term(terms, i: int):
     """Term i of a stabilized series, repeating the last term past the end."""
-    return masks[i] if i < len(masks) else masks[-1]
+    return terms[i] if i < len(terms) else terms[-1]
 
 
 @dataclass(frozen=True)
@@ -164,21 +166,23 @@ def check_hall_bound(ambient, base: Subgroup, i: int, k: int) -> HallBoundReport
         raise HypothesisError("indices must satisfy 1 <= i <= k")
     G, _ = _ambient_pair(ambient)
     tower = iterated_centralizer(ambient, base, k)
-    lower = lower_central_series(base)
-    gamma_i = _series_term([s.members for s in lower.terms], i - 1)
-    c_k = tower.terms[k].members
+    gamma_i = _series_term(lower_central_series(base).terms, i - 1)
+    c_k = tower.terms[k]
     rhs = tower.terms[k - i]
 
+    # the kernel keeps the a with [a, c] in rhs for every c in C^k; the scan
+    # over the rest finds the first failing (a, c) in ascending order
+    bad = gamma_i.members & ~G._select("comm", gamma_i.members, c_k.members, rhs.members)
     counterexample = None
-    for a in iter_mask(gamma_i):
-        for c in iter_mask(c_k):
+    for a in iter_mask(bad):
+        for c in iter_mask(c_k.members):
             w = G._comm(a, c)
             if not rhs.members >> w & 1:
                 counterexample = (a, c, w)
                 break
         if counterexample:
             break
-    lhs = commutator_subgroup(Subgroup(G, gamma_i), Subgroup(G, c_k))
+    lhs = commutator_subgroup(gamma_i, c_k)
     ok = counterexample is None
     if ok != (lhs.members & ~rhs.members == 0):
         raise InternalCheckError("pairwise and generated commutator checks disagree")
@@ -264,9 +268,9 @@ def check_centralizer_transfer(ambient, small: Subgroup, big: Subgroup, k: int) 
     agree_below = all(
         x_tower.terms[i].members == p_tower.terms[i].members for i in range(k)
     )
-    gamma_k = _series_term([s.members for s in lower_central_series(big).terms], k - 1)
+    gamma_k = _series_term(lower_central_series(big).terms, k - 1)
     c_k_x = x_tower.terms[k]
-    commute = commutator_subgroup(Subgroup(G, gamma_k), c_k_x).members == 1
+    commute = commutator_subgroup(gamma_k, c_k_x).members == 1
     same_centralizer = G.centralizer_mask(small.members, within=amb) == G.centralizer_mask(
         big.members, within=amb
     )
@@ -298,11 +302,10 @@ def check_nested_towers(inner: Subgroup, mid: Subgroup, outer: Subgroup, n: int)
     if inner.members & ~mid.members or mid.members & ~outer.members:
         raise HypothesisError("subgroups must be nested as A <= B <= C")
 
-    G = outer.parent
     outer_tower = iterated_centralizer(outer, inner, n)
-    upper = [s.members for s in upper_central_series(outer).terms]
+    upper = upper_central_series(outer).terms
     hypothesis = all(
-        outer_tower.terms[k].members == _series_term(upper, k) for k in range(n)
+        outer_tower.terms[k].members == _series_term(upper, k).members for k in range(n)
     )
     if not hypothesis:
         return NestedTowerReport(False, None, True, None)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import enum
 import random
 import re
 
@@ -88,15 +89,31 @@ def test_identity_is_relabelled_to_zero():
 def test_bad_tables_are_rejected():
     with pytest.raises(MalformedInputError):
         FiniteGroup.from_cayley_table([])
-    with pytest.raises(MalformedInputError):
-        FiniteGroup.from_cayley_table([[0, 1], [1]])
-    with pytest.raises(MalformedInputError):
-        FiniteGroup.from_cayley_table([[0, 1], [1, 2]])
+    for table, message in (
+        ([[0, 1], [1]], "row 1 does not have length 2"),
+        ([[0, 1], 5], "row 1 does not have length 2"),
+        ([[0, 1], [1, True]], "row 1 contains bad entry True"),
+        ([[0, 1.0], [1, 0]], "row 0 contains bad entry 1.0"),
+        ([[0, 1], [1, "1"]], "row 1 contains bad entry '1'"),
+        ([[0, 1], [-1, 0]], "row 1 contains bad entry -1"),
+        ([[0, 1], [1, 2]], "row 1 contains bad entry 2"),
+        # a range error, not numpy's OverflowError for int16
+        ([[0, 2**70], [1, 0]], f"row 0 contains bad entry {2**70}"),
+        # the first bad row or entry is named, in row order
+        ([[0, "x"], [1]], "row 0 contains bad entry 'x'"),
+    ):
+        with pytest.raises(MalformedInputError) as info:
+            FiniteGroup.from_cayley_table(table)
+        assert str(info.value) == message
     with pytest.raises(MalformedInputError):
         FiniteGroup.from_cayley_table([[0, 0], [1, 1]])
     # Latin square whose only left identity is not a right identity
     with pytest.raises(MalformedInputError):
         FiniteGroup.from_cayley_table([[0, 1, 2], [2, 0, 1], [1, 2, 0]])
+    # int subclasses other than bool are entries like any int
+    Bit = enum.IntEnum("Bit", [("ZERO", 0), ("ONE", 1)])
+    G = FiniteGroup.from_cayley_table([[Bit.ZERO, Bit.ONE], [Bit.ONE, Bit.ZERO]])
+    assert G.order == 2 and G.mul(1, 1) == 0
 
 
 def test_nonassociative_table_names_a_triple():

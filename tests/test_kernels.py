@@ -9,7 +9,9 @@ scalar loop and large enough for the numpy path.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,7 +33,14 @@ from nilenv.groups import (
     normal_closure,
     product_set,
 )
-from nilenv.series import iterated_centralizer, nilpotence_class, upper_central_series
+from nilenv.series import (
+    IteratedCentralizerTower,
+    check_hall_bound,
+    iterated_centralizer,
+    lower_central_series,
+    nilpotence_class,
+    upper_central_series,
+)
 
 KERNEL_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -104,6 +113,16 @@ def ref_iterated_centralizer(G, amb, base, n) -> list[int]:
             candidates &= ref_normalizer(G, t)
         terms.append(ref_centralizing(G, candidates, base, terms[-1]))
     return terms
+
+
+def ref_hall_counterexample(G, gamma, c_k, rhs):
+    """The first (a, c, [a, c]), in ascending order, with [a, c] outside ``rhs``, or None."""
+    for a in iter_mask(gamma):
+        for c in iter_mask(c_k):
+            w = G.comm(a, c)
+            if not rhs >> w & 1:
+                return (a, c, w)
+    return None
 
 
 def ref_fitting_by_cores(G) -> int:
@@ -267,7 +286,27 @@ def test_series_kernels_match_references(rng):
     amb = random_subgroup(rng, G)
     base = random_subgroup(rng, G, within=amb)
     tower = iterated_centralizer(Subgroup(G, amb), Subgroup(G, base), 3)
-    assert [t.members for t in tower.terms] == ref_iterated_centralizer(G, amb, base, 3)
+    terms = ref_iterated_centralizer(G, amb, base, 3)
+    assert [t.members for t in tower.terms] == terms
+
+    # the bound held on every random base tried, nilpotent or not; a fake
+    # tower with the whole ambient at every level above 0 makes it fail at
+    # i = k whenever gamma_k(base) is not central in the ambient
+    lower = [t.members for t in lower_central_series(Subgroup(G, base)).terms]
+    flat = [1, amb, amb, amb]
+    fake = IteratedCentralizerTower(tower.ambient, tower.base, tuple(Subgroup(G, m) for m in flat))
+    for masks, patch in (
+        (terms, contextlib.nullcontext()),
+        (flat, mock.patch("nilenv.series.iterated_centralizer", lambda *_: fake)),
+    ):
+        with patch:
+            for k in range(1, 4):
+                for i in range(1, k + 1):
+                    gamma = lower[min(i - 1, len(lower) - 1)]
+                    expect = ref_hall_counterexample(G, gamma, masks[k], masks[k - i])
+                    report = check_hall_bound(Subgroup(G, amb), Subgroup(G, base), i, k)
+                    assert report.counterexample == expect
+                    assert report.ok == (expect is None)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)

@@ -125,6 +125,36 @@ def test_tower_memo_extends():
     longer = iterated_centralizer(G, sub, 3)
     assert [t.members for t in longer.terms[:2]] == [t.members for t in short.terms]
     assert len(longer.terms) == 4
+    # the longer tower extends the memoized terms, not copies of them
+    assert all(a is b for a, b in zip(longer.terms[:2], short.terms))
+
+
+def test_memo_hits_return_the_memoized_objects(monkeypatch):
+    G = dihedral(8)
+    whole, sub = G.as_subgroup(), closure(G, [1])
+    first = (
+        lower_central_series(whole),
+        upper_central_series(whole),
+        commutator_subgroup(whole, sub),
+        iterated_centralizer(whole, sub, 3).terms,
+    )
+    built = []
+    init = Subgroup.__init__
+
+    def counting_init(self, parent, members):
+        built.append(members)
+        init(self, parent, members)
+
+    monkeypatch.setattr(Subgroup, "__init__", counting_init)
+    again = (
+        lower_central_series(whole),
+        upper_central_series(whole),
+        commutator_subgroup(sub, whole),
+        iterated_centralizer(whole, sub, 2).terms,
+    )
+    assert built == []
+    assert all(a is b for a, b in zip(first[:3], again[:3]))
+    assert all(a is b for a, b in zip(first[3], again[3]))
 
 
 def test_tower_hypothesis_errors():
