@@ -4,11 +4,11 @@ Elements of a group of order n are the integers 0..n-1, with 0 always the
 identity.  Subsets are represented as Python int bitmasks, so intersections
 are single AND operations and membership tests are shifts.
 
-Every group is held as one numpy Cayley table, ``T[a, b] = a * b``, and no
-group is larger than ``MAX_ORDER``: every constructor calls
-:func:`check_order` before any work quadratic in the order.  The
-list-of-lists rows in ``_table`` are derived from the numpy table, with one
-shared int object per element, for scalar ``_mul``.  The quadratic kernels
+Every group is held as one int16 numpy Cayley table, ``T[a, b] = a * b``,
+and no group is larger than ``MAX_ORDER``: every constructor calls
+:func:`check_order` before any work quadratic in the order.  The scalar
+operations read the same table through ``_rows``, one ``memoryview`` of the
+table's buffer per row, so no second copy is kept.  The quadratic kernels
 (:meth:`FiniteGroup._select`, :meth:`FiniteGroup._image` and the element
 centralizers) gather through the numpy table, converting masks at the
 boundary; up to ``_SCALAR_MAX_WORK`` element pairs they run a scalar loop
@@ -101,10 +101,10 @@ class FiniteGroup:
         self.full_mask = (1 << order) - 1
         self._elem_cent: list[int | None] = [None] * order
         self._memo: dict = {}
-        interned = np.array(range(order), dtype=object)
-        self._table = [interned[row].tolist() for row in array]
+        flat = memoryview(array).cast("B").cast("h")
+        self._rows = [flat[i * order : (i + 1) * order] for i in range(order)]
         self._inv_array = array.argmin(axis=1).astype(array.dtype)
-        self.inverse_table = interned[self._inv_array].tolist()
+        self.inverse_table = self._inv_array.tolist()
 
     # -- construction -------------------------------------------------
 
@@ -159,13 +159,9 @@ class FiniteGroup:
         generating set, picked greedily: each element not yet reached from 1
         by right multiplication (a plain search: ``closure_mask`` assumes
         associativity) is checked, then added.  While all pass, the reached
-        set is a subloop, which each new generator at least doubles.  Tables
-        of at most ``_SCALAR_MAX_WORK`` entries run the same test as a scalar
-        loop, where numpy's per-call cost is most of the work.
+        set is a subloop, which each new generator at least doubles.  It
+        runs on the group's one int16 table, at every order.
         """
-        if n * n <= _SCALAR_MAX_WORK:
-            FiniteGroup._check_associative_scalar(arr.tolist(), n)
-            return
         reached = np.zeros(n, dtype=bool)
         reached[0] = True
         gens = []
@@ -183,26 +179,6 @@ class FiniteGroup:
                 step = np.zeros(n, dtype=bool)
                 step[arr[np.ix_(frontier, gens)]] = True
                 frontier = np.flatnonzero(step & ~reached)
-                reached |= step
-
-    @staticmethod
-    def _check_associative_scalar(T: list[list[int]], n: int) -> None:
-        """:meth:`_check_associative` on a list table, failing at the same (i, j, k)."""
-        reached = 1
-        gens = []
-        for k in range(n):
-            if reached >> k & 1:
-                continue
-            for i in range(n):
-                row = T[i]
-                for j in range(n):
-                    if T[row[j]][k] != row[T[j][k]]:
-                        raise MalformedInputError(f"multiplication is not associative at ({i}, {j}, {k})")
-            gens.append(k)
-            frontier = list(iter_mask(reached))
-            while frontier:
-                step = mask_of(T[x][g] for x in frontier for g in gens)
-                frontier = list(iter_mask(step & ~reached))
                 reached |= step
 
     @classmethod
@@ -272,18 +248,20 @@ class FiniteGroup:
     # -- the operations -----------------------------------------------
 
     def _mul(self, a: int, b: int) -> int:
-        return self._table[a][b]
+        return self._rows[a][b]
 
     def _inv(self, a: int) -> int:
         return self.inverse_table[a]
 
     def _conj(self, g: int, h: int) -> int:
         """g conjugated by h, that is h^-1 * g * h."""
-        return self._mul(self._mul(self.inverse_table[h], g), h)
+        T = self._rows
+        return T[T[self.inverse_table[h]][g]][h]
 
     def _comm(self, g: int, h: int) -> int:
         """The commutator g^-1 * h^-1 * g * h."""
-        return self._mul(self.inverse_table[self._mul(h, g)], self._mul(g, h))
+        T = self._rows
+        return T[self.inverse_table[T[h][g]]][T[g][h]]
 
     def _check_index(self, a: int) -> None:
         if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < self.order:
@@ -443,7 +421,7 @@ class FiniteGroup:
         key = ("closure", seedmask)
         cached = self._memo.get(key)
         if cached is None:
-            mul = self._mul
+            T = self._rows
             cached = 1
             elems = [0]
             gens = []
@@ -455,10 +433,10 @@ class FiniteGroup:
                 reps = [0]
                 for r in reps:
                     for g in gens:
-                        y = mul(r, g)
+                        y = T[r][g]
                         if not cached >> y & 1:
                             reps.append(y)
-                            coset = [mul(h, y) for h in old]
+                            coset = [T[h][y] for h in old]
                             elems += coset
                             cached |= mask_of(coset)
             self._memo[key] = cached
@@ -466,19 +444,23 @@ class FiniteGroup:
 
     # -- subgroup conveniences -------------------------------------------
 
+    def _index_mask(self, indices) -> int:
+        """The mask of an iterable of element indices, each one checked."""
+        mask = 0
+        for x in indices:
+            self._check_index(x)
+            mask |= 1 << x
+        return mask
+
     def subgroup(self, elements, check: bool = True) -> Subgroup:
         """Wrap an iterable of element indices as a subgroup, validating it."""
-        for x in elements:
-            self._check_index(x)
-        sub = Subgroup(self, mask_of(elements) | 1)
-        if check:
-            sub.validate()
-        return sub
+        mask = self._index_mask(elements) | 1
+        if check and not is_subgroup_mask(self, mask):
+            raise NotASubgroupError("set is not closed under products")
+        return Subgroup(self, mask)
 
     def subgroup_from_generators(self, generators) -> Subgroup:
-        for x in generators:
-            self._check_index(x)
-        return Subgroup(self, self.closure_mask(mask_of(generators)))
+        return Subgroup(self, self.closure_mask(self._index_mask(generators)))
 
     def as_subgroup(self) -> Subgroup:
         return Subgroup(self, self.full_mask)
@@ -565,17 +547,6 @@ class Subgroup(ElementSet):
             self._gens = tuple(gens)
         return self._gens
 
-    def validate(self) -> None:
-        """Raise :class:`NotASubgroupError` unless closed under the operations."""
-        G = self.parent
-        elems = self.elements
-        for a in elems:
-            if not self.members >> G.inverse_table[a] & 1:
-                raise NotASubgroupError(f"set is not closed under inverse of {a}")
-            for b in elems:
-                if not self.members >> G._mul(a, b) & 1:
-                    raise NotASubgroupError(f"set is not closed under product {a} * {b}")
-
     def conjugate_by(self, g: int) -> Subgroup:
         self.parent._check_index(g)
         return Subgroup(self.parent, self.parent.conjugate_mask(self.members, g))
@@ -598,7 +569,11 @@ def _ambient_pair(ambient) -> tuple[FiniteGroup, int]:
 
 
 def is_subgroup_mask(parent: FiniteGroup, mask: int) -> bool:
-    """Check that a nonempty mask is closed under multiplication."""
+    """Whether the mask is a subgroup: it holds 1 and is closed under products.
+
+    A finite set closed under products is closed under inverses too, so this
+    is the one subgroup test.
+    """
     return bool(mask & 1) and parent._select("mul", mask, mask, mask) == mask
 
 
@@ -714,7 +689,7 @@ def group_to_dict(G: FiniteGroup) -> dict:
             "degree": len(G._perms[0]),
             "generators": [list(p) for p in G._perm_generators],
         }
-    return {"kind": "cayley", "name": G.name, "order": G.order, "table": G._table}
+    return {"kind": "cayley", "name": G.name, "order": G.order, "table": G._array.tolist()}
 
 
 def group_from_dict(data: dict, order_cap: int = MAX_ORDER) -> FiniteGroup:

@@ -320,10 +320,6 @@ def _rng_for(config: SuiteConfig, suite: str, label: str) -> random.Random:
     return random.Random(f"{config.seed}:{suite}:{label}")
 
 
-def _from_gens(G: FiniteGroup, gens) -> Subgroup:
-    return Subgroup(G, G.closure_mask(mask_of(gens) | 1))
-
-
 # -- The checks ------------------------------------------------------------
 
 
@@ -802,8 +798,10 @@ def replay_failure(
         outcome = _run_task(payload["suite"], ctx, seeded, payload["quota"])
         return any(f.payload["kind"] == "quota" for f in outcome.failures)
     check = CHECKS[kind]
+    for x in payload.get("subset", ()):
+        G._check_index(x)
     args = {
-        key: _from_gens(G, value) if key in check.subgroups else value
+        key: G.subgroup_from_generators(value) if key in check.subgroups else value
         for key, value in payload.items()
         if key not in ("kind", "group", "digest")
     }

@@ -5,6 +5,7 @@ from __future__ import annotations
 import enum
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,9 +142,9 @@ NONASSOCIATIVE_TABLE_6 = [
 def test_small_nonassociative_tables_fail_alike_on_both_paths(
     monkeypatch, table, triple, scalar_max_work
 ):
-    # tables of at most _SCALAR_MAX_WORK entries take the scalar loop; with
-    # the limit at 0 the same table takes the numpy path, and both must
-    # name the same failing triple
+    # Light's test has one definition at every order; _SCALAR_MAX_WORK,
+    # which switches the pair kernels between their scalar and numpy loops,
+    # must not change the failing triple it names
     monkeypatch.setattr(groups, "_SCALAR_MAX_WORK", scalar_max_work)
     with pytest.raises(MalformedInputError) as info:
         FiniteGroup.from_cayley_table(table)
@@ -180,7 +181,7 @@ def test_large_nonassociative_table_is_rejected():
     # swapping it keeps a Latin square with identity 0 but breaks
     # associativity in only about 16 of every n^2 triples, so a sampled
     # check would likely miss it
-    table = intercalate_switch(cyclic(512)._table, 1, 1, 257, 257)
+    table = intercalate_switch(cyclic(512)._array.tolist(), 1, 1, 257, 257)
     with pytest.raises(MalformedInputError, match="not associative") as info:
         FiniteGroup.from_cayley_table(table)
     assert_named_triple_fails(table, str(info.value))
@@ -200,14 +201,14 @@ def test_large_nonassociative_table_is_rejected():
 )
 def test_catalog_tables_pass_the_associativity_check(spec):
     G = from_spec(spec)
-    H = FiniteGroup.from_cayley_table(G._table)
-    assert H.order == G.order and H._table == G._table
+    H = FiniteGroup.from_cayley_table(G._array.tolist())
+    assert H.order == G.order and H._array.tolist() == G._array.tolist()
 
 
 def _switchable_loops():
     """Loops one or two intercalate switches away from groups of order 8."""
     out = []
-    for base in (cyclic(8)._table, dihedral(4)._table, quaternion()._table):
+    for base in (G._array.tolist() for G in (cyclic(8), dihedral(4), quaternion())):
         spots = [
             (i, j, k, m)
             for i in range(1, 8)
@@ -293,9 +294,9 @@ def product_formula(G, H):
 def assert_catalog_table(G, expected):
     assert G._array.dtype == np.int16
     assert G._array.tolist() == expected
-    assert G._table == expected
+    assert [row.tolist() for row in G._rows] == expected
     # catalog tables are built unvalidated, so check them here
-    assert FiniteGroup.from_cayley_table(expected)._table == expected
+    assert FiniteGroup.from_cayley_table(expected)._array.tolist() == expected
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 12, 33, 128])
@@ -317,6 +318,19 @@ def test_unitriangular_tables_match_their_formula(p):
 def test_direct_product_tables_match_their_formula(first, second):
     G, H = from_spec(first), from_spec(second)
     assert_catalog_table(direct_product(G, H), product_formula(G, H))
+
+
+def test_a_group_holds_one_table():
+    # the int16 table is the only multiplication table, 8 MB at order 2048;
+    # the scalar rows are views of its buffer, not copies
+    tracemalloc.start()
+    try:
+        G = cyclic(2048)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(row.obj is G._array for row in G._rows)
+    assert G._mul(2047, 3) == 2 and retained <= 12_000_000
 
 
 def test_permutation_group_construction():
@@ -398,10 +412,10 @@ def bfs_closure_mask(G: FiniteGroup, seed) -> int:
 
 # fresh groups, so closure_mask memo entries come only from this test
 _CLOSURE_GROUPS = (
-    FiniteGroup.from_cayley_table(dihedral(8)._table),
-    FiniteGroup.from_cayley_table(unitriangular(5)._table),
-    FiniteGroup.from_cayley_table(from_spec("product(dihedral(4), symmetric(3))")._table),
-    FiniteGroup.from_cayley_table(quaternion()._table),
+    FiniteGroup.from_cayley_table(dihedral(8)._array.tolist()),
+    FiniteGroup.from_cayley_table(unitriangular(5)._array.tolist()),
+    FiniteGroup.from_cayley_table(from_spec("product(dihedral(4), symmetric(3))")._array.tolist()),
+    FiniteGroup.from_cayley_table(quaternion()._array.tolist()),
     FiniteGroup.from_permutations(5, [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]]),
     FiniteGroup.from_permutations(6, [[1, 2, 0, 3, 4, 5], [0, 1, 3, 4, 5, 2], [5, 4, 3, 2, 1, 0]]),
     FiniteGroup.from_permutations(7, [[1, 2, 3, 4, 5, 6, 0], [0, 2, 1, 6, 4, 5, 3]]),
@@ -447,6 +461,16 @@ def test_subgroup_validation():
     with pytest.raises(NotASubgroupError):
         G.subgroup([0, three_cycle])
     assert G.subgroup([0, three_cycle], check=False).order == 2
+
+
+def test_subgroups_read_an_iterator_once():
+    # indices are checked and collected in one pass, so a generator works
+    G = symmetric(3)
+    three_cycle = next(g for g in range(6) if element_order(G, g) == 3)
+    assert G.subgroup(iter([three_cycle, G.inv(three_cycle)])).order == 3
+    assert G.subgroup_from_generators(g for g in [three_cycle]).order == 3
+    with pytest.raises(MalformedInputError):
+        G.subgroup_from_generators(g for g in [three_cycle, 6])
 
 
 def test_commutator_subgroup_oracles():

@@ -121,7 +121,7 @@ def join_closure(G):
 
 def relabelled_symmetric5():
     """symmetric(5) from a Cayley table with its elements renamed at random."""
-    table = symmetric(5)._table
+    table = symmetric(5)._array.tolist()
     perm = list(range(len(table)))
     random.Random(5).shuffle(perm)
     out = [[0] * len(table) for _ in table]
@@ -164,9 +164,9 @@ def test_all_subgroups_matches_the_pairwise_join(build):
 
 
 def test_differential_presentations_of_symmetric5_renumber_elements():
-    table = symmetric(5)._table
-    assert relabelled_symmetric5()._table != table
-    assert conjugated_symmetric5()._table != table
+    table = symmetric(5)._array.tolist()
+    assert relabelled_symmetric5()._array.tolist() != table
+    assert conjugated_symmetric5()._array.tolist() != table
 
 
 def conjugacy_class_count(G, masks) -> int:
@@ -396,6 +396,23 @@ def test_replay_healthy_payloads_report_no_failure():
     for payload in HEALTHY_PAYLOADS:
         failure = Failure("synthetic", payload.get("group", "?"), "demo", payload)
         assert replay_failure(failure) is False, payload
+
+
+@pytest.mark.parametrize("element", [999, -1, True])
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"kind": "hall", "group": "dihedral(4)", "i": 1, "k": 2},
+        {"kind": "greedy-bound", "group": "dihedral(4)"},
+        {"kind": "triple-law", "group": "dihedral(4)"},
+    ],
+)
+def test_replay_rejects_bad_element_indices(payload, element):
+    key = "subgroup" if payload["kind"] == "hall" else "subset"
+    payload = {**payload, key: [1, element]}
+    failure = Failure("synthetic", payload["group"], "demo", payload)
+    with pytest.raises(MalformedInputError, match="is not an element index"):
+        replay_failure(failure)
 
 
 def test_replay_detects_genuine_violation():
