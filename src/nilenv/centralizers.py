@@ -190,9 +190,9 @@ def c_dimension(lattice: CentralizerLattice) -> ChainReport:
 
 
 def dimension(ambient, node_cap: int = DEFAULT_NODE_CAP) -> int:
-    """The centralizer dimension of a group or subgroup."""
+    """The centralizer dimension of a group or subgroup, memoized per node cap."""
     G, amb = _ambient_pair(ambient)
-    key = ("dimension", amb)
+    key = ("dimension", amb, node_cap)
     cached = G._memo.get(key)
     if cached is None:
         cached = c_dimension(centralizer_lattice(ambient, node_cap=node_cap)).length

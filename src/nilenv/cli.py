@@ -264,7 +264,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 required=subgroup_required,
                 help="JSON subgroup file or comma-separated element indices",
             )
-        p.add_argument("--seed", type=int, default=0, help="seed for any randomized step")
         p.add_argument("--cap", type=int, default=MAX_ORDER, help=_CAP_HELP)
         return p
 

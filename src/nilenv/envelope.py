@@ -11,7 +11,7 @@ are the recorded witnesses.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,20 +37,14 @@ from .groups import (
     subgroup_to_dict,
 )
 from .series import (
+    _center_mismatch,
+    _restriction_mismatch,
     _series_term,
     iterated_centralizer,
     lower_central_series,
     nilpotence_class,
     upper_central_series,
 )
-
-
-def _upper_masks(sub: Subgroup) -> list[int]:
-    return [t.members for t in upper_central_series(sub).terms]
-
-
-def _lower_masks(sub: Subgroup) -> list[int]:
-    return [t.members for t in lower_central_series(sub).terms]
 
 
 @dataclass(frozen=True)
@@ -76,9 +70,34 @@ class EnvelopeTrace:
     parameters: tuple[int, ...]
 
 
-def _condition_mask(G: FiniteGroup, ambient_mask: int, h: int, center_mask: int) -> int:
-    """The set {x in ambient : [x, h] in center}."""
-    return G._select("comm", ambient_mask, 1 << h, center_mask)
+def _stage_cut(G: FiniteGroup, above: Subgroup, elements, center: Subgroup) -> int:
+    """{x in above : [x, h] in center for each h in ``elements``}.
+
+    One kernel call per h keeps the calls on small stages on the scalar path.
+    """
+    mask = above.members
+    for h in elements:
+        mask &= G._select("comm", above.members, 1 << h, center.members)
+    return mask
+
+
+def _witnesses_cut_out(G: FiniteGroup, witnesses, target: int, within: int | None = None) -> bool:
+    """Whether the centralizer of the witnesses in ``within`` (default G) is ``target``."""
+    return G.centralizer_mask(mask_of(witnesses), within=within) == target
+
+
+def _replacement(H: Subgroup, e1: Subgroup) -> Subgroup:
+    """H * Z(E_1), the subgroup the later stages are built over."""
+    G = H.parent
+    return product_set(H, Subgroup(G, G.centralizer_mask(e1.members, within=e1.members)))
+
+
+def _not_normalized(trace: EnvelopeTrace, base: int) -> str | None:
+    """The name of the first stage, or the envelope, that N_G(base) does not normalize."""
+    G = trace.group
+    norm = G.normalizer_mask(base)
+    named = [(f"stage {lvl.level}", lvl.subgroup) for lvl in trace.tower] + [("envelope", trace.envelope)]
+    return next((name for name, sub in named if norm & ~G.normalizer_mask(sub.members)), None)
 
 
 def build_envelope(G: FiniteGroup, H: Subgroup) -> EnvelopeTrace:
@@ -102,10 +121,9 @@ def build_envelope(G: FiniteGroup, H: Subgroup) -> EnvelopeTrace:
 
     e1, c_of_h = minimal_centralizer_above(H)
     witnesses1 = greedy_witness(c_of_h)
-    if G.centralizer_mask(mask_of(witnesses1), within=None) != e1.members:
+    if not _witnesses_cut_out(G, witnesses1, e1.members):
         raise InternalCheckError("stage-one witnesses do not cut out E_1")
-    z1 = Subgroup(G, G.centralizer_mask(e1.members, within=e1.members))
-    replaced = product_set(H, z1)
+    replaced = _replacement(H, e1)
     if nilpotence_class(replaced) != n:
         raise InternalCheckError("central enlargement changed the nilpotence class")
 
@@ -113,42 +131,28 @@ def build_envelope(G: FiniteGroup, H: Subgroup) -> EnvelopeTrace:
     current = e1
     for k in range(2, n + 1):
         prev = current
-        prev_center = Subgroup(G, _series_term(_upper_masks(prev), k - 1))
+        prev_center = _series_term(upper_central_series(prev).terms, k - 1)
         t_k = iterated_centralizer(prev, replaced, k).terms[k]
         wits = greedy_witness(ElementSet(G, t_k.members), within=prev)
         if not wits:
             raise InternalCheckError(f"no tower witnesses at level {k}")
-        if G.centralizer_mask(mask_of(wits), within=prev.members) != G.centralizer_mask(
-            t_k.members, within=prev.members
-        ):
+        level_centralizer = G.centralizer_mask(t_k.members, within=prev.members)
+        if not _witnesses_cut_out(G, wits, level_centralizer, within=prev.members):
             raise InternalCheckError(f"witnesses at level {k} have the wrong centralizer")
-        mask = prev.members
-        for w in wits:
-            mask &= _condition_mask(G, prev.members, w, prev_center.members)
+        mask = _stage_cut(G, prev, wits, prev_center)
         if not is_subgroup_mask(G, mask):
             raise InternalCheckError(f"stage {k} intersection is not a subgroup")
         current = Subgroup(G, mask)
         levels.append(TowerLevel(k, current, wits, prev_center))
 
-    envelope = Subgroup(G, _series_term(_upper_masks(current), n))
-    trace = EnvelopeTrace(
-        G,
-        H,
-        replaced,
-        tuple(levels),
-        envelope,
-        n,
-        (),
-    )
+    envelope = _series_term(upper_central_series(current).terms, n)
+    trace = EnvelopeTrace(G, H, replaced, tuple(levels), envelope, n, ())
     _assert_trace(trace)
-    return EnvelopeTrace(
-        G, H, replaced, tuple(levels), envelope, n, padded_parameters(trace, dimension(G))
-    )
+    return replace(trace, parameters=padded_parameters(trace, dimension(G)))
 
 
 def _assert_trace(trace: EnvelopeTrace) -> None:
     """Envelope guarantees and tower properties, asserted at build time."""
-    G = trace.group
     n = trace.nilpotence_class
     levels = trace.tower
     h_mask = trace.original.members
@@ -157,19 +161,14 @@ def _assert_trace(trace: EnvelopeTrace) -> None:
     if h_mask & ~hp.members:
         raise InternalCheckError("replaced subgroup lost elements of H")
     for idx, lvl in enumerate(levels):
-        upper_mask = levels[idx - 1].subgroup.members if idx else G.full_mask
+        upper_mask = levels[idx - 1].subgroup.members if idx else trace.group.full_mask
         if lvl.subgroup.members & ~upper_mask or hp.members & ~lvl.subgroup.members:
             raise InternalCheckError("tower is not a descending chain over H")
 
     for lvl in levels:
-        e_k = lvl.subgroup
-        tower = iterated_centralizer(e_k, hp, lvl.level)
-        zs = _upper_masks(e_k)
-        for j in range(1, lvl.level + 1):
-            if tower.terms[j].members != _series_term(zs, j):
-                raise InternalCheckError(
-                    f"level {lvl.level}: C^{j}(H) differs from Z_{j} of the stage"
-                )
+        j = _center_mismatch(iterated_centralizer(lvl.subgroup, hp, lvl.level), lvl.level)
+        if j is not None:
+            raise InternalCheckError(f"level {lvl.level}: C^{j}(H) differs from Z_{j} of the stage")
 
     envelope = trace.envelope
     if h_mask & ~envelope.members or envelope.members & ~levels[-1].subgroup.members:
@@ -177,12 +176,9 @@ def _assert_trace(trace: EnvelopeTrace) -> None:
     if nilpotence_class(envelope) != n:
         raise InternalCheckError("envelope has the wrong nilpotence class")
 
-    norm_h = G.normalizer_mask(h_mask)
-    for lvl in levels:
-        if norm_h & ~G.normalizer_mask(lvl.subgroup.members):
-            raise InternalCheckError(f"stage {lvl.level} is not normalized by N_G(H)")
-    if norm_h & ~G.normalizer_mask(envelope.members):
-        raise InternalCheckError("envelope is not normalized by N_G(H)")
+    who = _not_normalized(trace, h_mask)
+    if who is not None:
+        raise InternalCheckError(f"{who} is not normalized by N_G(H)")
 
 
 def padded_parameters(trace: EnvelopeTrace, d: int) -> tuple[int, ...]:
@@ -233,12 +229,15 @@ class EnvelopeReport:
 def verify_envelope(trace: EnvelopeTrace, samples_per_level: int = 4, seed: int = 0) -> EnvelopeReport:
     """Independently re-check the identities behind an envelope trace.
 
-    Re-derives each stage from its inputs, confirms the stage equals the
-    intersection over the full level-k iterated centralizer (not only the
-    witnesses), checks the commutator identities [gamma_k(E_k(h)), h] = 1 and
-    [gamma_k(E_k), C^k(H)] = 1, compares relative towers against sampled
-    intermediate subgroups, and reports normalization by the normalizers of
-    both the original and the replaced subgroup.
+    Some checks re-derive a stage by another route than the construction:
+    stage one as the double centralizer C(C(H)), each later stage as the cut
+    over the whole level-k iterated centralizer (not only the witnesses), and
+    the identities [gamma_k(E_k(h)), h] = 1 and [gamma_k(E_k), C^k(H)] = 1.
+    The rest share one definition with the construction, its assertions or
+    :func:`~nilenv.series.check_nested_towers`: the witnesses' centralizer,
+    H * Z(E_1), the stage centers, towers of sampled subgroups against those
+    centers and along sampled intermediate subgroups, and normalization by
+    the normalizers of both the original and the replaced subgroup.
     """
     G = trace.group
     n = trace.nilpotence_class
@@ -256,16 +255,10 @@ def verify_envelope(trace: EnvelopeTrace, samples_per_level: int = 4, seed: int 
     e1 = trace.tower[0].subgroup
     c_h = G.centralizer_mask(trace.original.members)
     note(1, "stage one is the double centralizer", G.centralizer_mask(c_h) == e1.members)
-    note(
-        1,
-        "stage-one witnesses cut out the stage",
-        G.centralizer_mask(mask_of(trace.tower[0].witnesses)) == e1.members,
-    )
-    note(
-        1,
-        "replacement only adds the stage-one center",
-        hp.members == product_set(trace.original, Subgroup(G, G.centralizer_mask(e1.members, within=e1.members))).members,
-    )
+    note(1, "stage-one witnesses cut out the stage",
+         _witnesses_cut_out(G, trace.tower[0].witnesses, e1.members))
+    note(1, "replacement only adds the stage-one center",
+         hp.members == _replacement(trace.original, e1).members)
 
     for idx in range(1, n):
         lvl = trace.tower[idx]
@@ -273,34 +266,28 @@ def verify_envelope(trace: EnvelopeTrace, samples_per_level: int = 4, seed: int 
         prev = trace.tower[idx - 1].subgroup
         prev_center = lvl.prev_center
         note(k, "recorded center matches Z_(k-1) of the stage above",
-             prev_center.members == _series_term(_upper_masks(prev), k - 1))
+             prev_center.members == _series_term(upper_central_series(prev).terms, k - 1).members)
 
         t_k = iterated_centralizer(prev, hp, k).terms[k]
         note(k, "witnesses lie in the level-k iterated centralizer",
              mask_of(lvl.witnesses) & ~t_k.members == 0)
-        note(
-            k,
-            "witnesses have the same relative centralizer as the full level",
-            G.centralizer_mask(mask_of(lvl.witnesses), within=prev.members)
-            == G.centralizer_mask(t_k.members, within=prev.members),
-        )
+        level_centralizer = G.centralizer_mask(t_k.members, within=prev.members)
+        note(k, "witnesses have the same relative centralizer as the full level",
+             _witnesses_cut_out(G, lvl.witnesses, level_centralizer, within=prev.members))
 
-        full = prev.members
-        for h in iter_mask(t_k.members):
-            full &= _condition_mask(G, prev.members, h, prev_center.members)
         note(k, "stage equals the intersection over the whole level",
-             full == lvl.subgroup.members)
+             _stage_cut(G, prev, iter_mask(t_k.members), prev_center) == lvl.subgroup.members)
 
         t_elems = list(iter_mask(t_k.members))
         picked = t_elems if len(t_elems) <= samples_per_level else rng.sample(t_elems, samples_per_level)
         for h in picked:
-            ekh = Subgroup(G, _condition_mask(G, prev.members, h, prev_center.members))
-            gamma = Subgroup(G, _series_term(_lower_masks(ekh), k - 1))
+            ekh = Subgroup(G, _stage_cut(G, prev, (h,), prev_center))
+            gamma = _series_term(lower_central_series(ekh).terms, k - 1)
             ok = commutator_subgroup(gamma, ElementSet(G, 1 << h | 1)).members == 1
             note(k, "commutators of gamma_k of a one-witness stage with its witness vanish",
                  ok, detail=f"h={h}")
 
-        gamma_ek = Subgroup(G, _series_term(_lower_masks(lvl.subgroup), k - 1))
+        gamma_ek = _series_term(lower_central_series(lvl.subgroup).terms, k - 1)
         note(k, "gamma_k of the stage centralizes the whole level",
              commutator_subgroup(gamma_ek, t_k).members == 1)
 
@@ -308,41 +295,29 @@ def verify_envelope(trace: EnvelopeTrace, samples_per_level: int = 4, seed: int 
             extra = rng.choice(list(iter_mask(prev.members)))
             p = Subgroup(G, G.closure_mask(hp.members | 1 << extra))
             p_tower = iterated_centralizer(p, hp, k)
-            prev_tower = iterated_centralizer(prev, hp, k)
-            ok = all(
-                p_tower.terms[j].members == prev_tower.terms[j].members & p.members
-                for j in range(1, k + 1)
-            )
+            ok = _restriction_mismatch(p_tower, iterated_centralizer(prev, hp, k)) is None
             note(k, "relative towers restrict along sampled intermediate subgroups",
                  ok, detail=f"extra={extra}")
 
-    for idx in range(n):
-        lvl = trace.tower[idx]
+    for lvl in trace.tower:
         e_k = lvl.subgroup
-        zs = _upper_masks(e_k)
         for _ in range(samples_per_level):
             extra = rng.choice(list(iter_mask(e_k.members)))
             p = Subgroup(G, G.closure_mask(hp.members | 1 << extra))
-            p_tower = iterated_centralizer(e_k, p, lvl.level)
-            ok = all(
-                p_tower.terms[j].members == _series_term(zs, j) for j in range(1, lvl.level + 1)
-            )
+            ok = _center_mismatch(iterated_centralizer(e_k, p, lvl.level), lvl.level) is None
             note(lvl.level, "iterated centralizers of sampled subgroups equal the stage centers",
                  ok, detail=f"extra={extra}")
 
     e_n = trace.tower[-1].subgroup
     note(n, "envelope is Z_n of the last stage",
-         trace.envelope.members == _series_term(_upper_masks(e_n), n))
+         trace.envelope.members == _series_term(upper_central_series(e_n).terms, n).members)
     note(n, "envelope contains the original subgroup",
          trace.original.members & ~trace.envelope.members == 0)
     note(n, "envelope class matches", nilpotence_class(trace.envelope) == n)
 
     for who, base in (("original", trace.original), ("replaced", hp)):
-        norm = G.normalizer_mask(base.members)
-        ok = all(
-            norm & ~G.normalizer_mask(lvl.subgroup.members) == 0 for lvl in trace.tower
-        ) and norm & ~G.normalizer_mask(trace.envelope.members) == 0
-        note(None, f"tower and envelope are normalized by the normalizer of the {who} subgroup", ok)
+        note(None, f"tower and envelope are normalized by the normalizer of the {who} subgroup",
+             _not_normalized(trace, base.members) is None)
 
     return EnvelopeReport(tuple(entries))
 

@@ -150,6 +150,26 @@ def _series_term(terms, i: int):
     return terms[i] if i < len(terms) else terms[-1]
 
 
+def _center_mismatch(tower: IteratedCentralizerTower, top: int) -> int | None:
+    """The least j in 1..top with C^j(base) != Z_j(ambient), or None."""
+    centers = upper_central_series(tower.ambient).terms
+    for j in range(1, top + 1):
+        if tower.terms[j].members != _series_term(centers, j).members:
+            return j
+    return None
+
+
+def _restriction_mismatch(inner, outer) -> int | None:
+    """The least j with C_B^j(A) != C_C^j(A) meet B, or None, for A <= B <= C.
+
+    ``inner`` and ``outer`` are the towers of A inside B and inside C, built to one level.
+    """
+    for j, (term, over) in enumerate(zip(inner.terms, outer.terms)):
+        if term.members != over.members & inner.ambient.members:
+            return j
+    return None
+
+
 @dataclass(frozen=True)
 class HallBoundReport:
     """Whether [gamma_i(base), C^k(base)] lands inside C^(k-i)(base)."""
@@ -303,15 +323,10 @@ def check_nested_towers(inner: Subgroup, mid: Subgroup, outer: Subgroup, n: int)
         raise HypothesisError("subgroups must be nested as A <= B <= C")
 
     outer_tower = iterated_centralizer(outer, inner, n)
-    upper = upper_central_series(outer).terms
-    hypothesis = all(
-        outer_tower.terms[k].members == _series_term(upper, k).members for k in range(n)
-    )
-    if not hypothesis:
+    if _center_mismatch(outer_tower, n - 1) is not None:
         return NestedTowerReport(False, None, True, None)
 
-    mid_tower = iterated_centralizer(mid, inner, n)
-    for j in range(n + 1):
-        if mid_tower.terms[j].members != outer_tower.terms[j].members & mid.members:
-            return NestedTowerReport(True, False, False, j)
+    failed = _restriction_mismatch(iterated_centralizer(mid, inner, n), outer_tower)
+    if failed is not None:
+        return NestedTowerReport(True, False, False, failed)
     return NestedTowerReport(True, True, True, None)

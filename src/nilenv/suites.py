@@ -12,9 +12,11 @@ produces the same report.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
 import random
+import re
 import time
 from dataclasses import dataclass, replace
 from functools import partial
@@ -332,11 +334,14 @@ class Check:
     :class:`InternalCheckError` raised inside counts as a failure.  In a
     payload, the arguments named in ``subgroups`` are generator lists; all
     others are ints, strings or element lists, stored as they are.
+    ``params`` are the parameters of ``fn`` after the group: replay accepts
+    exactly those payload fields and requires the ones without a default.
     """
 
     fn: Callable[..., bool | None]
     label: str
     subgroups: tuple[str, ...] = ()
+    params: tuple[inspect.Parameter, ...] = ()
 
 
 CHECKS: dict[str, Check] = {}
@@ -344,7 +349,8 @@ CHECKS: dict[str, Check] = {}
 
 def _check(kind: str, label: str, subgroups: tuple[str, ...] = ()):
     def register(fn):
-        CHECKS[kind] = Check(fn, label, subgroups)
+        params = tuple(inspect.signature(fn).parameters.values())[1:]
+        CHECKS[kind] = Check(fn, label, subgroups, params)
         return fn
 
     return register
@@ -540,6 +546,10 @@ def _suite_hallwitt(ctx: GroupContext, config: SuiteConfig, run: _Tally):
         run.check("hallwitt", triple=[rng.randrange(ctx.group.order) for _ in range(3)])
 
 
+# the payload fields of a quota failure, in order
+_QUOTA_FIELDS = ("suite", "quota", "achieved", "attempts", "seed")
+
+
 def _sample_to_quota(ctx: GroupContext, config: SuiteConfig, run: _Tally, draw):
     """Check drawn instances until ``quota`` of them meet their hypotheses.
 
@@ -558,17 +568,8 @@ def _sample_to_quota(ctx: GroupContext, config: SuiteConfig, run: _Tally, draw):
         if run.check(run.suite, **draw(ctx, rng)) is not None:
             hits += 1
     if hits < quota:
-        run.fail(
-            "sampling quota not reached",
-            {
-                "kind": "quota",
-                "suite": run.suite,
-                "quota": quota,
-                "achieved": hits,
-                "attempts": attempts,
-                "seed": config.seed,
-            },
-        )
+        fields = dict(zip(_QUOTA_FIELDS, (run.suite, quota, hits, attempts, config.seed)))
+        run.fail("sampling quota not reached", {"kind": "quota", **fields})
 
 
 def _draw_threesubgroup(ctx: GroupContext, rng: random.Random) -> dict:
@@ -756,8 +757,65 @@ def _uniformity_outcome(outcomes) -> list[SuiteOutcome]:
 # -- Failure replay ---------------------------------------------------------
 
 
+def _elements(G: FiniteGroup, key: str, value, length: int | None = None) -> list:
+    if not isinstance(value, list) or length is not None and len(value) != length:
+        size = f"{length} " if length else ""
+        raise MalformedInputError(f"payload field {key!r} must be a list of {size}element indices")
+    for x in value:
+        G._check_index(x)
+    return value
+
+
+def _integer(G: FiniteGroup, key: str, value, least: int | None = None) -> int:
+    if type(value) is not int or least is not None and value < least:
+        bound = "" if least is None else f" of at least {least}"
+        raise MalformedInputError(f"payload field {key!r} must be an integer{bound}")
+    return value
+
+
+def _choice(G: FiniteGroup, key: str, value, choices: tuple[str, ...]) -> str:
+    if value not in choices:
+        raise MalformedInputError(f"payload field {key!r} must be one of {', '.join(choices)}")
+    return value
+
+
+# payload field -> its decoder; a check's subgroup arguments are generator lists
+_FIELDS = {
+    "triple": partial(_elements, length=3),
+    "subset": _elements,
+    "p0": lambda G, key, value: _elements(G, key, [value])[0],
+    **dict.fromkeys(("i", "k", "n", "d", "node_cap", "quota"), partial(_integer, least=1)),
+    **dict.fromkeys(("achieved", "attempts"), partial(_integer, least=0)),
+    "seed": _integer,
+    "check": partial(_choice, choices=_ENVELOPE_CHECKS),
+    "suite": partial(_choice, choices=tuple(_QUOTA_SUITES)),
+}
+
+
+def _replay_args(G: FiniteGroup, kind: str, payload: dict) -> dict:
+    """The payload's arguments to its check (or quota run), each validated and decoded."""
+    if kind == "quota":
+        subgroups, params = (), dict.fromkeys(_QUOTA_FIELDS, True)
+    else:
+        subgroups = CHECKS[kind].subgroups
+        params = {p.name: p.default is p.empty for p in CHECKS[kind].params}
+    given = {key: value for key, value in payload.items() if key not in ("kind", "group", "digest")}
+    unknown = sorted(set(given) - set(params))
+    missing = [name for name, required in params.items() if required and name not in given]
+    if unknown or missing:
+        raise MalformedInputError(f"{kind} payload has unknown fields {unknown} or lacks fields {missing}")
+    return {
+        key: G.subgroup_from_generators(_elements(G, key, value))
+        if key in subgroups
+        else _FIELDS[key](G, key, value)
+        for key, value in given.items()
+    }
+
+
 def _replay_group(payload: dict, extra_groups: tuple[FiniteGroup, ...]) -> FiniteGroup:
     """The catalog group named by the payload, or the extra group matching its digest."""
+    if not isinstance(payload.get("group"), str):
+        raise MalformedInputError("payload field 'group' must be a group name")
     digest = payload.get("digest")
     if digest is None:
         return from_spec(payload["group"])
@@ -780,29 +838,28 @@ def replay_failure(
     one of them is matched to its group by digest.  ``config`` matters only
     for a quota failure, whose suite is re-run with the payload's seed.  A
     ``uniformity`` failure stores each group's sha256 of its formula text; it
-    still fails when any of them differs from the re-emitted formula.
+    still fails when any of them differs from the re-emitted formula.  Any
+    other payload is validated in full before its check runs.
     """
     config = config or SuiteConfig()
     payload = failure.payload
-    kind = payload["kind"]
+    kind = payload.get("kind")
     if kind == "uniformity":
-        shape = map(int, payload["key"][4:-1].split(","))  # key reads "phi[d,n]"
-        want = _sha256(format_formula(envelope_formula(*shape)))
-        return any(digest != want for digest in payload.get("digests", {}).values())
+        shape = re.fullmatch(r"phi\[(\d+),(\d+)\]", str(payload.get("key")))
+        digests = payload.get("digests", {})
+        if shape is None:
+            raise MalformedInputError("payload field 'key' must read phi[d,n]")
+        if not isinstance(digests, dict):
+            raise MalformedInputError("payload field 'digests' must map group names to digests")
+        want = _sha256(format_formula(envelope_formula(*map(int, shape.groups()))))
+        return any(digest != want for digest in digests.values())
     if kind != "quota" and kind not in CHECKS:
         raise MalformedInputError(f"unknown failure kind {kind!r}")
     G = _replay_group(payload, extra_groups)
+    args = _replay_args(G, kind, payload)
     if kind == "quota":
-        seeded = replace(config, seed=payload["seed"])
+        seeded = replace(config, seed=args["seed"])
         ctx = GroupContext(payload["group"], G, seeded, payload.get("digest"))
-        outcome = _run_task(payload["suite"], ctx, seeded, payload["quota"])
+        outcome = _run_task(args["suite"], ctx, seeded, args["quota"])
         return any(f.payload["kind"] == "quota" for f in outcome.failures)
-    check = CHECKS[kind]
-    for x in payload.get("subset", ()):
-        G._check_index(x)
-    args = {
-        key: G.subgroup_from_generators(value) if key in check.subgroups else value
-        for key, value in payload.items()
-        if key not in ("kind", "group", "digest")
-    }
     return _Tally(failure.suite, payload["group"], G).check(kind, **args) is False

@@ -282,6 +282,13 @@ def test_node_cap():
         centralizer_lattice(symmetric(4), node_cap=3)
 
 
+def test_dimension_memo_respects_node_cap():
+    G = symmetric(4)
+    assert dimension(G) == 4
+    with pytest.raises(CapExceededError):
+        dimension(G, node_cap=3)
+
+
 def test_relative_centralizer():
     S3 = symmetric(3)
     a3 = closure(S3, [g for g in range(6) if g and S3.mul(g, S3.mul(g, g)) == 0])

@@ -209,6 +209,25 @@ def test_verify_group_file(capsys, tmp_path):
     assert "group=cyclic(8)" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["info"],
+        ["dim"],
+        ["series"],
+        ["envelope", "--subgroup", "1"],
+        ["fitting"],
+        ["eval", "--formula", "phi.txt"],
+        ["lattice"],
+    ],
+)
+def test_seed_is_not_a_query_option(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--group", "dihedral(4)", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 def test_verify_unknown_suite_exits_2(capsys):
     code, _, err = run(capsys, "verify", "--suites", "bogus", "--groups", "symmetric(3)")
     assert code == 2

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -159,6 +160,40 @@ def test_verify_envelope_is_deterministic():
     first = verify_envelope(trace, seed=9)
     second = verify_envelope(trace, seed=9)
     assert first == second
+
+
+def _tampered(which):
+    G = dihedral(8)
+    trace = build_envelope(G, closure(G, [2, 8]))
+    e1, e2 = trace.tower
+    assert (e1.subgroup.order, e2.subgroup.order, trace.envelope.order) == (16, 8, 8)
+    if which == "envelope":
+        # E_n equals D on every trace a seed-0 verify builds; E_1 differs from D here
+        return replace(trace, envelope=e1.subgroup)
+    if which == "witness":
+        return replace(trace, tower=(e1, replace(e2, witnesses=e2.witnesses[:-1])))
+    swapped = (replace(e1, prev_center=e2.prev_center), replace(e2, prev_center=e1.prev_center))
+    return replace(trace, tower=swapped)
+
+
+@pytest.mark.parametrize(
+    "which, labels",
+    [
+        ("envelope", {"envelope is Z_n of the last stage", "envelope class matches"}),
+        ("witness", {"witnesses have the same relative centralizer as the full level"}),
+        (
+            "center",
+            {
+                "recorded center matches Z_(k-1) of the stage above",
+                "stage equals the intersection over the whole level",
+            },
+        ),
+    ],
+)
+def test_verify_envelope_catches_tampered_traces(which, labels):
+    report = verify_envelope(_tampered(which), samples_per_level=3, seed=1)
+    assert not report.ok
+    assert {entry.label for entry in report.failures()} == labels
 
 
 def test_padded_parameters():

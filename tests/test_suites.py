@@ -415,6 +415,44 @@ def test_replay_rejects_bad_element_indices(payload, element):
         replay_failure(failure)
 
 
+_HALL = {"kind": "hall", "group": "dihedral(4)", "subgroup": [1, 4], "i": 1, "k": 2}
+_QUOTA = next(p for p in HEALTHY_PAYLOADS if p["kind"] == "quota")
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({**_HALL, "subgroup": 7}, "'subgroup' must be a list of element indices"),
+        ({**_HALL, "i": "x"}, "'i' must be an integer of at least 1"),
+        ({**_HALL, "k": True}, "'k' must be an integer of at least 1"),
+        ({k: v for k, v in _HALL.items() if k != "i"}, r"lacks fields \['i'\]"),
+        ({k: v for k, v in _HALL.items() if k != "k"}, r"lacks fields \['k'\]"),
+        ({**_HALL, "extra": 1}, r"unknown fields \['extra'\]"),
+        ({**_HALL, "group": 3}, "'group' must be a group name"),
+        (
+            {"kind": "greedy-bound", "group": "dihedral(4)", "subset": 3},
+            "'subset' must be a list of element indices",
+        ),
+        (
+            {"kind": "hallwitt", "group": "symmetric(3)", "triple": [1, 2]},
+            "'triple' must be a list of 3 element indices",
+        ),
+        ({k: v for k, v in _QUOTA.items() if k != "seed"}, r"lacks fields \['seed'\]"),
+        ({**_QUOTA, "suite": "hall"}, "'suite' must be one of"),
+        (
+            {"kind": "envelope", "group": "alternating(4)", "subgroup": [1], "check": "bogus"},
+            "'check' must be one of containment, class",
+        ),
+        ({"kind": "uniformity", "key": "phi[2]"}, r"'key' must read phi\[d,n\]"),
+        ({"kind": "uniformity", "key": "phi[2,2]", "digests": 5}, "'digests' must map"),
+    ],
+)
+def test_replay_rejects_malformed_payloads(payload, message):
+    failure = Failure("synthetic", "?", "demo", payload)
+    with pytest.raises(MalformedInputError, match=message):
+        replay_failure(failure)
+
+
 def test_replay_detects_genuine_violation():
     payload = {"kind": "fitting-containment", "group": "symmetric(3)", "subgroup": [1, 2]}
     failure = Failure("fitting", "symmetric(3)", "demo", payload)
