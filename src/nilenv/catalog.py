@@ -94,7 +94,7 @@ def quaternion() -> FiniteGroup:
                 for u2 in range(4):
                     s, u = units[(u1, u2)]
                     table[s1 * 4 + u1][s2 * 4 + u2] = ((s1 ^ s2 ^ s) * 4) + u
-    return FiniteGroup.from_cayley_table(table, name="quaternion", validate=False)
+    return FiniteGroup.from_cayley_table(table, name="quaternion")
 
 
 def unitriangular(p: int) -> FiniteGroup:

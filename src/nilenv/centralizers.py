@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from .errors import CapExceededError, InternalCheckError, WitnessBoundError
 from .groups import ElementSet, Subgroup, _ambient_pair, iter_mask, mask_of
 
-DEFAULT_NODE_CAP = 20_000
+# most centralizers `centralizer_lattice` enumerates before it gives up
+NODE_CAP = 20_000
 
 
 def centralizer(subset: ElementSet, within: Subgroup | None = None) -> Subgroup:
@@ -85,20 +86,15 @@ class CentralizerLattice:
         return "\n".join(lines)
 
 
-def centralizer_lattice(ambient, node_cap: int = DEFAULT_NODE_CAP) -> CentralizerLattice:
+def centralizer_lattice(ambient) -> CentralizerLattice:
     """Compute every centralizer of a subset of ``ambient`` inside ``ambient``.
 
     The family is closed under intersection and is generated by the single
     element centralizers, so it is found by intersecting pairs to a fixpoint.
-    Raises :class:`CapExceededError` if more than ``node_cap`` centralizers
+    Raises :class:`CapExceededError` if more than ``NODE_CAP`` centralizers
     appear.
     """
     G, amb = _ambient_pair(ambient)
-    key = ("lattice", amb, node_cap)
-    cached = G._memo.get(key)
-    if cached is not None:
-        return cached
-
     found: dict[int, int] = {amb: 0}
     order: list[int] = [amb]
     for g in iter_mask(amb):
@@ -113,9 +109,9 @@ def centralizer_lattice(ambient, node_cap: int = DEFAULT_NODE_CAP) -> Centralize
         for j in range(i):
             inter = current & order[j]
             if inter not in found:
-                if len(order) >= node_cap:
+                if len(order) >= NODE_CAP:
                     raise CapExceededError(
-                        f"centralizer lattice exceeds {node_cap} nodes", partial=len(order)
+                        f"centralizer lattice exceeds {NODE_CAP} nodes", partial=len(order)
                     )
                 found[inter] = found[current] | found[order[j]]
                 order.append(inter)
@@ -127,14 +123,12 @@ def centralizer_lattice(ambient, node_cap: int = DEFAULT_NODE_CAP) -> Centralize
 
     ranked = sorted(found, key=lambda m: (-m.bit_count(), m))
     ambient_sub = ambient if isinstance(ambient, Subgroup) else G.as_subgroup()
-    lattice = CentralizerLattice(
+    return CentralizerLattice(
         G,
         ambient_sub,
         tuple(Subgroup(G, m) for m in ranked),
         tuple(ElementSet(G, found[m]) for m in ranked),
     )
-    G._memo[key] = lattice
-    return lattice
 
 
 @dataclass(frozen=True)
@@ -189,13 +183,13 @@ def c_dimension(lattice: CentralizerLattice) -> ChainReport:
     return ChainReport(max(1, len(path) - 1), chain, tuple(cumulative))
 
 
-def dimension(ambient, node_cap: int = DEFAULT_NODE_CAP) -> int:
-    """The centralizer dimension of a group or subgroup, memoized per node cap."""
+def dimension(ambient) -> int:
+    """The centralizer dimension of a group or subgroup, memoized."""
     G, amb = _ambient_pair(ambient)
-    key = ("dimension", amb, node_cap)
+    key = ("dimension", amb)
     cached = G._memo.get(key)
     if cached is None:
-        cached = c_dimension(centralizer_lattice(ambient, node_cap=node_cap)).length
+        cached = c_dimension(centralizer_lattice(ambient)).length
         G._memo[key] = cached
     return cached
 

@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from .catalog import from_spec
 from .centralizers import c_dimension, centralizer_lattice
@@ -208,24 +209,15 @@ def _cmd_lattice(args) -> int:
     return 0
 
 
+def _names(text: str) -> tuple[str, ...] | None:
+    """The entries of a comma-separated list; empty text keeps the default."""
+    return tuple(s.strip() for s in text.split(",") if s.strip()) if text else None
+
+
 def _cmd_verify(args) -> int:
-    kwargs = {"seed": args.seed}
-    if args.suites:
-        kwargs["suites"] = tuple(s.strip() for s in args.suites.split(",") if s.strip())
-    if args.groups:
-        kwargs["groups"] = tuple(s.strip() for s in args.groups.split(",") if s.strip())
-    for field_name, value in (
-        ("samples_per_group", args.samples),
-        ("max_exhaustive_order", args.max_exhaustive_order),
-        ("hallwitt_triples", args.triples),
-        ("threesubgroup_target", args.threesubgroup_target),
-        ("bryant_target", args.bryant_target),
-        ("nested_target", args.nested_target),
-        ("envelope_samples", args.envelope_samples),
-    ):
-        if value is not None:
-            kwargs[field_name] = value
-    config = SuiteConfig(**kwargs)
+    # every SuiteConfig field is a verify option of the same dest; unset ones keep their defaults
+    given = {f.name: getattr(args, f.name) for f in fields(SuiteConfig)}
+    config = SuiteConfig(**{name: value for name, value in given.items() if value is not None})
     extra = tuple(load_group(path, order_cap=args.cap) for path in args.group_file)
     report = run_suites(config, extra_groups=extra)
     print(report.format_text())
@@ -290,8 +282,12 @@ def _build_parser() -> argparse.ArgumentParser:
     lattice_p.add_argument("--dot", action="store_true", help="emit DOT instead of text")
 
     verify_p = subparsers.add_parser("verify", help="Run the property suites and report failures.")
-    verify_p.add_argument("--suites", help=f"comma-separated subset of: {', '.join(ALL_SUITES)}")
-    verify_p.add_argument("--groups", help="comma-separated catalog specs (default: built-in catalog)")
+    verify_p.add_argument(
+        "--suites", type=_names, help=f"comma-separated subset of: {', '.join(ALL_SUITES)}"
+    )
+    verify_p.add_argument(
+        "--groups", type=_names, help="comma-separated catalog specs (default: built-in catalog)"
+    )
     verify_p.add_argument(
         "--group-file",
         action="append",
@@ -300,13 +296,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     verify_p.add_argument("--seed", type=int, default=0, help="suite sampling seed")
     verify_p.add_argument("--cap", type=int, default=MAX_ORDER, help=_CAP_HELP)
-    verify_p.add_argument("--samples", type=int, help="random subsets per group for sampled suites")
+    verify_p.add_argument(
+        "--samples",
+        type=int,
+        dest="samples_per_group",
+        metavar="SAMPLES",
+        help="random subsets per group for sampled suites",
+    )
     verify_p.add_argument(
         "--max-exhaustive-order",
         type=int,
         help="largest order for exhaustive subgroup enumeration",
     )
-    verify_p.add_argument("--triples", type=int, help="Hall-Witt triples per group")
+    verify_p.add_argument(
+        "--triples", type=int, dest="hallwitt_triples", metavar="TRIPLES", help="Hall-Witt triples per group"
+    )
     verify_p.add_argument("--threesubgroup-target", type=int, help="three-subgroup quadruple quota")
     verify_p.add_argument("--bryant-target", type=int, help="centralizer transfer sample quota")
     verify_p.add_argument("--nested-target", type=int, help="nested tower sample quota")

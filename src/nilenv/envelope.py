@@ -259,6 +259,8 @@ def verify_envelope(trace: EnvelopeTrace, samples_per_level: int = 4, seed: int 
          _witnesses_cut_out(G, trace.tower[0].witnesses, e1.members))
     note(1, "replacement only adds the stage-one center",
          hp.members == _replacement(trace.original, e1).members)
+    note(1, "recorded center matches Z_(k-1) of the stage above",
+         trace.tower[0].prev_center.members == 1)  # Z_0 is trivial
 
     for idx in range(1, n):
         lvl = trace.tower[idx]

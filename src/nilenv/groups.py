@@ -11,9 +11,9 @@ operations read the same table through ``_rows``, one ``memoryview`` of the
 table's buffer per row, so no second copy is kept.  The quadratic kernels
 (:meth:`FiniteGroup._select`, :meth:`FiniteGroup._image` and the element
 centralizers) gather through the numpy table, converting masks at the
-boundary; up to ``_SCALAR_MAX_WORK`` element pairs they run a scalar loop
-instead, which is faster there.  Permutation groups also keep their
-permutations, for reading and writing files only.
+boundary; up to ``_SCALAR_MAX_WORK`` element pairs the first two run a
+scalar loop instead, which is faster there.  Permutation groups also keep
+their permutations, for reading and writing files only.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ MAX_ORDER = 2048
 
 # A kernel visiting at most this many element pairs runs the scalar loop.
 # Numpy's fixed cost per call (mask conversions and gathers, 5-30 us) is
-# about that of the whole loop there; 64 keeps every kernel on a group of
-# order 8 scalar.
+# about that of the whole loop there; 64 keeps `_select` and `_image` on a
+# group of order 8 scalar.
 _SCALAR_MAX_WORK = 64
 # Element pairs per numpy block, which bounds the kernels' temporaries.
 _BLOCK_PAIRS = 1 << 14
@@ -109,13 +109,13 @@ class FiniteGroup:
     # -- construction -------------------------------------------------
 
     @classmethod
-    def from_cayley_table(cls, table, name: str = "G", validate: bool = True) -> FiniteGroup:
+    def from_cayley_table(cls, table, name: str = "G") -> FiniteGroup:
         """Build a group from a full multiplication table.
 
         The table is relabelled if needed so that the identity is element 0.
-        With ``validate`` set, the table is checked exactly: it must be a
-        Latin square with a two-sided identity, and associative by Light's
-        test (see :meth:`_check_associative`).
+        Every table is checked exactly: it must be a Latin square with a
+        two-sided identity, and associative by Light's test (see
+        :meth:`_check_associative`).
         """
         if not isinstance(table, (list, tuple)) or not table:
             raise MalformedInputError("table must be a nonempty list of rows")
@@ -132,11 +132,10 @@ class FiniteGroup:
 
         arr = np.array(table, dtype=np.int16)
         expect = np.arange(n)
-        if validate:
-            for axis, what in ((1, "row"), (0, "column")):
-                ok = (np.sort(arr, axis=axis) == (expect[None, :] if axis == 1 else expect[:, None])).all()
-                if not ok:
-                    raise MalformedInputError(f"some {what} is not a permutation of 0..{n - 1}")
+        for axis, what in ((1, "row"), (0, "column")):
+            ok = (np.sort(arr, axis=axis) == (expect[None, :] if axis == 1 else expect[:, None])).all()
+            if not ok:
+                raise MalformedInputError(f"some {what} is not a permutation of 0..{n - 1}")
 
         ident = np.flatnonzero((arr == expect[None, :]).all(axis=1) & (arr == expect[:, None]).all(axis=0))
         if len(ident) != 1:
@@ -147,8 +146,7 @@ class FiniteGroup:
             sigma[0], sigma[e] = e, 0
             arr = sigma[arr[np.ix_(sigma, sigma)]].astype(arr.dtype)
 
-        if validate:
-            cls._check_associative(arr, n)
+        cls._check_associative(arr, n)
         return cls(name, "cayley", arr)
 
     @staticmethod
@@ -357,14 +355,7 @@ class FiniteGroup:
         """Mask of all x with x * g == g * x."""
         cached = self._elem_cent[g]
         if cached is None:
-            if self.order <= _SCALAR_MAX_WORK:
-                cached = 0
-                for x in range(self.order):
-                    if self._mul(x, g) == self._mul(g, x):
-                        cached |= 1 << x
-            else:
-                cached = _vector_mask(self._array[:, g] == self._array[g])
-            self._elem_cent[g] = cached
+            cached = self._elem_cent[g] = _vector_mask(self._array[:, g] == self._array[g])
         return cached
 
     def center_mask(self) -> int:
@@ -550,11 +541,6 @@ class Subgroup(ElementSet):
     def conjugate_by(self, g: int) -> Subgroup:
         self.parent._check_index(g)
         return Subgroup(self.parent, self.parent.conjugate_mask(self.members, g))
-
-    def is_normalized_by(self, elements) -> bool:
-        return all(
-            self.parent.conjugate_mask(self.members, g) == self.members for g in elements
-        )
 
     @property
     def is_normal(self) -> bool:

@@ -26,7 +26,6 @@ import numpy as np
 
 from .catalog import DEFAULT_CATALOG, from_spec
 from .centralizers import (
-    DEFAULT_NODE_CAP,
     bottom_chain_classify,
     centralizer,
     dimension,
@@ -74,7 +73,6 @@ class SuiteConfig:
     seed: int = 0
     max_exhaustive_order: int = 200
     samples_per_group: int = 200
-    node_cap: int = DEFAULT_NODE_CAP
     suites: tuple[str, ...] = ALL_SUITES
     groups: tuple[str, ...] = DEFAULT_CATALOG
     hallwitt_triples: int = 1000
@@ -265,7 +263,7 @@ class GroupContext:
         self.nilpotent = tuple(
             s for s in self.subgroups if nilpotence_class(s) is not None
         )
-        self.dimension = dimension(group, node_cap=config.node_cap)
+        self.dimension = dimension(group)
         self._inside: dict[int, list[Subgroup]] = {}
 
     def inside(self, mask: int) -> list[Subgroup]:
@@ -405,14 +403,14 @@ def _bottomchain(G, subgroup):
 
 
 @_check("dimension-abelian", "dimension 1 must coincide with being abelian")
-def _dimension_abelian(G, node_cap=DEFAULT_NODE_CAP):
-    return (dimension(G, node_cap=node_cap) == 1) == G.is_abelian
+def _dimension_abelian(G):
+    return (dimension(G) == 1) == G.is_abelian
 
 
 @_check("greedy-bound", "greedy witness exceeds the dimension")
-def _greedy_bound(G, subset, node_cap=DEFAULT_NODE_CAP):
+def _greedy_bound(G, subset):
     witnesses = greedy_witness(ElementSet(G, mask_of(subset)))
-    return len(witnesses) <= dimension(G, node_cap=node_cap)
+    return len(witnesses) <= dimension(G)
 
 
 @_check("triple-law", "triple centralizer differs from single centralizer")
@@ -422,8 +420,8 @@ def _triple_law(G, subset):
 
 
 @_check("subgroup-dimension", "subgroup dimension exceeds the ambient dimension", ("subgroup",))
-def _subgroup_dimension(G, subgroup, node_cap=DEFAULT_NODE_CAP):
-    return dimension(subgroup, node_cap=node_cap) <= dimension(G, node_cap=node_cap)
+def _subgroup_dimension(G, subgroup):
+    return dimension(subgroup) <= dimension(G)
 
 
 @_check(
@@ -606,15 +604,15 @@ def _suite_bottomchain(ctx: GroupContext, config: SuiteConfig, run: _Tally):
 def _suite_dimension(ctx: GroupContext, config: SuiteConfig, run: _Tally):
     G = ctx.group
     rng = _rng_for(config, "dimension", ctx.label)
-    run.check("dimension-abelian", node_cap=config.node_cap)
+    run.check("dimension-abelian")
     for _ in range(config.samples_per_group):
         k = rng.randint(1, min(G.order, 5))
         subset = sorted(rng.sample(range(G.order), k))
-        run.check("greedy-bound", subset=subset, node_cap=config.node_cap)
+        run.check("greedy-bound", subset=subset)
         run.check("triple-law", subset=subset)
     if ctx.exhaustive:
         for h in ctx.subgroups:
-            run.check("subgroup-dimension", subgroup=h, node_cap=config.node_cap)
+            run.check("subgroup-dimension", subgroup=h)
             run.check("least-centralizer-normality", subgroup=h)
 
 
@@ -784,7 +782,7 @@ _FIELDS = {
     "triple": partial(_elements, length=3),
     "subset": _elements,
     "p0": lambda G, key, value: _elements(G, key, [value])[0],
-    **dict.fromkeys(("i", "k", "n", "d", "node_cap", "quota"), partial(_integer, least=1)),
+    **dict.fromkeys(("i", "k", "n", "d", "quota"), partial(_integer, least=1)),
     **dict.fromkeys(("achieved", "attempts"), partial(_integer, least=0)),
     "seed": _integer,
     "check": partial(_choice, choices=_ENVELOPE_CHECKS),

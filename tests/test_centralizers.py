@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from nilenv.catalog import alternating, cyclic, dihedral, from_spec, quaternion, symmetric, unitriangular
 from nilenv.centralizers import (
+    NODE_CAP,
     bottom_chain_classify,
     c_dimension,
     centralizer,
@@ -277,16 +279,28 @@ def test_to_dot_output():
     assert "n0 -> n1;" in text
 
 
+def extraspecial_2_1_8() -> FiniteGroup:
+    """The extraspecial group 2^(1+8), of order 512, as a validated Cayley table.
+
+    Element z * 256 + v stands for (z, v) with z in F_2 and v in F_2^8, and
+    (z1, v1)(z2, v2) = (z1 + z2 + beta(v1, v2), v1 + v2), where beta(v, w) is
+    the sum of v_(2i) * w_(2i+1) mod 2.  Its centralizers are the preimages of
+    the subspaces of F_2^8, far more than NODE_CAP of them.
+    """
+    v = np.arange(256)
+    bits = np.array([bin(x).count("1") for x in range(256)])
+    beta = bits[v[:, None] & 0x55 & v[None, :] >> 1] & 1
+    z, v = np.divmod(np.arange(512), 256)
+    table = (z[:, None] ^ z[None, :] ^ beta[v[:, None], v[None, :]]) << 8 | v[:, None] ^ v[None, :]
+    return FiniteGroup.from_cayley_table(table.tolist(), name="extraspecial(2,1+8)")
+
+
 def test_node_cap():
-    with pytest.raises(CapExceededError):
-        centralizer_lattice(symmetric(4), node_cap=3)
-
-
-def test_dimension_memo_respects_node_cap():
-    G = symmetric(4)
-    assert dimension(G) == 4
-    with pytest.raises(CapExceededError):
-        dimension(G, node_cap=3)
+    G = extraspecial_2_1_8()
+    for compute in (centralizer_lattice, dimension):
+        with pytest.raises(CapExceededError, match="^centralizer lattice exceeds 20000 nodes$") as info:
+            compute(G)
+        assert info.value.partial == NODE_CAP == 20_000
 
 
 def test_relative_centralizer():

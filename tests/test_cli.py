@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
+from test_centralizers import extraspecial_2_1_8
 
-from nilenv.catalog import cyclic, from_spec
+from nilenv.catalog import DEFAULT_CATALOG, cyclic, from_spec
 from nilenv.cli import main
 from nilenv.formula import parse
 from nilenv.groups import save_group
+from nilenv.suites import ALL_SUITES, SuiteConfig
 
 
 def run(capsys, *argv):
@@ -190,6 +194,37 @@ def test_verify_reduced(capsys):
     assert "failures=0" in out
 
 
+@pytest.mark.parametrize(
+    "flag, value, field, expected",
+    [
+        ("--seed", "7", "seed", 7),
+        ("--samples", "3", "samples_per_group", 3),
+        ("--max-exhaustive-order", "9", "max_exhaustive_order", 9),
+        ("--triples", "4", "hallwitt_triples", 4),
+        ("--threesubgroup-target", "5", "threesubgroup_target", 5),
+        ("--bryant-target", "6", "bryant_target", 6),
+        ("--nested-target", "8", "nested_target", 8),
+        ("--envelope-samples", "2", "envelope_samples", 2),
+        ("--suites", "hall, dimension", "suites", ("hall", "dimension")),
+        ("--suites", " , ", "suites", ()),
+        ("--suites", "", "suites", ALL_SUITES),
+        ("--groups", "cyclic(2),quaternion", "groups", ("cyclic(2)", "quaternion")),
+        ("--groups", "", "groups", DEFAULT_CATALOG),
+    ],
+)
+def test_verify_flags_set_their_fields(monkeypatch, flag, value, field, expected):
+    configs = []
+
+    def fake_run_suites(config, extra_groups=()):
+        configs.append(config)
+        return SimpleNamespace(format_text=str, ok=True)
+
+    monkeypatch.setattr("nilenv.cli.run_suites", fake_run_suites)
+    assert main(["verify", flag, value]) == 0
+    # the flag sets its own field and leaves every other at its default
+    assert configs == [replace(SuiteConfig(), **{field: expected})]
+
+
 def test_verify_group_file(capsys, tmp_path):
     path = tmp_path / "c8.json"
     save_group(cyclic(8), path)
@@ -285,6 +320,15 @@ def test_order_cap_on_loaded_file_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "info", "--group", str(path), "--cap", "10")
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [("dim",), ("lattice",), ("envelope", "--subgroup", "1")], ids=" ".join)
+def test_centralizer_lattice_limit_exits_2(capsys, tmp_path, argv):
+    path = tmp_path / "extraspecial.json"
+    save_group(extraspecial_2_1_8(), path)
+    code, out, err = run(capsys, argv[0], "--group", str(path), *argv[1:])
+    assert code == 2 and out == ""
+    assert err == "error: centralizer lattice exceeds 20000 nodes\n"
 
 
 def test_order_cap_on_loaded_cayley_table_exits_2(capsys, tmp_path):

@@ -172,6 +172,8 @@ def _tampered(which):
         return replace(trace, envelope=e1.subgroup)
     if which == "witness":
         return replace(trace, tower=(e1, replace(e2, witnesses=e2.witnesses[:-1])))
+    if which == "stage-one center":
+        return replace(trace, tower=(replace(e1, prev_center=e1.subgroup), e2))
     swapped = (replace(e1, prev_center=e2.prev_center), replace(e2, prev_center=e1.prev_center))
     return replace(trace, tower=swapped)
 
@@ -188,6 +190,7 @@ def _tampered(which):
                 "stage equals the intersection over the whole level",
             },
         ),
+        ("stage-one center", {"recorded center matches Z_(k-1) of the stage above"}),
     ],
 )
 def test_verify_envelope_catches_tampered_traces(which, labels):

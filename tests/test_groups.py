@@ -295,7 +295,7 @@ def assert_catalog_table(G, expected):
     assert G._array.dtype == np.int16
     assert G._array.tolist() == expected
     assert [row.tolist() for row in G._rows] == expected
-    # catalog tables are built unvalidated, so check them here
+    # catalog tables other than quaternion's are built unvalidated, so check them here
     assert FiniteGroup.from_cayley_table(expected)._array.tolist() == expected
 
 
@@ -385,6 +385,13 @@ def test_element_index_checks():
         G.subgroup_from_generators([2, 99])
     with pytest.raises(MalformedInputError):
         G.mul(True, 0)
+
+
+def test_quaternion_table_is_validated(monkeypatch):
+    checked = []
+    monkeypatch.setattr(FiniteGroup, "_check_associative", staticmethod(lambda arr, n: checked.append(n)))
+    assert quaternion().order == 8
+    assert checked == [8]
 
 
 def test_inverses_and_commutators():

@@ -207,8 +207,9 @@ def random_subset(rng, G) -> int:
 
 
 def test_inputs_reach_both_sides_of_the_work_size():
-    # every kernel on dihedral(4) is scalar; every one on unitriangular(5),
-    # even an element centralizer (order-many pairs), can be vectorized
+    # every pair kernel on dihedral(4) is scalar; every one on unitriangular(5),
+    # even one over order-many pairs, can be vectorized (element centralizers
+    # always are)
     small, large = from_spec("dihedral(4)"), from_spec("unitriangular(5)")
     assert small.order * small.order <= _SCALAR_MAX_WORK < large.order <= MAX_ORDER
 

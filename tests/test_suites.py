@@ -445,6 +445,10 @@ _QUOTA = next(p for p in HEALTHY_PAYLOADS if p["kind"] == "quota")
         ),
         ({"kind": "uniformity", "key": "phi[2]"}, r"'key' must read phi\[d,n\]"),
         ({"kind": "uniformity", "key": "phi[2,2]", "digests": 5}, "'digests' must map"),
+        (
+            {"kind": "dimension-abelian", "group": "dihedral(4)", "node_cap": 5},
+            r"unknown fields \['node_cap'\]",
+        ),
     ],
 )
 def test_replay_rejects_malformed_payloads(payload, message):
@@ -539,13 +543,13 @@ def test_registry_matches_the_kinds_the_suites_check(suite_of_kind):
 def test_failing_check_is_reported_and_replays(kind, suite_of_kind, monkeypatch):
     calls = []
     _wrap_checks(monkeypatch, calls, fail={kind})
-    config = replace(SMALL_CONFIG, suites=(suite_of_kind[kind],), seed=3, node_cap=5000)
+    config = replace(SMALL_CONFIG, suites=(suite_of_kind[kind],), seed=3)
     failures = [f for f in run_suites(config).failures if f.payload["kind"] == kind]
     assert failures
     run_args = {args for called, args in calls if called == kind}
     del calls[:]
     assert replay_failure(failures[0], config) is True
-    # replay passes the run's own arguments, seed and node_cap included
+    # replay passes the run's own arguments, seed included
     assert len(calls) == 1 and calls[0][0] == kind and calls[0][1] in run_args
 
 
