@@ -3,8 +3,14 @@
 Every subcommand takes ``--group`` as either a catalog spec such as
 ``dihedral(4)`` or a path to a JSON group file.  Where a subgroup is needed,
 ``--subgroup`` accepts a JSON subgroup file or a comma-separated list of
-element indices.  Known input problems print one line on stderr and exit
-with status 2; internal consistency failures are bugs and crash loudly.
+element indices.  Group, subgroup and formula files are read as UTF-8.
+Known input problems print one line on stderr and exit with status 2;
+internal consistency failures are bugs and crash loudly.
+
+Every command is one entry of ``_COMMANDS``: its handler, help line and
+options.  A call builds the parser of its own command only; a missing or
+unknown command, or an argument that parser leaves over, goes to the parser
+of all commands, so usage and error messages are those of the full parser.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from .errors import (
     WitnessBoundError,
 )
 from .formula import emit_envelope_formula, evaluate, format_formula, free_variables, parse, sentence_holds
-from .groups import MAX_ORDER, FiniteGroup, Subgroup, load_group, subgroup_from_dict
+from .groups import MAX_ORDER, FiniteGroup, Subgroup, load_group, read_json, read_text, subgroup_from_dict
 from .series import lower_central_series, nilpotence_class, upper_central_series
 from .suites import ALL_SUITES, SuiteConfig, run_suites
 
@@ -74,12 +80,7 @@ def _indices(text: str) -> list[int]:
 
 def _subgroup_argument(G: FiniteGroup, token: str) -> Subgroup:
     if os.path.exists(token):
-        with open(token, encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise MalformedInputError(f"{token} is not valid JSON: {exc}") from exc
-        return subgroup_from_dict(G, data)
+        return subgroup_from_dict(G, read_json(token))
     return G.subgroup_from_generators(_indices(token))
 
 
@@ -177,9 +178,7 @@ def _cmd_fitting(args) -> int:
 
 def _cmd_eval(args) -> int:
     G = _group_argument(args.group, args.cap)
-    with open(args.formula, encoding="utf-8") as fh:
-        text = fh.read()
-    phi = parse(text)
+    phi = parse(read_text(args.formula))
     params = tuple(_indices(args.params))
     if free_variables(phi):
         result = evaluate(phi, G, params)
@@ -224,104 +223,100 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
-_HANDLERS = {
-    "info": _cmd_info,
-    "dim": _cmd_dim,
-    "series": _cmd_series,
-    "envelope": _cmd_envelope,
-    "fitting": _cmd_fitting,
-    "eval": _cmd_eval,
-    "lattice": _cmd_lattice,
-    "verify": _cmd_verify,
+_GROUP = ("--group", dict(required=True, help="catalog spec like dihedral(4) or a path to a JSON group file"))
+_SUBGROUP_HELP = "JSON subgroup file or comma-separated element indices"
+_SUBGROUP = ("--subgroup", dict(help=_SUBGROUP_HELP))
+_CAP = ("--cap", dict(type=int, default=MAX_ORDER, help=_CAP_HELP))
+
+# name: (handler, help line, its options in order as (flag, add_argument keywords))
+_COMMANDS = {
+    "info": (_cmd_info, "Order, center, and nilpotence class of a group.", (_GROUP, _CAP)),
+    "dim": (_cmd_dim, "Centralizer dimension with a witness chain.", (_GROUP, _SUBGROUP, _CAP)),
+    "series": (_cmd_series, "Lower and upper central series.", (_GROUP, _SUBGROUP, _CAP)),
+    "envelope": (
+        _cmd_envelope,
+        "Definable envelope of a nilpotent subgroup.",
+        (
+            _GROUP,
+            ("--subgroup", dict(required=True, help=_SUBGROUP_HELP)),
+            _CAP,
+            ("--emit-formula", dict(action="store_true", help="also print the defining formula in concrete syntax")),
+            ("--trace", dict(help="write the construction trace to this JSON file")),
+        ),
+    ),
+    "fitting": (_cmd_fitting, "Fitting subgroup computed three independent ways.", (_GROUP, _CAP)),
+    "eval": (
+        _cmd_eval,
+        "Evaluate a formula file over a group.",
+        (
+            _GROUP,
+            _CAP,
+            ("--formula", dict(required=True, help="path to a formula in concrete syntax")),
+            ("--params", dict(default="", help="comma-separated parameter element indices")),
+        ),
+    ),
+    "lattice": (
+        _cmd_lattice,
+        "Centralizer lattice nodes and cover edges.",
+        (_GROUP, _SUBGROUP, _CAP, ("--dot", dict(action="store_true", help="emit DOT instead of text"))),
+    ),
+    "verify": (
+        _cmd_verify,
+        "Run the property suites and report failures.",
+        (
+            ("--suites", dict(type=_names, help=f"comma-separated subset of: {', '.join(ALL_SUITES)}")),
+            ("--groups", dict(type=_names, help="comma-separated catalog specs (default: built-in catalog)")),
+            (
+                "--group-file",
+                dict(action="append", default=[], help="JSON group file to test alongside the catalog (repeatable)"),
+            ),
+            ("--seed", dict(type=int, default=0, help="suite sampling seed")),
+            _CAP,
+            (
+                "--samples",
+                dict(
+                    type=int,
+                    dest="samples_per_group",
+                    metavar="SAMPLES",
+                    help="random subsets per group for sampled suites",
+                ),
+            ),
+            ("--max-exhaustive-order", dict(type=int, help="largest order for exhaustive subgroup enumeration")),
+            ("--triples", dict(type=int, dest="hallwitt_triples", metavar="TRIPLES", help="Hall-Witt triples per group")),
+            ("--threesubgroup-target", dict(type=int, help="three-subgroup quadruple quota")),
+            ("--bryant-target", dict(type=int, help="centralizer transfer sample quota")),
+            ("--nested-target", dict(type=int, help="nested tower sample quota")),
+            ("--envelope-samples", dict(type=int, help="sampled subgroups per non-exhaustive group")),
+        ),
+    ),
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, in table order, or of the named one only."""
     parser = argparse.ArgumentParser(
         prog="nilenv",
         description="Finite group centralizer dimensions, definable envelopes, and property suites.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    def add_command(name, help_text, *, subgroup=False, subgroup_required=False):
-        p = subparsers.add_parser(name, help=help_text)
-        p.add_argument(
-            "--group",
-            required=True,
-            help="catalog spec like dihedral(4) or a path to a JSON group file",
-        )
-        if subgroup:
-            p.add_argument(
-                "--subgroup",
-                required=subgroup_required,
-                help="JSON subgroup file or comma-separated element indices",
-            )
-        p.add_argument("--cap", type=int, default=MAX_ORDER, help=_CAP_HELP)
-        return p
-
-    add_command("info", "Order, center, and nilpotence class of a group.")
-    add_command("dim", "Centralizer dimension with a witness chain.", subgroup=True)
-    add_command("series", "Lower and upper central series.", subgroup=True)
-    envelope_p = add_command(
-        "envelope",
-        "Definable envelope of a nilpotent subgroup.",
-        subgroup=True,
-        subgroup_required=True,
-    )
-    envelope_p.add_argument(
-        "--emit-formula",
-        action="store_true",
-        help="also print the defining formula in concrete syntax",
-    )
-    envelope_p.add_argument("--trace", help="write the construction trace to this JSON file")
-    add_command("fitting", "Fitting subgroup computed three independent ways.")
-    eval_p = add_command("eval", "Evaluate a formula file over a group.")
-    eval_p.add_argument("--formula", required=True, help="path to a formula in concrete syntax")
-    eval_p.add_argument("--params", default="", help="comma-separated parameter element indices")
-    lattice_p = add_command("lattice", "Centralizer lattice nodes and cover edges.", subgroup=True)
-    lattice_p.add_argument("--dot", action="store_true", help="emit DOT instead of text")
-
-    verify_p = subparsers.add_parser("verify", help="Run the property suites and report failures.")
-    verify_p.add_argument(
-        "--suites", type=_names, help=f"comma-separated subset of: {', '.join(ALL_SUITES)}"
-    )
-    verify_p.add_argument(
-        "--groups", type=_names, help="comma-separated catalog specs (default: built-in catalog)"
-    )
-    verify_p.add_argument(
-        "--group-file",
-        action="append",
-        default=[],
-        help="JSON group file to test alongside the catalog (repeatable)",
-    )
-    verify_p.add_argument("--seed", type=int, default=0, help="suite sampling seed")
-    verify_p.add_argument("--cap", type=int, default=MAX_ORDER, help=_CAP_HELP)
-    verify_p.add_argument(
-        "--samples",
-        type=int,
-        dest="samples_per_group",
-        metavar="SAMPLES",
-        help="random subsets per group for sampled suites",
-    )
-    verify_p.add_argument(
-        "--max-exhaustive-order",
-        type=int,
-        help="largest order for exhaustive subgroup enumeration",
-    )
-    verify_p.add_argument(
-        "--triples", type=int, dest="hallwitt_triples", metavar="TRIPLES", help="Hall-Witt triples per group"
-    )
-    verify_p.add_argument("--threesubgroup-target", type=int, help="three-subgroup quadruple quota")
-    verify_p.add_argument("--bryant-target", type=int, help="centralizer transfer sample quota")
-    verify_p.add_argument("--nested-target", type=int, help="nested tower sample quota")
-    verify_p.add_argument("--envelope-samples", type=int, help="sampled subgroups per non-exhaustive group")
+    for name, (_, help_text, options) in _COMMANDS.items():
+        if command in (None, name):
+            p = subparsers.add_parser(name, help=help_text)
+            for flag, keywords in options:
+                p.add_argument(flag, **keywords)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the full parser reports what the command's own parser leaves over,
+    # with a usage line that lists every command
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args, rest = _build_parser(command).parse_known_args(argv) if command else (None, None)
+    if args is None or rest:
+        args = _build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except _KNOWN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -231,6 +231,14 @@ def cost_estimate(formula: Formula, group: FiniteGroup) -> int:
 
 # -- Parser --------------------------------------------------------------
 
+# The deepest tree, and the most brackets open at once, that parse accepts.
+# The parser recurses only at brackets, at most 4 frames each.  The shape
+# pass and format_formula recurse one frame per tree level, and the
+# evaluator and ``==`` on trees at most about 3.5, so at 150 all of them
+# stay well inside Python's default recursion limit of 1000.  The envelope
+# formulas are 63 deep at (d, n) = (2, 4), 78 at (6, 4) and 91 at (2, 5).
+MAX_DEPTH = 150
+
 # one token per match, after optional whitespace: a parameter slot, an
 # identifier, the identity, a symbol, or any other character, an error.  An
 # identifier starts with a letter or "_"; the pattern also lets through a
@@ -241,6 +249,7 @@ _KINDS = (None, "param", "ident", "one", "sym")
 
 def _tokenize(text: str) -> list[tuple[str, str | int, int]]:
     tokens = []
+    open_brackets = 0
     for match in _TOKEN.finditer(text):
         group = match.lastindex
         value = match[group]
@@ -251,6 +260,12 @@ def _tokenize(text: str) -> list[tuple[str, str | int, int]]:
             raise FormulaSyntaxError(f"unexpected character {value[0]!r}", at)
         else:
             tokens.append((_KINDS[group], value, at))
+            if value in ("(", "["):
+                open_brackets += 1
+                if open_brackets > MAX_DEPTH:
+                    raise FormulaSyntaxError(f"formula nested deeper than {MAX_DEPTH} levels", at)
+            elif value in (")", "]"):
+                open_brackets -= 1
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -294,18 +309,23 @@ class _Parser:
         return out
 
     def unary(self) -> Formula:
-        kind, value, at = self.peek()
-        if kind == "sym" and value == "!":
+        negations = 0
+        while self.at_sym("!"):
             self.take()
-            return Not(self.unary())
+            negations += 1
+        kind, value, at = self.peek()
         if kind == "ident" and value in ("A", "E") and self.tokens[self.pos + 1][0] == "ident":
             self.take()
             _, var, _ = self.take()
             self.expect_sym("(")
             body = self.formula()
             self.expect_sym(")")
-            return ForAll(var, body) if value == "A" else Exists(var, body)
-        return self.atom()
+            out = ForAll(var, body) if value == "A" else Exists(var, body)
+        else:
+            out = self.atom()
+        for _ in range(negations):
+            out = Not(out)
+        return out
 
     def atom(self) -> Formula:
         if self.at_sym("("):
@@ -364,14 +384,27 @@ def parse(text: str) -> Formula:
     Commutator brackets ``[a, b]`` desugar to ``a^-1*b^-1*a*b`` during
     parsing; the tree has no commutator node.  A variable named ``A`` or
     ``E`` directly followed by another identifier cannot be written, since
-    that spelling reads as a quantifier.
+    that spelling reads as a quantifier.  Text with more than ``MAX_DEPTH``
+    brackets open at once, or whose tree is more than ``MAX_DEPTH`` nodes
+    deep, raises :class:`FormulaSyntaxError`.
     """
     parser = _Parser(text)
     out = parser.formula()
     kind, value, at = parser.peek()
     if kind != "end":
         raise FormulaSyntaxError(f"trailing input starting with {value!r}", at)
+    if _depth(out) > MAX_DEPTH:
+        raise FormulaSyntaxError(f"formula nested deeper than {MAX_DEPTH} levels", 0)
     return out
+
+
+def _depth(node: Formula) -> int:
+    """Nodes on the longest root-to-leaf path, counted a level at a time, not recursively."""
+    depth, level = 0, [node]
+    while level:
+        depth += 1
+        level = [child for n in level for child in vars(n).values() if not isinstance(child, (str, int))]
+    return depth
 
 
 # -- Pretty-printer ------------------------------------------------------

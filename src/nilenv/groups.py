@@ -43,6 +43,11 @@ _SCALAR_MAX_WORK = 64
 _BLOCK_PAIRS = 1 << 14
 
 
+def _is_index(value) -> bool:
+    """Whether ``value`` is an int, not a bool: the type of indices, degrees and points."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def iter_mask(mask: int):
     """Yield the set bit positions of ``mask`` in ascending order."""
     while mask:
@@ -202,12 +207,12 @@ class FiniteGroup:
         column b of the table is ``right[column k, s]``, one gather per
         element.
         """
-        if not isinstance(degree, int) or degree < 1:
+        if not _is_index(degree) or degree < 1:
             raise MalformedInputError("degree must be a positive integer")
         gens = []
         for g in generators:
-            p = tuple(g)
-            if len(p) != degree or sorted(p) != list(range(degree)):
+            p = tuple(g) if isinstance(g, (list, tuple)) else ()
+            if len(p) != degree or not all(map(_is_index, p)) or sorted(p) != list(range(degree)):
                 raise MalformedInputError(f"{g!r} is not a permutation of 0..{degree - 1}")
             gens.append(p)
 
@@ -683,6 +688,8 @@ def group_from_dict(data: dict, order_cap: int = MAX_ORDER) -> FiniteGroup:
         raise MalformedInputError("group description must be a dict with a 'kind' key")
     kind = data["kind"]
     name = data.get("name", "G")
+    if not isinstance(name, str):
+        raise MalformedInputError(f"group name must be a string, not {name!r}")
     if kind == "cayley":
         if "table" not in data:
             raise MalformedInputError("cayley group description needs a 'table'")
@@ -694,18 +701,43 @@ def group_from_dict(data: dict, order_cap: int = MAX_ORDER) -> FiniteGroup:
         if "degree" not in data or "generators" not in data:
             raise MalformedInputError("perm group description needs 'degree' and 'generators'")
         return FiniteGroup.from_permutations(
-            data["degree"], data["generators"], name=name, order_cap=order_cap
+            data["degree"], _generator_list(data), name=name, order_cap=order_cap
         )
     raise MalformedInputError(f"unknown group kind {kind!r}")
 
 
-def load_group(path, order_cap: int = MAX_ORDER) -> FiniteGroup:
+def _generator_list(data: dict) -> list:
+    gens = data["generators"]
+    if not isinstance(gens, list):
+        raise MalformedInputError(f"'generators' must be a list, not {gens!r}")
+    return gens
+
+
+def read_text(path) -> str:
+    """The text of a UTF-8 file; any other bytes raise :class:`MalformedInputError`."""
     with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MalformedInputError(f"{path} is not valid JSON: {exc}") from exc
-    return group_from_dict(data, order_cap=order_cap)
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise MalformedInputError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def read_json(path):
+    """The JSON value in a UTF-8 file.
+
+    Besides invalid JSON, arrays nested too deep to decode and integers
+    longer than Python converts (4300 digits by default) raise
+    :class:`MalformedInputError`.
+    """
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # ValueError includes JSONDecodeError
+        raise MalformedInputError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def load_group(path, order_cap: int = MAX_ORDER) -> FiniteGroup:
+    return group_from_dict(read_json(path), order_cap=order_cap)
 
 
 def save_group(G: FiniteGroup, path) -> None:
@@ -725,14 +757,15 @@ def subgroup_from_dict(parent: FiniteGroup, data: dict) -> Subgroup:
     if not isinstance(data, dict) or "generators" not in data:
         raise MalformedInputError("subgroup description must be a dict with 'generators'")
     gens = []
-    for spec in data["generators"]:
-        if isinstance(spec, int) and not isinstance(spec, bool):
+    for spec in _generator_list(data):
+        if _is_index(spec):
             parent._check_index(spec)
             gens.append(spec)
         elif isinstance(spec, list):
             if parent.kind != "perm":
                 raise MalformedInputError("image-array generators need a permutation group")
-            idx = parent._perm_index.get(tuple(spec))
+            # an exact lookup: True and 1.0 hash and compare equal to 1
+            idx = parent._perm_index.get(tuple(spec)) if all(map(_is_index, spec)) else None
             if idx is None:
                 raise MalformedInputError(f"{spec!r} is not an element of {parent.name}")
             gens.append(idx)

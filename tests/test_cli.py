@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import argparse
 import json
+import sys
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -10,7 +12,7 @@ import pytest
 from test_centralizers import extraspecial_2_1_8
 
 from nilenv.catalog import DEFAULT_CATALOG, cyclic, from_spec
-from nilenv.cli import main
+from nilenv.cli import _COMMANDS, _KNOWN_ERRORS, _build_parser, main
 from nilenv.formula import parse
 from nilenv.groups import save_group
 from nilenv.suites import ALL_SUITES, SuiteConfig
@@ -362,3 +364,123 @@ def test_groups_over_the_order_limit_exit_2(capsys, tmp_path, argv):
     code, out, err = run(capsys, *(str(path) if a == "S7_FILE" else a for a in argv))
     assert code == 2 and out == ""
     assert err.startswith("error:") and "exceeds cap 2048" in err
+
+
+_D4 = "dihedral(4)"
+PARSER_CASES = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["bogus"],
+    ["in"],
+    *([name, flag] for flag in ("-h", "--help") for name in _COMMANDS),
+    ["info"],
+    ["info", "--group"],
+    ["info", "--group", _D4, "--cap", "x"],
+    ["info", "--gro", _D4],
+    ["info", "--group", _D4, "--seed", "1"],
+    ["info", "--group", _D4, "stray"],
+    ["info", "--group", _D4, "info"],
+    ["info", "-x"],
+    ["info", "--", "--group", _D4],
+    ["--group", "x", "info"],
+    ["Info", "--group", _D4],
+    ["info", "--group", _D4],
+    ["envelope", "--group", _D4],
+    ["envelope", "--group", _D4, "--subgroup", "1", "--emit-formula"],
+    ["dim", "--group", _D4, "--subgroup", "1"],
+    ["series", "--group", _D4, "--subgroup", "x"],
+    ["eval", "--group", "cyclic(2)"],
+    ["lattice", "--group", "symmetric(3)", "--dot"],
+    ["fitting", "--group", "symmetric(4)", "extra", "more"],
+    ["verify", "--seed", "x"],
+    ["verify", "--groups", "cyclic(2)", "--suites", "hallwitt", "--triples", "3", "--bogus"],
+    ["verify", "--groups", "cyclic(2)", "--suites", "hallwitt", "--triples", "3", "--samples", "2"],
+]
+
+
+def _outcome(capsys, call, argv):
+    try:
+        code = call(argv)
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _full_parser_main(argv):
+    """The reference for main: the parser of every command, then the handler."""
+    args = _build_parser().parse_args(argv)
+    try:
+        return _COMMANDS[args.command][0](args)
+    except _KNOWN_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_main_matches_the_full_parser(capsys, monkeypatch, argv):
+    for columns in ("40", "80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert _outcome(capsys, main, list(argv)) == _outcome(capsys, _full_parser_main, list(argv))
+
+
+def test_a_call_builds_only_its_own_command(monkeypatch, capsys):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting_add_parser(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting_add_parser)
+    assert main(["info", "--group", "dihedral(4)"]) == 0
+    assert built == ["info"]
+
+
+_PERM = {"kind": "perm", "degree": 3}
+
+
+@pytest.mark.parametrize(
+    "argv, content, message",
+    [
+        (("info", "--group", "FILE"), b"\xff\xfe{}", "not UTF-8 text"),
+        (("dim", "--group", "dihedral(4)", "--subgroup", "FILE"), b"\xff\xfe{}", "not UTF-8 text"),
+        (("eval", "--group", "cyclic(2)", "--formula", "FILE"), b"\xff\xfex = x", "not UTF-8 text"),
+        (("info", "--group", "FILE"), b"[" * 100_000, "not valid JSON"),
+        (("dim", "--group", "dihedral(4)", "--subgroup", "FILE"), b"[" * 100_000, "not valid JSON"),
+        (("info", "--group", "FILE"), b'{"kind": "cayley", "table": [[' + b"1" * 5000 + b"]]}", "not valid JSON"),
+        (("dim", "--group", "dihedral(4)", "--subgroup", "FILE"), b'{"generators": 5}', "must be a list"),
+        (("info", "--group", "FILE"), json.dumps({**_PERM, "generators": 5}).encode(), "must be a list"),
+        (("info", "--group", "FILE"), json.dumps({**_PERM, "generators": [[0, 1, "a"]]}).encode(), "not a permutation"),
+        (("info", "--group", "FILE"), json.dumps({**_PERM, "generators": [[1.0, 0, 2]]}).encode(), "not a permutation"),
+        (
+            ("verify", "--groups", "cyclic(2)", "--suites", "hallwitt", "--group-file", "FILE"),
+            json.dumps({**_PERM, "name": [1], "generators": []}).encode(),
+            "name must be a string",
+        ),
+        (("eval", "--group", "cyclic(2)", "--formula", "FILE"), b"!" * 3000 + b"x = x", "nested deeper than"),
+        (("eval", "--group", "cyclic(2)", "--formula", "FILE"), b"*".join([b"x"] * 3001) + b" = x", "nested deeper than"),
+    ],
+    ids=[
+        "group-not-utf8",
+        "subgroup-not-utf8",
+        "formula-not-utf8",
+        "group-deep-json",
+        "subgroup-deep-json",
+        "group-5000-digit-int",
+        "subgroup-generators-int",
+        "perm-generators-int",
+        "perm-entry-str",
+        "perm-entry-float",
+        "group-name-list",
+        "formula-3000-negations",
+        "formula-3001-factors",
+    ],
+)
+def test_malformed_input_files_exit_2(capsys, tmp_path, argv, content, message):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    code, out, err = run(capsys, *(str(path) if a == "FILE" else a for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err

@@ -16,6 +16,7 @@ from nilenv.centralizers import dimension
 from nilenv.envelope import build_envelope, padded_parameters
 from nilenv.errors import ArityMismatchError, FormulaSyntaxError, MalformedInputError
 from nilenv.formula import (
+    MAX_DEPTH,
     And,
     Eq,
     EvaluationCostWarning,
@@ -130,6 +131,30 @@ def test_parse_errors_carry_positions():
         parse("A (x = 1)")
     with pytest.raises(FormulaSyntaxError):
         parse("")
+
+
+@pytest.mark.parametrize(
+    "text_of_depth",
+    [
+        lambda k: "!" * (k - 2) + "x = x",
+        lambda k: "*".join(["x"] * (k - 1)) + " = x",
+        lambda k: "x" + "^-1" * (k - 2) + " = x",
+        lambda k: "x = x" + " & x = x" * (k - 2),
+        lambda k: "E y (" * (k - 2) + "x = y" + ")" * (k - 2),
+        # k brackets open at once around a tree two nodes deep
+        lambda k: "(" * k + "x = x" + ")" * k,
+        lambda k: "(" * k + "x" + ")" * k + " = x",
+    ],
+    ids=["negations", "product", "inverses", "conjunction", "quantifiers", "formula-brackets", "term-brackets"],
+)
+def test_parse_refuses_formulas_deeper_than_max_depth(text_of_depth):
+    # the deepest accepted formula still parses, prints, compares and evaluates
+    # inside the default recursion limit
+    deepest = parse(text_of_depth(MAX_DEPTH))
+    assert parse(format_formula(deepest)) == deepest
+    assert evaluate(deepest, from_spec("cyclic(2)")).members == 0b11
+    with pytest.raises(FormulaSyntaxError, match=f"formula nested deeper than {MAX_DEPTH} levels"):
+        parse(text_of_depth(MAX_DEPTH + 1))
 
 
 def test_tokens_outside_ascii():

@@ -364,6 +364,12 @@ def test_bad_permutations_are_rejected():
         FiniteGroup.from_permutations(3, [[1, 0]])
     with pytest.raises(MalformedInputError):
         FiniteGroup.from_permutations(0, [])
+    # bools are not points: True would read as 1
+    with pytest.raises(MalformedInputError, match="degree must be a positive integer"):
+        FiniteGroup.from_permutations(True, [])
+    for bad in ([True, 0, 2], [1.0, 0, 2], [0, 1, "a"], 5):
+        with pytest.raises(MalformedInputError, match="is not a permutation of 0..2"):
+            FiniteGroup.from_permutations(3, [bad])
 
 
 def test_cayley_and_permutation_dihedral_agree():
@@ -585,6 +591,14 @@ def test_group_dict_rejects_junk():
         group_from_dict({"kind": "cayley"})
     with pytest.raises(MalformedInputError):
         group_from_dict({"kind": "perm", "degree": 3})
+    with pytest.raises(MalformedInputError, match="degree must be a positive integer"):
+        group_from_dict({"kind": "perm", "degree": True, "generators": []})
+    with pytest.raises(MalformedInputError, match="is not a permutation"):
+        group_from_dict({"kind": "perm", "degree": 3, "generators": [[True, 0, 2]]})
+    with pytest.raises(MalformedInputError, match="'generators' must be a list"):
+        group_from_dict({"kind": "perm", "degree": 3, "generators": 5})
+    with pytest.raises(MalformedInputError, match="group name must be a string"):
+        group_from_dict({"kind": "cayley", "name": [1], "table": [[0]]})
 
 
 def test_group_file_round_trip(tmp_path):
@@ -623,6 +637,12 @@ def test_subgroup_dict_round_trip():
         subgroup_from_dict(D8, {"generators": [[0, 1]]})
     with pytest.raises(MalformedInputError):
         subgroup_from_dict(D8, {"elements": [0, 1]})
+    with pytest.raises(MalformedInputError, match="'generators' must be a list"):
+        subgroup_from_dict(D8, {"generators": 5})
+    # image arrays match exactly: True and 1.0 are not the point 1
+    for bad in ([True, 0, 2, 3], [1.0, 0, 2, 3], [[1], 0, 2, 3]):
+        with pytest.raises(MalformedInputError, match="is not an element of"):
+            subgroup_from_dict(S4, {"generators": [bad]})
 
 
 def test_from_spec_round_trips_and_caches():
