@@ -66,7 +66,6 @@ from .errors import (
     NotNilpotentError,
     NotNormalError,
     ParentMismatchError,
-    WitnessBoundError,
 )
 from .formula import (
     EvaluationCostWarning,
@@ -146,7 +145,6 @@ __all__ = [
     "Subgroup",
     "SuiteConfig",
     "TowerLevel",
-    "WitnessBoundError",
     "all_subgroups",
     "alternating",
     "bottom_chain_classify",

@@ -177,11 +177,14 @@ def _parse_spec(text: str, pos: int) -> tuple[FiniteGroup, int]:
     while pos < len(text) and text[pos].isspace():
         pos += 1
     start = pos
-    while pos < len(text) and text[pos].isdigit():
+    while pos < len(text) and "0" <= text[pos] <= "9":
         pos += 1
     if start == pos:
         raise MalformedInputError(f"{name}(...) needs an integer argument")
-    arg = int(text[start:pos])
+    try:
+        arg = int(text[start:pos])
+    except ValueError:  # past Python's limit on digits converted
+        raise MalformedInputError(f"{name}(...) argument at position {start} has too many digits") from None
     while pos < len(text) and text[pos].isspace():
         pos += 1
     if pos >= len(text) or text[pos] != ")":

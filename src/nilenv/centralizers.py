@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CapExceededError, InternalCheckError, WitnessBoundError
+from .errors import CapExceededError, InternalCheckError
 from .groups import ElementSet, Subgroup, _ambient_pair, iter_mask, mask_of
 
 # most centralizers `centralizer_lattice` enumerates before it gives up
@@ -149,17 +149,15 @@ def c_dimension(lattice: CentralizerLattice) -> ChainReport:
     """Extract a longest descending centralizer chain from a lattice.
 
     Node i's longest chain extends the first of the longest chains among
-    the nodes above it, scanned by ascending index.
+    the nodes above it, scanned by ascending index.  Every node above i
+    has a smaller index, so pushing each node's chain down to the nodes
+    below it, by ascending index, finishes node j before it is pushed.
     """
     n = len(lattice.nodes)
-    above = [0] * n
-    for j, under in enumerate(lattice._containment()):
-        for i in iter_mask(under):
-            above[i] |= 1 << j
     best = [1] * n
     back = [-1] * n
-    for i in range(n):
-        for j in iter_mask(above[i]):
+    for j, under in enumerate(lattice._containment()):
+        for i in iter_mask(under):
             if best[j] + 1 > best[i]:
                 best[i] = best[j] + 1
                 back[i] = j
@@ -194,15 +192,12 @@ def dimension(ambient) -> int:
     return cached
 
 
-def greedy_witness(
-    subset: ElementSet, bound: int | None = None, within: Subgroup | None = None
-) -> tuple[int, ...]:
+def greedy_witness(subset: ElementSet, within: Subgroup | None = None) -> tuple[int, ...]:
     """A short tuple of elements of ``subset`` with the same centralizer.
 
     Scans the subset in ascending order and keeps the elements that strictly
     shrink the running centralizer, so the result length never exceeds the
-    centralizer dimension of the ambient group.  With ``bound`` set, raises
-    :class:`WitnessBoundError` when the result would be longer.
+    centralizer dimension of the ambient group.
     """
     G = subset.parent
     current = G.full_mask if within is None else within.members
@@ -212,10 +207,6 @@ def greedy_witness(
         if shrunk != current:
             picked.append(x)
             current = shrunk
-            if bound is not None and len(picked) > bound:
-                raise WitnessBoundError(
-                    f"witness for centralizer needs more than {bound} elements"
-                )
     return tuple(picked)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import fields
 
@@ -34,14 +35,11 @@ from .errors import (
     NotNilpotentError,
     NotNormalError,
     ParentMismatchError,
-    WitnessBoundError,
 )
 from .formula import emit_envelope_formula, evaluate, format_formula, free_variables, parse, sentence_holds
-from .groups import MAX_ORDER, FiniteGroup, Subgroup, load_group, read_json, read_text, subgroup_from_dict
+from .groups import FiniteGroup, Subgroup, load_group, read_json, read_text, subgroup_from_dict
 from .series import lower_central_series, nilpotence_class, upper_central_series
 from .suites import ALL_SUITES, SuiteConfig, run_suites
-
-_CAP_HELP = f"largest group order accepted when loading a file (at most {MAX_ORDER}, the default)"
 
 _KNOWN_ERRORS = (
     ArityMismatchError,
@@ -53,28 +51,28 @@ _KNOWN_ERRORS = (
     NotNilpotentError,
     NotNormalError,
     ParentMismatchError,
-    WitnessBoundError,
     OSError,
 )
 
 
-def _group_argument(token: str, cap: int) -> FiniteGroup:
+def _group_argument(token: str) -> FiniteGroup:
     """A group from a catalog spec or, if the token names a file, from JSON."""
     if os.path.exists(token):
-        return load_group(token, order_cap=cap)
+        return load_group(token)
     return from_spec(token)
 
 
 def _indices(text: str) -> list[int]:
     out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
+    for match in re.finditer(r"[^,\s][^,]*", text):
+        part = match[0].rstrip()
+        # ASCII decimal only: int() also reads "1_0", "+1" and other scripts' digits
+        if not (part.isascii() and part.isdigit()):
+            raise MalformedInputError(f"{part!r} is not an element index")
         try:
             out.append(int(part))
-        except ValueError:
-            raise MalformedInputError(f"{part!r} is not an element index") from None
+        except ValueError:  # past Python's limit on digits converted
+            raise MalformedInputError(f"element index at position {match.start()} has too many digits") from None
     return out
 
 
@@ -89,7 +87,7 @@ def _element_list(elements) -> str:
 
 
 def _cmd_info(args) -> int:
-    G = _group_argument(args.group, args.cap)
+    G = _group_argument(args.group)
     cls = nilpotence_class(G.as_subgroup())
     print(f"group: {G.name}")
     print(f"kind: {G.kind}")
@@ -101,7 +99,7 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_dim(args) -> int:
-    G = _group_argument(args.group, args.cap)
+    G = _group_argument(args.group)
     if args.subgroup:
         ambient = _subgroup_argument(G, args.subgroup)
         order = ambient.order
@@ -121,7 +119,7 @@ def _cmd_dim(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    G = _group_argument(args.group, args.cap)
+    G = _group_argument(args.group)
     if args.subgroup:
         P = _subgroup_argument(G, args.subgroup)
     else:
@@ -138,7 +136,7 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_envelope(args) -> int:
-    G = _group_argument(args.group, args.cap)
+    G = _group_argument(args.group)
     H = _subgroup_argument(G, args.subgroup)
     trace = build_envelope(G, H)
     print(f"group: {G.name} (order {G.order})")
@@ -163,7 +161,7 @@ def _cmd_envelope(args) -> int:
 
 
 def _cmd_fitting(args) -> int:
-    G = _group_argument(args.group, args.cap)
+    G = _group_argument(args.group)
     report = fitting(G)
     print(f"group: {G.name} (order {G.order})")
     print(f"fitting subgroup order: {report.fitting.order}")
@@ -177,7 +175,7 @@ def _cmd_fitting(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    G = _group_argument(args.group, args.cap)
+    G = _group_argument(args.group)
     phi = parse(read_text(args.formula))
     params = tuple(_indices(args.params))
     if free_variables(phi):
@@ -191,7 +189,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
-    G = _group_argument(args.group, args.cap)
+    G = _group_argument(args.group)
     if args.subgroup:
         ambient = _subgroup_argument(G, args.subgroup)
     else:
@@ -217,7 +215,7 @@ def _cmd_verify(args) -> int:
     # every SuiteConfig field is a verify option of the same dest; unset ones keep their defaults
     given = {f.name: getattr(args, f.name) for f in fields(SuiteConfig)}
     config = SuiteConfig(**{name: value for name, value in given.items() if value is not None})
-    extra = tuple(load_group(path, order_cap=args.cap) for path in args.group_file)
+    extra = tuple(load_group(path) for path in args.group_file)
     report = run_suites(config, extra_groups=extra)
     print(report.format_text())
     return 0 if report.ok else 1
@@ -226,31 +224,28 @@ def _cmd_verify(args) -> int:
 _GROUP = ("--group", dict(required=True, help="catalog spec like dihedral(4) or a path to a JSON group file"))
 _SUBGROUP_HELP = "JSON subgroup file or comma-separated element indices"
 _SUBGROUP = ("--subgroup", dict(help=_SUBGROUP_HELP))
-_CAP = ("--cap", dict(type=int, default=MAX_ORDER, help=_CAP_HELP))
 
 # name: (handler, help line, its options in order as (flag, add_argument keywords))
 _COMMANDS = {
-    "info": (_cmd_info, "Order, center, and nilpotence class of a group.", (_GROUP, _CAP)),
-    "dim": (_cmd_dim, "Centralizer dimension with a witness chain.", (_GROUP, _SUBGROUP, _CAP)),
-    "series": (_cmd_series, "Lower and upper central series.", (_GROUP, _SUBGROUP, _CAP)),
+    "info": (_cmd_info, "Order, center, and nilpotence class of a group.", (_GROUP,)),
+    "dim": (_cmd_dim, "Centralizer dimension with a witness chain.", (_GROUP, _SUBGROUP)),
+    "series": (_cmd_series, "Lower and upper central series.", (_GROUP, _SUBGROUP)),
     "envelope": (
         _cmd_envelope,
         "Definable envelope of a nilpotent subgroup.",
         (
             _GROUP,
             ("--subgroup", dict(required=True, help=_SUBGROUP_HELP)),
-            _CAP,
             ("--emit-formula", dict(action="store_true", help="also print the defining formula in concrete syntax")),
             ("--trace", dict(help="write the construction trace to this JSON file")),
         ),
     ),
-    "fitting": (_cmd_fitting, "Fitting subgroup computed three independent ways.", (_GROUP, _CAP)),
+    "fitting": (_cmd_fitting, "Fitting subgroup computed three independent ways.", (_GROUP,)),
     "eval": (
         _cmd_eval,
         "Evaluate a formula file over a group.",
         (
             _GROUP,
-            _CAP,
             ("--formula", dict(required=True, help="path to a formula in concrete syntax")),
             ("--params", dict(default="", help="comma-separated parameter element indices")),
         ),
@@ -258,7 +253,7 @@ _COMMANDS = {
     "lattice": (
         _cmd_lattice,
         "Centralizer lattice nodes and cover edges.",
-        (_GROUP, _SUBGROUP, _CAP, ("--dot", dict(action="store_true", help="emit DOT instead of text"))),
+        (_GROUP, _SUBGROUP, ("--dot", dict(action="store_true", help="emit DOT instead of text"))),
     ),
     "verify": (
         _cmd_verify,
@@ -271,7 +266,6 @@ _COMMANDS = {
                 dict(action="append", default=[], help="JSON group file to test alongside the catalog (repeatable)"),
             ),
             ("--seed", dict(type=int, default=0, help="suite sampling seed")),
-            _CAP,
             (
                 "--samples",
                 dict(

@@ -362,23 +362,20 @@ def envelope_of_normal(G: FiniteGroup, H: Subgroup) -> EnvelopeTrace:
 # -- Fitting subgroup ----------------------------------------------------
 
 
-def engel_iterate(G: FiniteGroup, g: int, x: int, max_steps: int | None = None) -> int | None:
+def engel_iterate(G: FiniteGroup, g: int, x: int) -> int | None:
     """Least i with [g, x, x, ..., x] (i copies of x) equal to the identity.
 
-    Returns None when the iteration cycles without reaching the identity,
-    or when it has not reached the identity after ``max_steps`` steps.  With
-    ``max_steps`` at least order(G), the default, None is definitive: within
-    order(G) steps the sequence either reaches the identity or repeats.
+    Returns None when the iteration cycles without reaching the identity.
+    None is definitive: within order(G) steps the sequence either reaches
+    the identity or repeats.
     """
     G._check_index(g)
     G._check_index(x)
-    if max_steps is None:
-        max_steps = G.order
     c = g
     if c == 0:
         return 0
     seen = {c}
-    for i in range(1, max_steps + 1):
+    for i in range(1, G.order + 1):
         c = G._comm(c, x)
         if c == 0:
             return i

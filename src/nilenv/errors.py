@@ -50,10 +50,6 @@ class CapExceededError(RuntimeError):
         self.partial = partial
 
 
-class WitnessBoundError(RuntimeError):
-    """Raised when a greedy witness search exceeds its length bound."""
-
-
 class InternalCheckError(RuntimeError):
     """Raised when two independent computations of the same quantity disagree.
 

@@ -38,11 +38,11 @@ from .errors import ArityMismatchError, FormulaSyntaxError, MalformedInputError
 from .groups import ElementSet, FiniteGroup, _vector_mask
 
 
-DEFAULT_WARN_BUDGET = 10**18
+WARN_BUDGET = 10**18
 
 
 class EvaluationCostWarning(RuntimeWarning):
-    """Issued when a formula's estimated evaluation cost exceeds the budget."""
+    """Issued when a formula's estimated evaluation cost exceeds ``WARN_BUDGET``."""
 
 
 # -- Syntax trees --------------------------------------------------------
@@ -239,11 +239,12 @@ def cost_estimate(formula: Formula, group: FiniteGroup) -> int:
 # formulas are 63 deep at (d, n) = (2, 4), 78 at (6, 4) and 91 at (2, 5).
 MAX_DEPTH = 150
 
-# one token per match, after optional whitespace: a parameter slot, an
-# identifier, the identity, a symbol, or any other character, an error.  An
-# identifier starts with a letter or "_"; the pattern also lets through a
-# leading digit that is not decimal, such as "²", which _tokenize refuses.
-_TOKEN = re.compile(r"\s*(?:(p\d+)|([^\W\d]\w*)|(1)|(\^-1|[()\[\],*=&|!])|(\S))")
+# one token per match, after optional whitespace: a parameter slot (ASCII
+# digits only), an identifier, the identity, a symbol, or any other
+# character, an error.  An identifier starts with a letter or "_"; the
+# pattern also lets through a leading digit that is not decimal, such as
+# "²", which _tokenize refuses.
+_TOKEN = re.compile(r"\s*(?:(p[0-9]+)|([^\W\d]\w*)|(1)|(\^-1|[()\[\],*=&|!])|(\S))")
 _KINDS = (None, "param", "ident", "one", "sym")
 
 
@@ -255,7 +256,10 @@ def _tokenize(text: str) -> list[tuple[str, str | int, int]]:
         value = match[group]
         at = match.start(group)
         if group == 1:
-            tokens.append(("param", int(value[1:]), at))
+            try:
+                tokens.append(("param", int(value[1:]), at))
+            except ValueError:  # past Python's limit on digits converted
+                raise FormulaSyntaxError("parameter slot has too many digits", at) from None
         elif group == 5 or (group == 2 and not (value[0].isalpha() or value[0] == "_")):
             raise FormulaSyntaxError(f"unexpected character {value[0]!r}", at)
         else:
@@ -575,7 +579,7 @@ class _Evaluator:
         return reduce(held, axis=have.index(var))
 
 
-def _prepare(shapes: _Shapes, shape: int, group: FiniteGroup, params, warn_budget: int) -> _Evaluator:
+def _prepare(shapes: _Shapes, shape: int, group: FiniteGroup, params) -> _Evaluator:
     """Check the parameters, then the cost budget; return the evaluator."""
     measures = shapes.measures[shape]
     params = tuple(params)
@@ -588,21 +592,16 @@ def _prepare(shapes: _Shapes, shape: int, group: FiniteGroup, params, warn_budge
         if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < group.order:
             raise MalformedInputError(f"parameter {value!r} is not an element index")
     cost = _cost(shapes, group)
-    if cost > warn_budget:
+    if cost > WARN_BUDGET:
         warnings.warn(
-            f"estimated evaluation cost {cost} exceeds budget {warn_budget}",
+            f"estimated evaluation cost {cost} exceeds budget {WARN_BUDGET}",
             EvaluationCostWarning,
             stacklevel=3,
         )
     return _Evaluator(group, params, shapes)
 
 
-def evaluate(
-    formula: Formula,
-    group: FiniteGroup,
-    params=(),
-    warn_budget: int = DEFAULT_WARN_BUDGET,
-) -> ElementSet:
+def evaluate(formula: Formula, group: FiniteGroup, params=()) -> ElementSet:
     """Solution set {g in G : formula(g, params)} in the free variable x.
 
     The formula may use the single free variable ``x`` (or none, in which
@@ -616,22 +615,17 @@ def evaluate(
     if fv and fv != ("x",):
         extra = ", ".join(sorted(set(fv) - {"x"}))
         raise MalformedInputError(f"unexpected free variables: {extra}")
-    holds = _prepare(shapes, shape, group, params, warn_budget).relation(formula, {})[0]
+    holds = _prepare(shapes, shape, group, params).relation(formula, {})[0]
     return ElementSet(group, _vector_mask(holds) if fv else group.full_mask if holds else 0)
 
 
-def sentence_holds(
-    formula: Formula,
-    group: FiniteGroup,
-    params=(),
-    warn_budget: int = DEFAULT_WARN_BUDGET,
-) -> bool:
+def sentence_holds(formula: Formula, group: FiniteGroup, params=()) -> bool:
     """Truth value of a closed formula (no free variables at all)."""
     shapes = _Shapes()
     shape, fv = shapes.of(formula)
     if fv:
         raise MalformedInputError(f"sentence has free variables: {', '.join(sorted(fv))}")
-    return bool(_prepare(shapes, shape, group, params, warn_budget).relation(formula, {})[0])
+    return bool(_prepare(shapes, shape, group, params).relation(formula, {})[0])
 
 
 # -- The uniform envelope formula ----------------------------------------

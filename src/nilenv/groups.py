@@ -64,19 +64,17 @@ def mask_of(indices) -> int:
     return mask
 
 
-def check_order(order: int, cap: int = MAX_ORDER, *, at_least: bool = False) -> None:
-    """Raise :class:`CapExceededError` if ``order`` exceeds ``min(cap, MAX_ORDER)``.
+def check_order(order: int, *, at_least: bool = False) -> None:
+    """Raise :class:`CapExceededError` if ``order`` exceeds ``MAX_ORDER``.
 
-    A caller's ``cap`` can lower the limit but not raise it.  With
-    ``at_least``, ``order`` is only a lower bound on the order, and
+    With ``at_least``, ``order`` is only a lower bound on the order, and
     ``partial`` is ``order - 1``: what an enumeration had found when it
     stopped one element past the limit.
     """
-    limit = min(cap, MAX_ORDER)
-    if order > limit:
+    if order > MAX_ORDER:
         what = f"at least {order}" if at_least else str(order)
         raise CapExceededError(
-            f"group order {what} exceeds cap {limit}", partial=order - 1 if at_least else order
+            f"group order {what} exceeds cap {MAX_ORDER}", partial=order - 1 if at_least else order
         )
 
 
@@ -185,20 +183,14 @@ class FiniteGroup:
                 reached |= step
 
     @classmethod
-    def from_permutations(
-        cls,
-        degree: int,
-        generators,
-        name: str = "G",
-        order_cap: int = MAX_ORDER,
-    ) -> FiniteGroup:
+    def from_permutations(cls, degree: int, generators, name: str = "G") -> FiniteGroup:
         """Build the group generated by permutations of 0..degree-1.
 
         Permutations compose left to right: (g * h) moves i to h[g[i]].
         Elements are numbered in breadth-first order from the identity, each
         new permutation p * s (s a generator) taking the next index.
         Enumeration stops with :class:`CapExceededError` as soon as the group
-        grows past ``min(order_cap, MAX_ORDER)`` (see :func:`check_order`).
+        grows past ``MAX_ORDER`` (see :func:`check_order`).
 
         The table is built from what the search saw, with no permutation
         arithmetic: the search records ``right[k, s]``, the index of
@@ -231,7 +223,7 @@ class FiniteGroup:
                     q = tuple(s[v] for v in p)
                     k = index.get(q)
                     if k is None:
-                        check_order(len(perms) + 1, order_cap, at_least=True)
+                        check_order(len(perms) + 1, at_least=True)
                         k = index[q] = len(perms)
                         parent.append(len(right))
                         perms.append(q)
@@ -448,10 +440,10 @@ class FiniteGroup:
             mask |= 1 << x
         return mask
 
-    def subgroup(self, elements, check: bool = True) -> Subgroup:
+    def subgroup(self, elements) -> Subgroup:
         """Wrap an iterable of element indices as a subgroup, validating it."""
         mask = self._index_mask(elements) | 1
-        if check and not is_subgroup_mask(self, mask):
+        if not is_subgroup_mask(self, mask):
             raise NotASubgroupError("set is not closed under products")
         return Subgroup(self, mask)
 
@@ -683,7 +675,7 @@ def group_to_dict(G: FiniteGroup) -> dict:
     return {"kind": "cayley", "name": G.name, "order": G.order, "table": G._array.tolist()}
 
 
-def group_from_dict(data: dict, order_cap: int = MAX_ORDER) -> FiniteGroup:
+def group_from_dict(data: dict) -> FiniteGroup:
     if not isinstance(data, dict) or "kind" not in data:
         raise MalformedInputError("group description must be a dict with a 'kind' key")
     kind = data["kind"]
@@ -693,16 +685,15 @@ def group_from_dict(data: dict, order_cap: int = MAX_ORDER) -> FiniteGroup:
     if kind == "cayley":
         if "table" not in data:
             raise MalformedInputError("cayley group description needs a 'table'")
-        table = data["table"]
-        if isinstance(table, (list, tuple)):
-            check_order(len(table), order_cap)
-        return FiniteGroup.from_cayley_table(table, name=name)
+        G = FiniteGroup.from_cayley_table(data["table"], name=name)
+        order = data.get("order", G.order)
+        if not _is_index(order) or order != G.order:
+            raise MalformedInputError(f"'order' {order!r} does not match the table's {G.order} rows")
+        return G
     if kind == "perm":
         if "degree" not in data or "generators" not in data:
             raise MalformedInputError("perm group description needs 'degree' and 'generators'")
-        return FiniteGroup.from_permutations(
-            data["degree"], _generator_list(data), name=name, order_cap=order_cap
-        )
+        return FiniteGroup.from_permutations(data["degree"], _generator_list(data), name=name)
     raise MalformedInputError(f"unknown group kind {kind!r}")
 
 
@@ -736,8 +727,8 @@ def read_json(path):
         raise MalformedInputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def load_group(path, order_cap: int = MAX_ORDER) -> FiniteGroup:
-    return group_from_dict(read_json(path), order_cap=order_cap)
+def load_group(path) -> FiniteGroup:
+    return group_from_dict(read_json(path))
 
 
 def save_group(G: FiniteGroup, path) -> None:

@@ -18,7 +18,7 @@ import math
 import random
 import re
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import Callable
 
@@ -80,6 +80,14 @@ class SuiteConfig:
     bryant_target: int = 10000
     nested_target: int = 5000
     envelope_samples: int = 24
+
+    def __post_init__(self) -> None:
+        # every int but the seed is a count or an order; a negative one would
+        # slice from the end or run nothing
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, int) and f.name != "seed" and value < 0:
+                raise MalformedInputError(f"{f.name} must be non-negative, not {value}")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from nilenv.centralizers import (
     greedy_witness,
     minimal_centralizer_above,
 )
-from nilenv.errors import CapExceededError, WitnessBoundError
+from nilenv.errors import CapExceededError
 from nilenv.groups import ElementSet, FiniteGroup, closure, mask_of
 
 
@@ -171,9 +171,6 @@ def test_greedy_witness_bound():
     whole = ElementSet(G, G.full_mask)
     wits = greedy_witness(whole)
     assert 1 <= len(wits) <= dimension(G)
-    with pytest.raises(WitnessBoundError):
-        greedy_witness(whole, bound=len(wits) - 1)
-    assert greedy_witness(whole, bound=len(wits)) == wits
 
 
 def test_greedy_witness_within():

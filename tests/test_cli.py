@@ -212,6 +212,7 @@ def test_verify_reduced(capsys):
         ("--suites", "", "suites", ALL_SUITES),
         ("--groups", "cyclic(2),quaternion", "groups", ("cyclic(2)", "quaternion")),
         ("--groups", "", "groups", DEFAULT_CATALOG),
+        ("--seed", "-3", "seed", -3),
     ],
 )
 def test_verify_flags_set_their_fields(monkeypatch, flag, value, field, expected):
@@ -225,6 +226,24 @@ def test_verify_flags_set_their_fields(monkeypatch, flag, value, field, expected
     assert main(["verify", flag, value]) == 0
     # the flag sets its own field and leaves every other at its default
     assert configs == [replace(SuiteConfig(), **{field: expected})]
+
+
+@pytest.mark.parametrize(
+    "flag, field",
+    [
+        ("--samples", "samples_per_group"),
+        ("--max-exhaustive-order", "max_exhaustive_order"),
+        ("--triples", "hallwitt_triples"),
+        ("--threesubgroup-target", "threesubgroup_target"),
+        ("--bryant-target", "bryant_target"),
+        ("--nested-target", "nested_target"),
+        ("--envelope-samples", "envelope_samples"),
+    ],
+)
+def test_verify_refuses_negative_counts(capsys, flag, field):
+    code, out, err = run(capsys, "verify", "--groups", "cyclic(2)", flag, "-1")
+    assert code == 2 and out == ""
+    assert err == f"error: {field} must be non-negative, not -1\n"
 
 
 def test_verify_group_file(capsys, tmp_path):
@@ -316,14 +335,6 @@ def test_invalid_subgroup_json_exits_2(capsys, tmp_path):
     assert "not valid JSON" in err
 
 
-def test_order_cap_on_loaded_file_exits_2(capsys, tmp_path):
-    path = tmp_path / "s4.json"
-    save_group(from_spec("symmetric(4)"), path)
-    code, _, err = run(capsys, "info", "--group", str(path), "--cap", "10")
-    assert code == 2
-    assert err.startswith("error:")
-
-
 @pytest.mark.parametrize("argv", [("dim",), ("lattice",), ("envelope", "--subgroup", "1")], ids=" ".join)
 def test_centralizer_lattice_limit_exits_2(capsys, tmp_path, argv):
     path = tmp_path / "extraspecial.json"
@@ -334,14 +345,21 @@ def test_centralizer_lattice_limit_exits_2(capsys, tmp_path, argv):
 
 
 def test_order_cap_on_loaded_cayley_table_exits_2(capsys, tmp_path):
-    path = tmp_path / "d8.json"
-    save_group(from_spec("dihedral(8)"), path)
-    assert json.loads(path.read_text())["kind"] == "cayley"
-    code, out, err = run(capsys, "info", "--group", str(path), "--cap", "10")
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"kind": "cayley", "table": [[0]] * 2049}), encoding="utf-8")
+    code, out, err = run(capsys, "info", "--group", str(path))
     assert code == 2 and out == ""
-    assert err.startswith("error:") and "exceeds cap 10" in err
-    code, _, _ = run(capsys, "info", "--group", str(path), "--cap", "16")
-    assert code == 0
+    assert err == "error: group order 2049 exceeds cap 2048\n"
+
+
+@pytest.mark.parametrize("name", _COMMANDS)
+def test_cap_is_not_an_option(capsys, name):
+    required = {"envelope": ["--subgroup", "1"], "eval": ["--formula", "phi.txt"]}
+    group = [] if name == "verify" else ["--group", "dihedral(4)"]
+    with pytest.raises(SystemExit) as exc:
+        main([name, *group, *required.get(name, []), "--cap", "10"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap 10" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -353,7 +371,7 @@ def test_order_cap_on_loaded_cayley_table_exits_2(capsys, tmp_path):
         ("info", "--group", "dihedral(1025)"),
         ("info", "--group", "unitriangular(13)"),
         ("verify", "--groups", "symmetric(7)"),
-        ("info", "--group", "S7_FILE", "--cap", "100000"),
+        ("info", "--group", "S7_FILE"),
     ],
     ids=" ".join,
 )
@@ -481,6 +499,43 @@ _PERM = {"kind": "perm", "degree": 3}
 def test_malformed_input_files_exit_2(capsys, tmp_path, argv, content, message):
     path = tmp_path / "input"
     path.write_bytes(content)
+    code, out, err = run(capsys, *(str(path) if a == "FILE" else a for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err
+
+
+_NINES = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, formula, message",
+    [
+        (("info", "--group", "cyclic(²)"), None, "cyclic(...) needs an integer argument"),
+        (("info", "--group", "cyclic(١٢)"), None, "cyclic(...) needs an integer argument"),
+        (("info", "--group", f"cyclic({_NINES})"), None, "argument at position 7 has too many digits"),
+        (("dim", "--group", "symmetric(4)", "--subgroup", "1_0"), None, "'1_0' is not an element index"),
+        (("dim", "--group", "symmetric(4)", "--subgroup", "+1"), None, "'+1' is not an element index"),
+        (("dim", "--group", "symmetric(4)", "--subgroup", "1,١"), None, "'١' is not an element index"),
+        (("dim", "--group", "symmetric(4)", "--subgroup", f"1, {_NINES}"), None, "index at position 3 has too many digits"),
+        (("eval", "--group", "cyclic(4)", "--formula", "FILE", "--params", "0,1,2,3"), "x = p٣", "free variables: p٣"),
+        (("eval", "--group", "cyclic(4)", "--formula", "FILE"), f"x = p{_NINES}", "too many digits (at position 4)"),
+    ],
+    ids=[
+        "spec-superscript",
+        "spec-arabic-indic",
+        "spec-5000-digits",
+        "index-underscore",
+        "index-plus",
+        "index-arabic-indic",
+        "index-5000-digits",
+        "param-arabic-indic",
+        "param-5000-digits",
+    ],
+)
+def test_decimal_integers_are_ascii_and_exact(capsys, tmp_path, argv, formula, message):
+    path = tmp_path / "phi.txt"
+    if formula is not None:
+        path.write_text(formula, encoding="utf-8")
     code, out, err = run(capsys, *(str(path) if a == "FILE" else a for a in argv))
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and message in err

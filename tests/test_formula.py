@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nilenv.formula as formula_module
-from nilenv.catalog import alternating, dihedral, from_spec, quaternion, symmetric, unitriangular
+from nilenv.catalog import alternating, cyclic, dihedral, from_spec, quaternion, symmetric, unitriangular
 from nilenv.centralizers import dimension
 from nilenv.envelope import build_envelope, padded_parameters
 from nilenv.errors import ArityMismatchError, FormulaSyntaxError, MalformedInputError
@@ -159,9 +159,12 @@ def test_parse_refuses_formulas_deeper_than_max_depth(text_of_depth):
 
 def test_tokens_outside_ascii():
     # identifiers start with a letter or "_" and go on with letters, digits
-    # and "_"; a parameter slot is "p" and decimal digits of any script
-    assert parse("é*p٣ = x²_1") == Eq(Mul(Var("é"), Param(3)), Var("x²_1"))
+    # and "_"; a parameter slot is "p" and ASCII digits, so "p٣" and "p²"
+    # are identifiers
+    assert parse("é*p٣ = x²_1") == Eq(Mul(Var("é"), Var("p٣")), Var("x²_1"))
     assert parse("p² = 1") == Eq(Var("p²"), One())
+    with pytest.raises(FormulaSyntaxError, match=r"unexpected character '٣' \(at position 2\)"):
+        parse("p3٣ = 1")
     for text in ("x = ²", "x = 2", "x = ٣"):
         with pytest.raises(FormulaSyntaxError) as excinfo:
             parse(text)
@@ -576,11 +579,19 @@ def test_cost_estimate_sums_shapes():
     assert cost_estimate(envelope_formula(2, 4), dihedral(16)) < 10**6
 
 
-def test_cost_warning():
+def test_cost_warning(monkeypatch):
+    C = cyclic(2048)
+    assert cost_estimate(dimension_sentence(4), C) < formula_module.WARN_BUDGET
+    assert cost_estimate(dimension_sentence(5), C) > formula_module.WARN_BUDGET == 10**18
+    # the warning comes before any evaluation, so an error filter stops it there
+    monkeypatch.setattr(formula_module, "_Evaluator", None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", EvaluationCostWarning)
+        with pytest.raises(EvaluationCostWarning, match="exceeds budget 1000000000000000000$"):
+            evaluate(dimension_sentence(5), C)
+    monkeypatch.undo()
     G = symmetric(3)
     tree = parse("A y (x*y = y*x)")
-    with pytest.warns(EvaluationCostWarning):
-        evaluate(tree, G, warn_budget=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         evaluate(tree, G)

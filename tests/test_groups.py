@@ -341,9 +341,10 @@ def test_permutation_group_construction():
 
 
 def test_permutation_order_cap():
-    with pytest.raises(CapExceededError) as excinfo:
-        FiniteGroup.from_permutations(4, [[1, 0, 2, 3], [1, 2, 3, 0]], order_cap=10)
-    assert excinfo.value.partial == 10
+    # symmetric(7) has order 5040: the search stops one element past MAX_ORDER
+    with pytest.raises(CapExceededError, match=r"^group order at least 2049 exceeds cap 2048$") as excinfo:
+        FiniteGroup.from_permutations(7, [[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0]])
+    assert excinfo.value.partial == 2048
 
 
 def test_catalog_refuses_orders_above_the_limit_before_building():
@@ -473,7 +474,6 @@ def test_subgroup_validation():
     three_cycle = next(g for g in range(6) if element_order(G, g) == 3)
     with pytest.raises(NotASubgroupError):
         G.subgroup([0, three_cycle])
-    assert G.subgroup([0, three_cycle], check=False).order == 2
 
 
 def test_subgroups_read_an_iterator_once():
@@ -599,6 +599,13 @@ def test_group_dict_rejects_junk():
         group_from_dict({"kind": "perm", "degree": 3, "generators": 5})
     with pytest.raises(MalformedInputError, match="group name must be a string"):
         group_from_dict({"kind": "cayley", "name": [1], "table": [[0]]})
+    # a Cayley file's order, when given, is an int equal to the table's length
+    for order in (7, 1, "2", 2.0, None):
+        with pytest.raises(MalformedInputError, match="does not match the table's 2 rows"):
+            group_from_dict({"kind": "cayley", "order": order, "table": [[0, 1], [1, 0]]})
+    with pytest.raises(MalformedInputError, match="'order' True does not match"):
+        group_from_dict({"kind": "cayley", "order": True, "table": [[0]]})
+    assert group_from_dict({"kind": "cayley", "order": 2, "table": [[0, 1], [1, 0]]}).order == 2
 
 
 def test_group_file_round_trip(tmp_path):
