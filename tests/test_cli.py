@@ -335,6 +335,18 @@ def test_invalid_subgroup_json_exits_2(capsys, tmp_path):
     assert "not valid JSON" in err
 
 
+def test_order_cap_on_loaded_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "s4.json"
+    save_group(from_spec("symmetric(4)"), path)
+    code, _, err = run(capsys, "info", "--group", str(path))
+    assert code == 0 and err == ""
+    a7 = {"kind": "perm", "name": "a7", "degree": 7, "generators": [[1, 2, 0, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0]]}
+    path.write_text(json.dumps(a7), encoding="utf-8")
+    code, out, err = run(capsys, "info", "--group", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: group order at least 2049 exceeds cap 2048\n"
+
+
 @pytest.mark.parametrize("argv", [("dim",), ("lattice",), ("envelope", "--subgroup", "1")], ids=" ".join)
 def test_centralizer_lattice_limit_exits_2(capsys, tmp_path, argv):
     path = tmp_path / "extraspecial.json"
@@ -372,6 +384,7 @@ def test_cap_is_not_an_option(capsys, name):
         ("info", "--group", "unitriangular(13)"),
         ("verify", "--groups", "symmetric(7)"),
         ("info", "--group", "S7_FILE"),
+        ("info", "--group", "S7_FILE", "--cap", "100000"),
     ],
     ids=" ".join,
 )
@@ -379,7 +392,16 @@ def test_groups_over_the_order_limit_exit_2(capsys, tmp_path, argv):
     path = tmp_path / "s7.json"
     s7 = {"kind": "perm", "name": "s7", "degree": 7, "generators": [[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0]]}
     path.write_text(json.dumps(s7), encoding="utf-8")
-    code, out, err = run(capsys, *(str(path) if a == "S7_FILE" else a for a in argv))
+    argv = [str(path) if a == "S7_FILE" else a for a in argv]
+    if "--cap" in argv:
+        # No option raises the fixed limit: the parser refuses --cap before the file is read.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "unrecognized arguments: --cap 100000" in captured.err
+        return
+    code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "exceeds cap 2048" in err
 
