@@ -184,12 +184,11 @@ def c_dimension(lattice: CentralizerLattice) -> ChainReport:
 def dimension(ambient) -> int:
     """The centralizer dimension of a group or subgroup, memoized."""
     G, amb = _ambient_pair(ambient)
-    key = ("dimension", amb)
-    cached = G._memo.get(key)
-    if cached is None:
-        cached = c_dimension(centralizer_lattice(ambient)).length
-        G._memo[key] = cached
-    return cached
+    return G.memo(("dimension", amb), _dimension, ambient)
+
+
+def _dimension(ambient) -> int:
+    return c_dimension(centralizer_lattice(ambient)).length
 
 
 def greedy_witness(subset: ElementSet, within: Subgroup | None = None) -> tuple[int, ...]:

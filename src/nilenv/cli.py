@@ -25,34 +25,13 @@ from dataclasses import fields
 from .catalog import from_spec
 from .centralizers import c_dimension, centralizer_lattice
 from .envelope import build_envelope, fitting, trace_to_dict
-from .errors import (
-    ArityMismatchError,
-    CapExceededError,
-    FormulaSyntaxError,
-    HypothesisError,
-    MalformedInputError,
-    NotASubgroupError,
-    NotNilpotentError,
-    NotNormalError,
-    ParentMismatchError,
-)
+from .errors import InputError, MalformedInputError
 from .formula import emit_envelope_formula, evaluate, format_formula, free_variables, parse, sentence_holds
 from .groups import FiniteGroup, Subgroup, load_group, read_json, read_text, subgroup_from_dict
 from .series import lower_central_series, nilpotence_class, upper_central_series
 from .suites import ALL_SUITES, SuiteConfig, run_suites
 
-_KNOWN_ERRORS = (
-    ArityMismatchError,
-    CapExceededError,
-    FormulaSyntaxError,
-    HypothesisError,
-    MalformedInputError,
-    NotASubgroupError,
-    NotNilpotentError,
-    NotNormalError,
-    ParentMismatchError,
-    OSError,
-)
+_KNOWN_ERRORS = (InputError, OSError)
 
 
 def _group_argument(token: str) -> FiniteGroup:
@@ -62,12 +41,16 @@ def _group_argument(token: str) -> FiniteGroup:
     return from_spec(token)
 
 
+def _is_decimal(text: str) -> bool:
+    """Whether ``text`` is ASCII decimal digits: int() also reads "1_0", "+1" and other scripts' digits."""
+    return text.isascii() and text.isdigit()
+
+
 def _indices(text: str) -> list[int]:
     out = []
     for match in re.finditer(r"[^,\s][^,]*", text):
         part = match[0].rstrip()
-        # ASCII decimal only: int() also reads "1_0", "+1" and other scripts' digits
-        if not (part.isascii() and part.isdigit()):
+        if not _is_decimal(part):
             raise MalformedInputError(f"{part!r} is not an element index")
         try:
             out.append(int(part))
@@ -211,10 +194,21 @@ def _names(text: str) -> tuple[str, ...] | None:
     return tuple(s.strip() for s in text.split(",") if s.strip()) if text else None
 
 
+def _verify_number(text: str, name: str) -> int:
+    """A ``verify`` option's number: ASCII decimal digits after an optional "-"."""
+    if not _is_decimal(text.removeprefix("-")):
+        raise MalformedInputError(f"{name} must be a decimal integer, not {text!r}")
+    try:
+        return int(text)
+    except ValueError:  # past Python's limit on digits converted
+        raise MalformedInputError(f"{name} has too many digits") from None
+
+
 def _cmd_verify(args) -> int:
-    # every SuiteConfig field is a verify option of the same dest; unset ones keep their defaults
-    given = {f.name: getattr(args, f.name) for f in fields(SuiteConfig)}
-    config = SuiteConfig(**{name: value for name, value in given.items() if value is not None})
+    # every SuiteConfig field is a verify option of the same dest; unset ones
+    # keep their defaults, and the numbers arrive as text
+    given = ((f.name, getattr(args, f.name)) for f in fields(SuiteConfig))
+    config = SuiteConfig(**{k: _verify_number(v, k) if isinstance(v, str) else v for k, v in given if v is not None})
     extra = tuple(load_group(path) for path in args.group_file)
     report = run_suites(config, extra_groups=extra)
     print(report.format_text())
@@ -265,22 +259,17 @@ _COMMANDS = {
                 "--group-file",
                 dict(action="append", default=[], help="JSON group file to test alongside the catalog (repeatable)"),
             ),
-            ("--seed", dict(type=int, default=0, help="suite sampling seed")),
+            ("--seed", dict(help="suite sampling seed")),
             (
                 "--samples",
-                dict(
-                    type=int,
-                    dest="samples_per_group",
-                    metavar="SAMPLES",
-                    help="random subsets per group for sampled suites",
-                ),
+                dict(dest="samples_per_group", metavar="SAMPLES", help="random subsets per group for sampled suites"),
             ),
-            ("--max-exhaustive-order", dict(type=int, help="largest order for exhaustive subgroup enumeration")),
-            ("--triples", dict(type=int, dest="hallwitt_triples", metavar="TRIPLES", help="Hall-Witt triples per group")),
-            ("--threesubgroup-target", dict(type=int, help="three-subgroup quadruple quota")),
-            ("--bryant-target", dict(type=int, help="centralizer transfer sample quota")),
-            ("--nested-target", dict(type=int, help="nested tower sample quota")),
-            ("--envelope-samples", dict(type=int, help="sampled subgroups per non-exhaustive group")),
+            ("--max-exhaustive-order", dict(help="largest order for exhaustive subgroup enumeration")),
+            ("--triples", dict(dest="hallwitt_triples", metavar="TRIPLES", help="Hall-Witt triples per group")),
+            ("--threesubgroup-target", dict(help="three-subgroup quadruple quota")),
+            ("--bryant-target", dict(help="centralizer transfer sample quota")),
+            ("--nested-target", dict(help="nested tower sample quota")),
+            ("--envelope-samples", dict(help="sampled subgroups per non-exhaustive group")),
         ),
     ),
 }

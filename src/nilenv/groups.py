@@ -346,7 +346,26 @@ class FiniteGroup:
             flags[self._pair_values(op, x_idx, p_idx)] = True
         return _vector_mask(flags)
 
-    # -- masks ----------------------------------------------------------
+    # -- memo and masks -------------------------------------------------
+
+    def memo(self, key: tuple, build, *args):
+        """The value memoized under ``key``, or ``build(*args)`` stored there once.
+
+        Every result memoized on a group goes through here, keyed by a
+        tuple that starts with its family, such as ``("closure", seedmask)``.
+        A value, ``None`` included, is built once and shared by every caller:
+        callers must not mutate it, and a memoized subgroup's generators
+        depend only on its members.  The one exception is the tower entry,
+        which ``iterated_centralizer`` extends in place.  Element centralizers
+        stay a list indexed by element: a seed-0 ``verify`` looks up about
+        297,000 of them, and indexing a list is the cheapest lookup.
+        """
+        try:
+            return self._memo[key]
+        except KeyError:
+            pass
+        value = self._memo[key] = build(*args)
+        return value
 
     def element_centralizer_mask(self, g: int) -> int:
         """Mask of all x with x * g == g * x."""
@@ -356,28 +375,28 @@ class FiniteGroup:
         return cached
 
     def center_mask(self) -> int:
-        cached = self._memo.get("center")
-        if cached is None:
-            cached = self.full_mask
-            for g in range(self.order):
-                cached &= self.element_centralizer_mask(g)
-                if cached == 1:
-                    break
-            self._memo["center"] = cached
-        return cached
+        return self.memo(("center",), self._center_mask)
+
+    def _center_mask(self) -> int:
+        center = self.full_mask
+        for g in range(self.order):
+            center &= self.element_centralizer_mask(g)
+            if center == 1:
+                break
+        return center
 
     def conjugacy_classes(self) -> tuple[int, ...]:
         """Masks of the conjugacy classes, in order of their least element."""
-        cached = self._memo.get("classes")
-        if cached is None:
-            cached, seen = [], 0
-            while seen != self.full_mask:
-                least = ~seen & (seen + 1)
-                cls = self._image("conj", self.full_mask, least)
-                cached.append(cls)
-                seen |= cls
-            cached = self._memo["classes"] = tuple(cached)
-        return cached
+        return self.memo(("classes",), self._conjugacy_classes)
+
+    def _conjugacy_classes(self) -> tuple[int, ...]:
+        classes, seen = [], 0
+        while seen != self.full_mask:
+            least = ~seen & (seen + 1)
+            cls = self._image("conj", self.full_mask, least)
+            classes.append(cls)
+            seen |= cls
+        return tuple(classes)
 
     def centralizer_mask(self, setmask: int, within: int | None = None) -> int:
         """Mask of elements of ``within`` commuting with everything in ``setmask``."""
@@ -388,12 +407,7 @@ class FiniteGroup:
 
     def normalizer_mask(self, mask: int) -> int:
         """Mask of all g with (mask conjugated by g) == mask."""
-        key = ("norm", mask)
-        cached = self._memo.get(key)
-        if cached is None:
-            cached = self._select("conj", self.full_mask, mask, mask)
-            self._memo[key] = cached
-        return cached
+        return self.memo(("norm", mask), self._select, "conj", self.full_mask, mask, mask)
 
     def conjugate_mask(self, mask: int, g: int) -> int:
         return self._image("conj", 1 << g, mask)
@@ -406,29 +420,28 @@ class FiniteGroup:
         subgroup is the union of right cosets of H found from r = 1 by adding
         H*(r*g) for each representative r and generator g with r*g uncovered.
         """
-        key = ("closure", seedmask)
-        cached = self._memo.get(key)
-        if cached is None:
-            T = self._rows
-            cached = 1
-            elems = [0]
-            gens = []
-            for s in iter_mask(seedmask):
-                if cached >> s & 1:
-                    continue
-                gens.append(s)
-                old = elems[:]
-                reps = [0]
-                for r in reps:
-                    for g in gens:
-                        y = T[r][g]
-                        if not cached >> y & 1:
-                            reps.append(y)
-                            coset = [T[h][y] for h in old]
-                            elems += coset
-                            cached |= mask_of(coset)
-            self._memo[key] = cached
-        return cached
+        return self.memo(("closure", seedmask), self._closure_mask, seedmask)
+
+    def _closure_mask(self, seedmask: int) -> int:
+        T = self._rows
+        mask = 1
+        elems = [0]
+        gens = []
+        for s in iter_mask(seedmask):
+            if mask >> s & 1:
+                continue
+            gens.append(s)
+            old = elems[:]
+            reps = [0]
+            for r in reps:
+                for g in gens:
+                    y = T[r][g]
+                    if not mask >> y & 1:
+                        reps.append(y)
+                        coset = [T[h][y] for h in old]
+                        elems += coset
+                        mask |= mask_of(coset)
+        return mask
 
     # -- subgroup conveniences -------------------------------------------
 
@@ -573,30 +586,29 @@ def commutator_subgroup(first: ElementSet, second: ElementSet) -> Subgroup:
     Course in the Theory of Groups, 5.1.7).  It is found from the subgroups'
     generators: close those commutators, then conjugate by X and Y and close
     again until nothing changes.  Other sets take the closure of the image
-    of all pairs.  The result is memoized per pair of masks and shared by
-    every call: callers must not mutate it, and its generators depend only
-    on its members.
+    of all pairs.  The result is memoized per pair of masks.
     """
     if first.parent is not second.parent:
         raise ParentMismatchError("commutator of sets in different groups")
-    G = first.parent
     a_mask, b_mask = first.members, second.members
     key = ("commsub", min(a_mask, b_mask), max(a_mask, b_mask))
-    cached = G._memo.get(key)
-    if cached is None:
-        if isinstance(first, Subgroup) and isinstance(second, Subgroup):
-            xs, ys = first.generators, second.generators
-            mask = G.closure_mask(mask_of(G._comm(x, y) for x in xs for y in ys))
-            conjugators = mask_of(xs + ys)
-            while True:
-                grown = G._image("conj", conjugators, mask)
-                if grown & ~mask == 0:
-                    break
-                mask = G.closure_mask(mask | grown)
-        else:
-            mask = G.closure_mask(G._image("comm", a_mask, b_mask))
-        cached = G._memo[key] = Subgroup(G, mask)
-    return cached
+    return first.parent.memo(key, _commutator_subgroup, first, second)
+
+
+def _commutator_subgroup(first: ElementSet, second: ElementSet) -> Subgroup:
+    G = first.parent
+    if isinstance(first, Subgroup) and isinstance(second, Subgroup):
+        xs, ys = first.generators, second.generators
+        mask = G.closure_mask(mask_of(G._comm(x, y) for x in xs for y in ys))
+        conjugators = mask_of(xs + ys)
+        while True:
+            grown = G._image("conj", conjugators, mask)
+            if grown & ~mask == 0:
+                break
+            mask = G.closure_mask(mask | grown)
+    else:
+        mask = G.closure_mask(G._image("comm", first.members, second.members))
+    return Subgroup(G, mask)
 
 
 def normalizer(subset: ElementSet) -> Subgroup:
@@ -604,18 +616,9 @@ def normalizer(subset: ElementSet) -> Subgroup:
 
 
 def normal_closure(parent: FiniteGroup, g: int) -> Subgroup:
-    """The smallest normal subgroup containing g.
-
-    The result is memoized per g and shared by every call: callers must not
-    mutate it, and its generators depend only on its members.
-    """
+    """The smallest normal subgroup containing g."""
     parent._check_index(g)
-    key = ("ncl", g)
-    cached = parent._memo.get(key)
-    if cached is None:
-        mask = parent.closure_mask(parent._image("conj", parent.full_mask, 1 << g))
-        cached = parent._memo[key] = Subgroup(parent, mask)
-    return cached
+    return Subgroup(parent, parent.closure_mask(parent._image("conj", parent.full_mask, 1 << g)))
 
 
 def product_set(first: Subgroup, second: Subgroup) -> Subgroup:

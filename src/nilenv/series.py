@@ -33,71 +33,65 @@ class CentralSeries:
 
 
 def lower_central_series(P: Subgroup) -> CentralSeries:
-    """The series P = gamma_1 >= gamma_2 >= ..., stopped at stabilization.
+    """The series P = gamma_1 >= gamma_2 >= ..., stopped at stabilization, memoized per P."""
+    return P.parent.memo(("lcs", P.members), _lower_central_series, P)
 
-    The series is memoized per P and shared by every call: callers must not
-    mutate it, and the generators of its terms depend only on their members.
-    """
+
+def _lower_central_series(P: Subgroup) -> CentralSeries:
     G = P.parent
-    key = ("lcs", P.members)
-    series = G._memo.get(key)
-    if series is None:
-        terms = [Subgroup(G, P.members)]
-        while len(terms) <= G.order:
-            nxt = commutator_subgroup(terms[-1], P)
-            if nxt.members == terms[-1].members:
-                break
-            terms.append(nxt)
-        cls = len(terms) - 1 if terms[-1].members == 1 else None
-        series = G._memo[key] = CentralSeries("lower", tuple(terms), cls)
-    return series
+    terms = [Subgroup(G, P.members)]
+    while len(terms) <= G.order:
+        nxt = commutator_subgroup(terms[-1], P)
+        if nxt.members == terms[-1].members:
+            break
+        terms.append(nxt)
+    cls = len(terms) - 1 if terms[-1].members == 1 else None
+    return CentralSeries("lower", tuple(terms), cls)
 
 
 def upper_central_series(P: Subgroup) -> CentralSeries:
-    """The series 1 = Z_0 <= Z_1 <= ... of P, stopped at stabilization.
+    """The series 1 = Z_0 <= Z_1 <= ... of P, stopped at stabilization, memoized per P.
 
     Z_(i+1) is the set of x in P with [x, g] in Z_i for every generator g
     of P.  That suffices because Z_i is normal in P: x Z_i is central in
     P / Z_i exactly when it commutes with the images of P's generators.
-    The series is memoized per P and shared by every call: callers must not
-    mutate it, and the generators of its terms depend only on their members.
     """
+    return P.parent.memo(("ucs", P.members), _upper_central_series, P)
+
+
+def _upper_central_series(P: Subgroup) -> CentralSeries:
     G = P.parent
-    key = ("ucs", P.members)
-    series = G._memo.get(key)
-    if series is None:
-        gens = mask_of(P.generators)
-        masks = [1]
-        while len(masks) <= G.order + 1:
-            prev = masks[-1]
-            if prev == P.members:
-                break
-            nxt = G._select("comm", P.members, gens, prev)
-            if nxt == prev:
-                break
-            masks.append(nxt)
-        cls = len(masks) - 1 if masks[-1] == P.members else None
-        series = G._memo[key] = CentralSeries("upper", tuple(Subgroup(G, m) for m in masks), cls)
-    return series
+    gens = mask_of(P.generators)
+    masks = [1]
+    while len(masks) <= G.order + 1:
+        prev = masks[-1]
+        if prev == P.members:
+            break
+        nxt = G._select("comm", P.members, gens, prev)
+        if nxt == prev:
+            break
+        masks.append(nxt)
+    cls = len(masks) - 1 if masks[-1] == P.members else None
+    return CentralSeries("upper", tuple(Subgroup(G, m) for m in masks), cls)
 
 
 def nilpotence_class(P: Subgroup) -> int | None:
-    """Nilpotence class of P, or None when P is not nilpotent.
+    """Nilpotence class of P, or None when P is not nilpotent, memoized per P.
 
     Computed from both central series and cross-checked; a disagreement
     raises :class:`InternalCheckError`.
     """
-    G = P.parent
-    key = ("nilclass", P.members)
-    if key not in G._memo:
-        by_lower = lower_central_series(P).nilpotence_class
-        by_upper = upper_central_series(P).nilpotence_class
-        if by_lower != by_upper:
-            raise InternalCheckError(
-                f"central series disagree on nilpotence class: {by_lower} vs {by_upper}"
-            )
-        G._memo[key] = by_lower
-    return G._memo[key]
+    return P.parent.memo(("nilclass", P.members), _nilpotence_class, P)
+
+
+def _nilpotence_class(P: Subgroup) -> int | None:
+    by_lower = lower_central_series(P).nilpotence_class
+    by_upper = upper_central_series(P).nilpotence_class
+    if by_lower != by_upper:
+        raise InternalCheckError(
+            f"central series disagree on nilpotence class: {by_lower} vs {by_upper}"
+        )
+    return by_lower
 
 
 @dataclass(frozen=True)
@@ -115,9 +109,8 @@ def iterated_centralizer(ambient, base: Subgroup, n: int) -> IteratedCentralizer
     Level m is computed literally: elements of the intersection of the
     ambient normalizers of all lower terms whose commutator with every
     element of ``base`` lies in level m-1.  Each term is verified to be a
-    subgroup.  The terms are memoized per (ambient, base) and shared by every
-    call: callers must not mutate them, and their generators depend only on
-    their members.
+    subgroup.  The terms are memoized per (ambient, base) in one entry,
+    ``[terms, normalizer intersection]``, which a longer tower extends.
     """
     G, amb = _ambient_pair(ambient)
     if base.parent is not G:
@@ -127,8 +120,7 @@ def iterated_centralizer(ambient, base: Subgroup, n: int) -> IteratedCentralizer
     if n < 0:
         raise HypothesisError("tower level must be nonnegative")
 
-    key = ("tower", amb, base.members)
-    terms, norm_inter = G._memo.get(key) or ((Subgroup(G, 1),), amb)
+    terms, norm_inter = state = G.memo(("tower", amb, base.members), _tower_root, G, amb)
     if len(terms) <= n:
         terms = list(terms)
         while len(terms) <= n:
@@ -138,11 +130,16 @@ def iterated_centralizer(ambient, base: Subgroup, n: int) -> IteratedCentralizer
             if not is_subgroup_mask(G, level):
                 raise InternalCheckError("iterated centralizer level is not a subgroup")
             terms.append(Subgroup(G, level))
-        terms = tuple(terms)
-        G._memo[key] = (terms, norm_inter)
+        terms = state[0] = tuple(terms)
+        state[1] = norm_inter
 
     amb_sub = ambient if isinstance(ambient, Subgroup) else G.as_subgroup()
     return IteratedCentralizerTower(amb_sub, base, terms[: n + 1])
+
+
+def _tower_root(G, amb: int) -> list:
+    """A tower's memo entry before level 1: the trivial term, and the ambient."""
+    return [(Subgroup(G, 1),), amb]
 
 
 def _series_term(terms, i: int):

@@ -193,40 +193,37 @@ def all_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
     N(H)-orbit of cyclic subgroups is read off one gather of the labels of
     the conjugates c^n.
     """
-    key = ("allsubs",)
-    got = G._memo.get(key)
-    if got is None:
-        cyc_gen, cyc_mask, cyc_label = _cyclic_subgroups(G)
-        conjugators = G.as_subgroup().generators
-        T, inv = G._array, G._inv_array
-        found = {1}
-        reps = [1]
-        for H in reps:
-            outside = ~_bool_vector(H, G.order)[cyc_gen]
-            if not outside.any():
+    return G.memo(("allsubs",), _all_subgroups, G)
+
+
+def _all_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
+    cyc_gen, cyc_mask, cyc_label = _cyclic_subgroups(G)
+    conjugators = G.as_subgroup().generators
+    T, inv = G._array, G._inv_array
+    found = {1}
+    reps = [1]
+    for H in reps:
+        outside = ~_bool_vector(H, G.order)[cyc_gen]
+        if not outside.any():
+            continue
+        N = np.flatnonzero(_bool_vector(G.normalizer_mask(H), G.order))
+        # orbits[i, c] is the label of <cyc_gen[c]^n> for the i-th n in N(H)
+        orbits = cyc_label[T[T[inv[N][:, None], cyc_gen], N[:, None]]]
+        least = orbits.min(axis=0) == np.arange(len(cyc_gen))
+        for c in np.flatnonzero(least & outside):
+            J = G.closure_mask(H | cyc_mask[c])
+            if J in found:
                 continue
-            N = np.flatnonzero(_bool_vector(G.normalizer_mask(H), G.order))
-            # orbits[i, c] is the label of <cyc_gen[c]^n> for the i-th n in N(H)
-            orbits = cyc_label[T[T[inv[N][:, None], cyc_gen], N[:, None]]]
-            least = orbits.min(axis=0) == np.arange(len(cyc_gen))
-            for c in np.flatnonzero(least & outside):
-                J = G.closure_mask(H | cyc_mask[c])
-                if J in found:
-                    continue
-                reps.append(J)
-                found.add(J)
-                orbit = [J]
-                for K in orbit:
-                    for g in conjugators:
-                        L = G.conjugate_mask(K, g)
-                        if L not in found:
-                            found.add(L)
-                            orbit.append(L)
-        got = tuple(
-            Subgroup(G, m) for m in sorted(found, key=lambda m: (m.bit_count(), m))
-        )
-        G._memo[key] = got
-    return got
+            reps.append(J)
+            found.add(J)
+            orbit = [J]
+            for K in orbit:
+                for g in conjugators:
+                    L = G.conjugate_mask(K, g)
+                    if L not in found:
+                        found.add(L)
+                        orbit.append(L)
+    return tuple(Subgroup(G, m) for m in sorted(found, key=lambda m: (m.bit_count(), m)))
 
 
 def sample_subgroups(G: FiniteGroup, count: int, seed: int) -> list[Subgroup]:
@@ -364,18 +361,11 @@ def _check(kind: str, label: str, subgroups: tuple[str, ...] = ()):
 
 def _trace(G: FiniteGroup, sub: Subgroup):
     # memoized: the five envelope checks and the formula check share one trace
-    key = ("suite-trace", sub.members)
-    got = G._memo.get(key)
-    if got is None:
-        got = G._memo[key] = build_envelope(G, sub)
-    return got
+    return G.memo(("suite-trace", sub.members), build_envelope, G, sub)
 
 
 def _fitting(G: FiniteGroup):
-    got = G._memo.get(("suite-fitting",))
-    if got is None:
-        got = G._memo[("suite-fitting",)] = fitting(G)
-    return got
+    return G.memo(("suite-fitting",), fitting, G)
 
 
 @_check("hallwitt", "commutator identity product is not the identity")

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import pytest
 from test_centralizers import extraspecial_2_1_8
 
+from nilenv import errors
 from nilenv.catalog import DEFAULT_CATALOG, cyclic, from_spec
 from nilenv.cli import _COMMANDS, _KNOWN_ERRORS, _build_parser, main
 from nilenv.formula import parse
@@ -527,6 +528,7 @@ def test_malformed_input_files_exit_2(capsys, tmp_path, argv, content, message):
 
 
 _NINES = "9" * 5000
+_VERIFY = ("verify", "--groups", "cyclic(2)", "--suites", "hallwitt")
 
 
 @pytest.mark.parametrize(
@@ -541,6 +543,12 @@ _NINES = "9" * 5000
         (("dim", "--group", "symmetric(4)", "--subgroup", f"1, {_NINES}"), None, "index at position 3 has too many digits"),
         (("eval", "--group", "cyclic(4)", "--formula", "FILE", "--params", "0,1,2,3"), "x = p٣", "free variables: p٣"),
         (("eval", "--group", "cyclic(4)", "--formula", "FILE"), f"x = p{_NINES}", "too many digits (at position 4)"),
+        (_VERIFY + ("--triples", "1_0"), None, "hallwitt_triples must be a decimal integer, not '1_0'"),
+        (_VERIFY + ("--triples", "١٢"), None, "hallwitt_triples must be a decimal integer, not '١٢'"),
+        (_VERIFY + ("--triples", _NINES), None, "hallwitt_triples has too many digits"),
+        (_VERIFY + ("--seed", "1_0"), None, "seed must be a decimal integer, not '1_0'"),
+        (_VERIFY + ("--seed", "١٢"), None, "seed must be a decimal integer, not '١٢'"),
+        (_VERIFY + ("--seed", _NINES), None, "seed has too many digits"),
     ],
     ids=[
         "spec-superscript",
@@ -552,6 +560,12 @@ _NINES = "9" * 5000
         "index-5000-digits",
         "param-arabic-indic",
         "param-5000-digits",
+        "count-underscore",
+        "count-arabic-indic",
+        "count-5000-digits",
+        "seed-underscore",
+        "seed-arabic-indic",
+        "seed-5000-digits",
     ],
 )
 def test_decimal_integers_are_ascii_and_exact(capsys, tmp_path, argv, formula, message):
@@ -561,3 +575,30 @@ def test_decimal_integers_are_ascii_and_exact(capsys, tmp_path, argv, formula, m
     code, out, err = run(capsys, *(str(path) if a == "FILE" else a for a in argv))
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and message in err
+
+
+def _nested_spec(levels: int) -> str:
+    """A spec of the trivial group holding ``levels`` brackets open at once."""
+    return "product(cyclic(1)," * (levels - 1) + "cyclic(1)" + ")" * (levels - 1)
+
+
+def test_specs_nest_at_most_150_levels(capsys):
+    code, out, err = run(capsys, "info", "--group", _nested_spec(150))
+    assert code == 0 and err == "" and "order: 1" in out
+    # the first factor of the 150th product opens the 151st bracket, at 149 * 18 + 14
+    code, out, err = run(capsys, "info", "--group", _nested_spec(151))
+    assert (code, out) == (2, "")
+    assert err == "error: group spec nested deeper than 150 levels at position 2696\n"
+    code, out, err = run(capsys, "info", "--group", "product(" * 1200)
+    assert (code, out) == (2, "")
+    assert err == "error: group spec nested deeper than 150 levels at position 1207\n"
+
+
+def test_every_error_but_internal_check_is_an_input_error():
+    classes = [v for v in vars(errors).values() if isinstance(v, type) and issubclass(v, Exception)]
+    assert errors.InternalCheckError in classes
+    for cls in classes:
+        assert issubclass(cls, errors.InputError) == (cls is not errors.InternalCheckError), cls
+        # each keeps its builtin base
+        assert cls is errors.InputError or issubclass(cls, (ValueError, RuntimeError)), cls
+    assert _KNOWN_ERRORS == (errors.InputError, OSError)

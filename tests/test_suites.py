@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 from functools import partial
 from types import SimpleNamespace
@@ -188,6 +189,34 @@ def conjugacy_class_count(G, masks) -> int:
                     orbit.append(c)
     assert seen == set(masks)
     return classes
+
+
+class _CountingMemo(dict):
+    """A memo dict that counts the writes to each key."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = Counter()
+
+    def __setitem__(self, key, value):
+        self.writes[key] += 1
+        super().__setitem__(key, value)
+
+
+def test_suites_write_each_memo_key_once():
+    groups = (symmetric(3), dihedral(4), symmetric(4))
+    for G in groups:
+        G._memo = _CountingMemo()
+    report = run_suites(replace(SMALL_CONFIG, groups=()), extra_groups=groups)
+    assert report.ok
+    for G in groups:
+        writes = G._memo.writes
+        # every entry was stored by item assignment, under a tuple led by its family
+        assert set(writes) == set(G._memo)
+        assert all(isinstance(key, tuple) and isinstance(key[0], str) for key in writes)
+        # a longer tower extends its entry in place instead of storing it again
+        assert any(key[0] == "tower" for key in writes)
+        assert [key for key, count in writes.items() if count != 1] == []
 
 
 def test_all_subgroups_memo_is_bounded_by_classes_times_cyclic_subgroups():
