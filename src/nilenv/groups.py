@@ -639,29 +639,34 @@ def product_set(first: Subgroup, second: Subgroup) -> Subgroup:
     return out
 
 
-def hall_witt_products(G: FiniteGroup, x: int, y: int, z: int) -> tuple[int, int]:
+def hall_witt_products(G: FiniteGroup, x, y, z):
     """Both Hall-Witt triple products; each equals the identity in any group.
 
     The first is [x, y^-1, z]^y * [y, z^-1, x]^z * [z, x^-1, y]^x and the
     second is [x, y, z^x] * [z, x, y^z] * [y, z, x^y], where [a, b, c] means
-    [[a, b], c].
+    [[a, b], c].  ``x``, ``y`` and ``z`` are element indices, or equal-length
+    integer arrays giving two arrays of products, row by row; an array call
+    raises the scalar call's error for its first bad row.
     """
-    for a in (x, y, z):
-        G._check_index(a)
-    inv, comm, conj, mul = G._inv, G._comm, G._conj, G._mul
-
-    def triple(a, b, c):
-        return comm(comm(a, b), c)
-
-    first = mul(
-        mul(conj(triple(x, inv(y), z), y), conj(triple(y, inv(z), x), z)),
-        conj(triple(z, inv(x), y), x),
-    )
-    second = mul(
-        mul(triple(x, y, conj(z, x)), triple(z, x, conj(y, z))),
-        triple(y, z, conj(x, y)),
-    )
-    return first, second
+    scalar = not isinstance(x, np.ndarray)
+    cols = (x, y, z) if scalar else np.atleast_1d(x, y, z)
+    if scalar or any(c.dtype.kind not in "iu" or ((c < 0) | (c >= G.order)).any() for c in cols):
+        rows = [cols] if scalar else zip(*(c.tolist() for c in cols))
+        for entry in (e for row in rows for e in row):
+            G._check_index(entry)
+    x, y, z = cols if scalar else np.stack(cols).astype(np.intp)
+    T, inv = G._array, G._inv_array  # [g, h] = (hg)^-1 gh and g^h = h^-1 gh
+    s, t = [], []
+    for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+        u = v = a
+        for h in (inv[b], c):  # u = [a, b^-1, c]
+            u = T[inv[T[h, u]], T[u, h]]
+        for h in (b, T[T[inv[a], c], a]):  # v = [a, b, c^a]
+            v = T[inv[T[h, v]], T[v, h]]
+        s.append(T[T[inv[b], u], b])  # u^b, a factor of the first product
+        t.append(v)  # a factor of the second
+    first, second = T[T[s[0], s[1]], s[2]], T[T[t[0], t[2]], t[1]]
+    return (int(first), int(second)) if scalar else (first, second)
 
 
 # -- serialization ------------------------------------------------------

@@ -339,21 +339,24 @@ class Check:
     others are ints, strings or element lists, stored as they are.
     ``params`` are the parameters of ``fn`` after the group: replay accepts
     exactly those payload fields and requires the ones without a default.
+    A ``block`` check takes one (m, k) array, a row per instance, and returns
+    m booleans; it must not raise :class:`InternalCheckError`.
     """
 
     fn: Callable[..., bool | None]
     label: str
     subgroups: tuple[str, ...] = ()
     params: tuple[inspect.Parameter, ...] = ()
+    block: bool = False
 
 
 CHECKS: dict[str, Check] = {}
 
 
-def _check(kind: str, label: str, subgroups: tuple[str, ...] = ()):
+def _check(kind: str, label: str, subgroups: tuple[str, ...] = (), block: bool = False):
     def register(fn):
         params = tuple(inspect.signature(fn).parameters.values())[1:]
-        CHECKS[kind] = Check(fn, label, subgroups, params)
+        CHECKS[kind] = Check(fn, label, subgroups, params, block)
         return fn
 
     return register
@@ -368,9 +371,10 @@ def _fitting(G: FiniteGroup):
     return G.memo(("suite-fitting",), fitting, G)
 
 
-@_check("hallwitt", "commutator identity product is not the identity")
+@_check("hallwitt", "commutator identity product is not the identity", block=True)
 def _hallwitt(G, triple):
-    return hall_witt_products(G, *triple) == (0, 0)
+    first, second = hall_witt_products(G, *triple.T)
+    return (first == 0) & (second == 0)
 
 
 @_check("threesubgroup", "conclusion fails despite both hypotheses", ("k", "l", "m", "n"))
@@ -529,6 +533,15 @@ class _Tally:
             self.fail(label, {"kind": kind, **{k: _encode(v) for k, v in args.items()}})
         return ok
 
+    def check_rows(self, kind: str, **block) -> np.ndarray:
+        """Run a block check on its one (m, k) array; each row counts as one check."""
+        ((key, rows),) = block.items()
+        ok = CHECKS[kind].fn(self.group, **block)
+        self.passes += int(np.count_nonzero(ok))
+        for row in rows[~ok].tolist():
+            self.fail(CHECKS[kind].label.format(**{key: row}), {"kind": kind, key: row})
+        return ok
+
     def fail(self, label: str, payload: dict) -> None:
         payload["group"] = self.label
         if self.digest is not None:
@@ -536,10 +549,14 @@ class _Tally:
         self.failures.append(Failure(self.suite, self.label, label, payload))
 
 
+_HALLWITT_CHUNK = 1024  # triples per draw and per block: memory is bounded for any count
+
+
 def _suite_hallwitt(ctx: GroupContext, config: SuiteConfig, run: _Tally):
-    rng = _rng_for(config, "hallwitt", ctx.label)
-    for _ in range(config.hallwitt_triples):
-        run.check("hallwitt", triple=[rng.randrange(ctx.group.order) for _ in range(3)])
+    rng, n = _rng_for(config, "hallwitt", ctx.label), ctx.group.order
+    for start in range(0, config.hallwitt_triples, _HALLWITT_CHUNK):
+        m = min(_HALLWITT_CHUNK, config.hallwitt_triples - start)
+        run.check_rows("hallwitt", triple=np.reshape(rng.choices(range(n), k=3 * m), (m, 3)))
 
 
 # the payload fields of a quota failure, in order
@@ -858,4 +875,7 @@ def replay_failure(
         ctx = GroupContext(payload["group"], G, seeded, payload.get("digest"))
         outcome = _run_task(args["suite"], ctx, seeded, args["quota"])
         return any(f.payload["kind"] == "quota" for f in outcome.failures)
-    return _Tally(failure.suite, payload["group"], G).check(kind, **args) is False
+    tally = _Tally(failure.suite, payload["group"], G)
+    if CHECKS[kind].block:
+        return not tally.check_rows(kind, **{k: np.array([v]) for k, v in args.items()})[0]
+    return tally.check(kind, **args) is False

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import itertools
 import random
 import re
 import tracemalloc
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from nilenv import groups
 from nilenv.catalog import (
+    DEFAULT_CATALOG,
     alternating,
     cyclic,
     dihedral,
@@ -548,6 +550,57 @@ def test_hall_witt_products_vanish():
             x, y, z = (rng.randrange(G.order) for _ in range(3))
             assert hall_witt_products(G, x, y, z) == (0, 0)
     assert hall_witt_products(symmetric(3), 0, 0, 0) == (0, 0)
+
+
+def _hall_witt_rows(G, triples):
+    """The array call on (m, 3) ``triples``, as a list of (first, second) rows."""
+    first, second = hall_witt_products(G, *np.asarray(triples).T)
+    assert first.shape == second.shape == (len(triples),)
+    return list(zip(first.tolist(), second.tolist()))
+
+
+@pytest.mark.parametrize("spec", DEFAULT_CATALOG)
+def test_hall_witt_array_call_matches_scalar_calls(spec):
+    G = from_spec(spec)
+    if G.order <= 24:
+        triples = list(itertools.product(range(G.order), repeat=3))
+    else:
+        rng = random.Random(f"hall-witt-array:{spec}")
+        triples = [tuple(rng.choices(range(G.order), k=3)) for _ in range(2000)]
+    rows = _hall_witt_rows(G, triples)
+    assert rows == [hall_witt_products(G, *t) for t in triples]
+    assert set(rows) == {(0, 0)}
+
+
+def test_hall_witt_array_call_on_empty_arrays():
+    empty = np.array([], dtype=np.int64)
+    first, second = hall_witt_products(symmetric(3), empty, empty, empty)
+    assert first.shape == second.shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [2, 3, -1, 4, 99],
+        [2, 3, 6, 4, -1],
+        np.array([2, 3, True, 4, 7.5], dtype=object),
+        np.array([True, False, True, False, True]),
+        np.array([2.0, 3.0, 1.0, 4.0, 0.5]),
+    ],
+    ids=["negative", "order", "bool", "bool-array", "float"],
+)
+def test_hall_witt_array_call_names_the_first_bad_entry(bad):
+    G = symmetric(3)
+    good = np.array([1, 2, 3, 4, 5])
+    # the bad column comes second, and a later row of x is bad as well
+    x = np.array([1, 2, 3, 99, 5])
+    with pytest.raises(MalformedInputError) as scalar:
+        for row in zip(x.tolist(), np.asarray(bad).tolist(), good.tolist()):
+            hall_witt_products(G, *row)
+    with pytest.raises(MalformedInputError) as array:
+        hall_witt_products(G, x, np.asarray(bad), good)
+    assert str(array.value) == str(scalar.value)
+    assert "is not an element index of symmetric(3)" in str(array.value)
 
 
 def test_element_set_behavior():

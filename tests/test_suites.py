@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 from collections import Counter
@@ -10,13 +11,14 @@ from dataclasses import replace
 from functools import partial
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import nilenv.suites as suites
 from nilenv.catalog import DEFAULT_CATALOG, dihedral, from_spec, symmetric
 from nilenv.errors import MalformedInputError
 from nilenv.formula import envelope_formula, format_formula
-from nilenv.groups import FiniteGroup, Subgroup, group_from_dict, group_to_dict
+from nilenv.groups import FiniteGroup, Subgroup, group_from_dict, group_to_dict, hall_witt_products
 from nilenv.suites import (
     ALL_SUITES,
     CHECKS,
@@ -539,15 +541,27 @@ def _hashable(args):
     )
 
 
-def _wrap_checks(monkeypatch, calls, fail=frozenset()):
-    """Record every registered check call as (kind, args); fail the kinds in ``fail``."""
+def _wrap_checks(monkeypatch, calls, fail=frozenset(), fail_rows=frozenset()):
+    """Record every registered check call as (kind, args); fail the kinds in ``fail``.
+
+    A block check records one call per row, and also fails each row whose
+    tuple is in ``fail_rows``.
+    """
     for kind, check in list(CHECKS.items()):
 
         def fn(G, _kind=kind, _real=check.fn, **args):
             calls.append((_kind, _hashable(args)))
             return False if _kind in fail else _real(G, **args)
 
-        monkeypatch.setitem(CHECKS, kind, replace(check, fn=fn))
+        def block_fn(G, _kind=kind, _real=check.fn, **block):
+            ((key, rows),) = block.items()
+            ok = _real(G, **block)
+            for i, row in enumerate(rows.tolist()):
+                calls.append((_kind, _hashable({key: row})))
+                ok[i] &= _kind not in fail and tuple(row) not in fail_rows
+            return ok
+
+        monkeypatch.setitem(CHECKS, kind, replace(check, fn=block_fn if check.block else fn))
 
 
 @pytest.fixture(scope="module")
@@ -597,3 +611,98 @@ def test_failure_on_extra_group_replays_by_digest(monkeypatch):
     for groups in ((), (impostor,)):
         with pytest.raises(MalformedInputError, match="extra groups"):
             replay_failure(failure, extra_groups=groups)
+
+
+def _drawn_triples(calls):
+    return [json.loads(args[0][1]) for kind, args in calls if kind == "hallwitt"]
+
+
+_CHUNK = suites._HALLWITT_CHUNK
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[0], [_CHUNK // 2], [_CHUNK - 1], [_CHUNK], [_CHUNK - 1, _CHUNK]],
+    ids=["first", "middle", "chunk-last", "next-chunk-first", "chunk-boundary"],
+)
+def test_injected_hallwitt_failures_report_their_own_triples(rows, monkeypatch):
+    config = replace(SMALL_CONFIG, groups=("symmetric(5)",), suites=("hallwitt",))
+    config = replace(config, max_exhaustive_order=1, hallwitt_triples=_CHUNK + 5)
+    contexts = build_contexts(config)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        _wrap_checks(mp, calls)
+        assert not run_suite("hallwitt", contexts, config)[0].failures
+    drawn = _drawn_triples(calls)
+    assert len(drawn) == _CHUNK + 5
+    picked = [drawn[r] for r in rows]
+    assert all(drawn.count(t) == 1 for t in picked)
+    del calls[:]
+    with pytest.MonkeyPatch.context() as mp:
+        _wrap_checks(mp, calls, fail_rows={tuple(t) for t in picked})
+        (outcome,) = run_suite("hallwitt", contexts, config)
+        assert _drawn_triples(calls) == drawn
+        assert outcome.passes == _CHUNK + 5 - len(rows)
+        assert [f.payload for f in outcome.failures] == [
+            {"kind": "hallwitt", "triple": t, "group": "symmetric(5)"} for t in picked
+        ]
+        for failure, triple in zip(outcome.failures, picked):
+            del calls[:]
+            # replay runs the registered block function on a one-row block
+            assert replay_failure(failure, config) is True
+            assert _drawn_triples(calls) == [triple]
+    for failure in outcome.failures:
+        assert replay_failure(failure, config) is False
+
+
+# a loop (a quasigroup with identity) that is not associative; its rows are not
+# a group table, so it is built with the bare constructor, which skips validation
+_LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+def test_hallwitt_check_reports_every_failing_triple_of_a_loop(monkeypatch):
+    loop = FiniteGroup("loop5", "cayley", np.array(_LOOP5, dtype=np.int16))
+    every = itertools.product(range(5), repeat=3)
+    assert sum(hall_witt_products(loop, *t) != (0, 0) for t in every) == 60
+    triples = _CHUNK + 300
+    config = SuiteConfig(groups=(), suites=("hallwitt",), hallwitt_triples=triples)
+    run = suites._Tally("hallwitt", "loop5", loop, group_digest(loop))
+    calls = []
+    _wrap_checks(monkeypatch, calls)
+    # a bare context: GroupContext's subgroup lattice assumes associativity
+    suites._suite_hallwitt(SimpleNamespace(label="loop5", group=loop), config, run)
+    drawn = _drawn_triples(calls)
+    assert len(drawn) == triples
+    bad = [t for t in drawn if hall_witt_products(loop, *t) != (0, 0)]
+    assert 0 < len(bad) < triples
+    assert [f.payload["triple"] for f in run.failures] == bad
+    assert run.passes == triples - len(bad)
+    assert all(f.payload["digest"] == group_digest(loop) for f in run.failures)
+    assert all(replay_failure(f, extra_groups=(loop,)) for f in run.failures)
+
+
+@pytest.mark.parametrize(
+    "spec, chunks, extra",
+    [("symmetric(3)", 0, 0), ("cyclic(1)", 0, 7), ("cyclic(1)", 1, 0), ("symmetric(3)", 3, 1)],
+)
+def test_hallwitt_draws_each_group_in_chunks(spec, chunks, extra, monkeypatch):
+    triples = chunks * _CHUNK + extra
+    blocks = []
+    check = CHECKS["hallwitt"]
+
+    def recorded(G, triple):
+        blocks.append(triple.copy())
+        return check.fn(G, triple)
+
+    monkeypatch.setitem(CHECKS, "hallwitt", replace(check, fn=recorded))
+    config = SuiteConfig(groups=(spec,), suites=("hallwitt",), hallwitt_triples=triples)
+    (outcome,) = run_suites(config).outcomes
+    assert (outcome.passes, outcome.failures) == (triples, ())
+    assert [b.shape for b in blocks] == [(_CHUNK, 3)] * chunks + [(extra, 3)] * (extra > 0)
+    if spec == "cyclic(1)":
+        assert all((b == 0).all() for b in blocks)
+    # the same config draws the same triples
+    first = blocks[:]
+    del blocks[:]
+    run_suites(config)
+    assert len(blocks) == len(first) and all((a == b).all() for a, b in zip(blocks, first))
