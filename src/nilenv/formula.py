@@ -601,6 +601,12 @@ def _prepare(shapes: _Shapes, shape: int, group: FiniteGroup, params) -> _Evalua
     return _Evaluator(group, params, shapes)
 
 
+def _shape_pass(formula: Formula) -> tuple[Formula, _Shapes, int, tuple[str, ...]]:
+    """The ``("shapes", id(formula))`` memo entry; it holds the formula, so the id stays its own."""
+    shapes = _Shapes()
+    return (formula, shapes, *shapes.of(formula))
+
+
 def evaluate(formula: Formula, group: FiniteGroup, params=()) -> ElementSet:
     """Solution set {g in G : formula(g, params)} in the free variable x.
 
@@ -610,8 +616,7 @@ def evaluate(formula: Formula, group: FiniteGroup, params=()) -> ElementSet:
     """
     if not isinstance(formula, (Eq, And, Or, Not, ForAll, Exists)):
         raise MalformedInputError(f"not a formula: {formula!r}")
-    shapes = _Shapes()
-    shape, fv = shapes.of(formula)
+    _, shapes, shape, fv = group.memo(("shapes", id(formula)), _shape_pass, formula)
     if fv and fv != ("x",):
         extra = ", ".join(sorted(set(fv) - {"x"}))
         raise MalformedInputError(f"unexpected free variables: {extra}")
@@ -621,8 +626,7 @@ def evaluate(formula: Formula, group: FiniteGroup, params=()) -> ElementSet:
 
 def sentence_holds(formula: Formula, group: FiniteGroup, params=()) -> bool:
     """Truth value of a closed formula (no free variables at all)."""
-    shapes = _Shapes()
-    shape, fv = shapes.of(formula)
+    _, shapes, shape, fv = group.memo(("shapes", id(formula)), _shape_pass, formula)
     if fv:
         raise MalformedInputError(f"sentence has free variables: {', '.join(sorted(fv))}")
     return bool(_prepare(shapes, shape, group, params).relation(formula, {})[0])

@@ -493,6 +493,12 @@ def _encode(value):
     return list(value.generators) if isinstance(value, Subgroup) else value
 
 
+def _instance_key(value):
+    if isinstance(value, Subgroup):
+        return value.members
+    return tuple(value) if isinstance(value, list) else value
+
+
 # -- Suites ----------------------------------------------------------------
 
 
@@ -514,18 +520,24 @@ class _Tally:
         self.quota = quota
         self.passes = 0
         self.failures: list[Failure] = []
+        self.outcomes: dict[tuple, tuple[bool | None, str]] = {}
 
     def check(self, kind: str, **args) -> bool | None:
         """Run one registered check; count a pass, or record a replayable failure.
 
         Returns the check's outcome; an :class:`InternalCheckError` raised
-        inside is a failure, with its message appended to the label.
+        inside is a failure, with its message appended to the label.  The
+        checks are deterministic, so an instance already checked in this task
+        reuses its outcome: a repeat counts its pass again, records its
+        failure again with the same label and payload, or returns None again.
         """
-        detail = ""
-        try:
-            ok = CHECKS[kind].fn(self.group, **args)
-        except InternalCheckError as err:
-            ok, detail = False, f": {err}"
+        key = (kind, *args, *map(_instance_key, args.values()))
+        if key not in self.outcomes:
+            try:
+                self.outcomes[key] = (CHECKS[kind].fn(self.group, **args), "")
+            except InternalCheckError as err:
+                self.outcomes[key] = (False, f": {err}")
+        ok, detail = self.outcomes[key]
         if ok:
             self.passes += 1
         elif ok is not None:
@@ -569,7 +581,9 @@ def _sample_to_quota(ctx: GroupContext, config: SuiteConfig, run: _Tally, draw):
     ``draw(ctx, rng)`` returns the arguments of the suite's check.  Instances
     whose hypotheses fail are skipped; after 60 draws per unit of quota the
     shortfall is reported as one "quota" failure.  Groups without a quota
-    (too large for the suite) are skipped entirely.
+    (too large for the suite) are skipped entirely.  Draws repeat instances;
+    a repeat reuses its first outcome (see :meth:`_Tally.check`) and still
+    counts as a draw, and as a hit when its hypotheses hold.
     """
     quota = run.quota
     if quota is None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -350,6 +351,62 @@ def test_evaluate_centralizer_formula():
         for _ in range(8):
             p = rng.randrange(G.order)
             assert evaluate(tree, G, (p,)).members == G.element_centralizer_mask(p)
+
+
+def _count_shape_passes(monkeypatch) -> list:
+    passes = []
+    init = formula_module._Shapes.__init__
+
+    def counting(self):
+        passes.append(self)
+        init(self)
+
+    monkeypatch.setattr(formula_module._Shapes, "__init__", counting)
+    return passes
+
+
+def test_one_shape_pass_per_formula_and_group(monkeypatch):
+    passes = _count_shape_passes(monkeypatch)
+    G = symmetric(4)
+    tree = parse("x*p0 = p0*x")
+    first = evaluate(tree, G, (5,)).members
+    assert evaluate(tree, G, (5,)).members == first
+    assert evaluate(tree, G, (7,)).members == G.element_centralizer_mask(7)
+    assert len(passes) == 1
+    # another group makes its own pass
+    evaluate(tree, dihedral(4), (1,))
+    assert len(passes) == 2
+
+
+def test_sentence_holds_shares_the_shape_pass(monkeypatch):
+    passes = _count_shape_passes(monkeypatch)
+    G = quaternion()
+    tree = parse("E x (!(x = 1) & x*x = 1)")
+    assert evaluate(tree, G).members == G.full_mask
+    assert sentence_holds(tree, G)
+    assert sentence_holds(tree, G)
+    assert len(passes) == 1
+
+
+def test_equal_formulas_keep_their_own_shape_passes():
+    G = symmetric(4)
+    texts = ["x*p0 = p0*x", "E y (x = y*y*p0)", "A y (x*y*p0 = p0*y*x)"]
+    first, second = parse(texts[0]), parse(texts[0])
+    assert first == second and first is not second
+    dropped = []
+    for p in (3, 11):
+        fresh = symmetric(4)  # an empty memo: a fresh shape pass
+        want = {text: evaluate(parse(text), fresh, (p,)).members for text in texts}
+        # alternate with other formulas, each parsed afresh and dropped after use
+        for text, tree in ((texts[0], first), (texts[1], None), (texts[0], second), (texts[2], None)) * 2:
+            tree = tree or parse(text)
+            assert evaluate(tree, G, (p,)).members == want[text]
+            dropped.append(weakref.ref(tree))
+        del tree
+    assert G._memo[("shapes", id(first))][0] is first
+    assert G._memo[("shapes", id(second))][0] is second
+    # each entry holds its formula, so no later formula can take over its id
+    assert all(ref() is not None for ref in dropped)
 
 
 def test_variable_and_parameter_validation():

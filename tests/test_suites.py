@@ -16,7 +16,7 @@ import pytest
 
 import nilenv.suites as suites
 from nilenv.catalog import DEFAULT_CATALOG, dihedral, from_spec, symmetric
-from nilenv.errors import MalformedInputError
+from nilenv.errors import InternalCheckError, MalformedInputError
 from nilenv.formula import envelope_formula, format_formula
 from nilenv.groups import FiniteGroup, Subgroup, group_from_dict, group_to_dict, hall_witt_products
 from nilenv.suites import (
@@ -611,6 +611,116 @@ def test_failure_on_extra_group_replays_by_digest(monkeypatch):
     for groups in ((), (impostor,)):
         with pytest.raises(MalformedInputError, match="extra groups"):
             replay_failure(failure, extra_groups=groups)
+
+
+_QUOTA_KINDS = ("bryant", "nested", "threesubgroup")
+
+
+def _record_draws(monkeypatch, kind, drawn):
+    """Record every instance the quota suite ``kind`` draws, as (key, args)."""
+    draw = suites._SUITE_FUNCS[kind].keywords["draw"]
+
+    def recording(ctx, rng):
+        args = draw(ctx, rng)
+        drawn.append((_hashable(args), args))
+        return args
+
+    monkeypatch.setitem(suites._SUITE_FUNCS, kind, partial(suites._sample_to_quota, draw=recording))
+
+
+def _count_checks(monkeypatch, kind, calls, forced):
+    """Count each run of ``kind``'s check by instance key; ``forced`` decides its outcome."""
+    check = CHECKS[kind]
+
+    def fn(G, **args):
+        key = _hashable(args)
+        calls[key] += 1
+        return forced(key, lambda: check.fn(G, **args))
+
+    monkeypatch.setitem(CHECKS, kind, replace(check, fn=fn))
+
+
+def _quota_run(kind, monkeypatch, forced=lambda key, real: real()):
+    """One quota task of ``kind`` on symmetric(3): its outcome, draws and check runs."""
+    config = replace(SMALL_CONFIG, groups=("symmetric(3)",), suites=(kind,))
+    drawn, calls = [], Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        _record_draws(mp, kind, drawn)
+        _count_checks(mp, kind, calls, forced)
+        (outcome,) = run_suites(config).outcomes
+    return outcome, drawn, calls
+
+
+def _keys(drawn):
+    return [key for key, _ in drawn]
+
+
+@pytest.mark.parametrize("kind", _QUOTA_KINDS)
+def test_repeated_instances_reuse_their_outcome(kind, monkeypatch):
+    G = from_spec("symmetric(3)")
+    outcome, drawn, calls = _quota_run(kind, monkeypatch)
+    draws = Counter(_keys(drawn))
+    # the check runs once per distinct instance, and there are repeats
+    assert calls == Counter(dict.fromkeys(draws, 1))
+    assert sum(calls.values()) < len(drawn)
+    # every draw counts as the full check of its instance would
+    outcomes = {key: CHECKS[kind].fn(G, **args) for key, args in drawn}
+    assert outcome.failures == ()
+    assert outcome.passes == sum(outcomes[key] is True for key, _ in drawn) == 60
+
+    # a failure forced on the instance drawn most often is recorded per draw
+    target = max((k for k in draws if outcomes[k] is True), key=draws.__getitem__)
+    times = draws[target]
+    assert times > 1
+    args = next(a for k, a in drawn if k == target)
+    label = CHECKS[kind].label.format(**args)
+    failed, again, calls = _quota_run(
+        kind, monkeypatch, lambda key, real: False if key == target else real()
+    )
+    assert _keys(again) == _keys(drawn) and calls[target] == 1
+    assert failed.passes == 60 - times
+    assert len(failed.failures) == times
+    assert {(f.label, f.payload_text()) for f in failed.failures} == {
+        (label, failed.failures[0].payload_text())
+    }
+    assert replay_failure(failed.failures[0]) is False
+
+    # so is an InternalCheckError, with its message on every record
+    def raising(key, real):
+        if key == target:
+            raise InternalCheckError("forced")
+        return real()
+
+    failed, again, calls = _quota_run(kind, monkeypatch, raising)
+    assert _keys(again) == _keys(drawn) and calls[target] == 1
+    assert [f.label for f in failed.failures] == [f"{label}: forced"] * times
+
+
+@pytest.mark.parametrize("kind", _QUOTA_KINDS)
+def test_quota_shortfall_counts_every_repeated_draw(kind, monkeypatch):
+    # no instance meets its hypotheses: all 60 * 60 draws are made
+    outcome, drawn, calls = _quota_run(kind, monkeypatch, lambda key, real: None)
+    assert len(drawn) == 3600 and sum(calls.values()) == len(calls) < 3600
+    (failure,) = outcome.failures
+    assert failure.payload["achieved"] == 0 and failure.payload["attempts"] == 3600
+    # one instance, drawn a few times, does: each of its draws is a hit
+    draws = Counter(_keys(drawn))
+    target = min((k for k, n in draws.items() if n > 1), key=lambda k: (draws[k], k))
+    outcome, again, calls = _quota_run(
+        kind, monkeypatch, lambda key, real: True if key == target else None
+    )
+    assert _keys(again) == _keys(drawn) and sum(calls.values()) == len(calls)
+    (failure,) = outcome.failures
+    assert outcome.passes == draws[target] < 60
+    assert failure.payload == {
+        "kind": "quota",
+        "suite": kind,
+        "quota": 60,
+        "achieved": draws[target],
+        "attempts": 3600,
+        "seed": 0,
+        "group": "symmetric(3)",
+    }
 
 
 def _drawn_triples(calls):
