@@ -14,13 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import MalformedInputError
-from .groups import FiniteGroup, check_order
-
-# The most brackets a spec may hold open at once, as formula.MAX_DEPTH for
-# formulas: the parser recurses once per nested product(...).  Importing
-# formula here would change the import order, which alone raised the
-# formula-deep benchmark's peak RSS by about 0.7 MB.
-MAX_SPEC_DEPTH = 150
+from .groups import MAX_DEPTH, FiniteGroup, check_order
 
 
 def cyclic(n: int) -> FiniteGroup:
@@ -157,8 +151,8 @@ def _parse_spec(text: str, pos: int, depth: int = 1) -> tuple[FiniteGroup, int]:
 
     if pos >= len(text) or text[pos] != "(":
         raise MalformedInputError(f"group {name!r} needs arguments, as in {name}(...)")
-    if depth > MAX_SPEC_DEPTH:
-        raise MalformedInputError(f"group spec nested deeper than {MAX_SPEC_DEPTH} levels at position {pos}")
+    if depth > MAX_DEPTH:
+        raise MalformedInputError(f"group spec nested deeper than {MAX_DEPTH} levels at position {pos}")
     pos += 1
 
     if name == "product":

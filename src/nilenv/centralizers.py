@@ -35,8 +35,6 @@ class CentralizerLattice:
         self.ambient = ambient
         self.nodes = nodes
         self.witnesses = witnesses
-        self._below: tuple[int, ...] | None = None
-        self._hasse: tuple[tuple[int, int], ...] | None = None
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -47,17 +45,15 @@ class CentralizerLattice:
         The nodes are distinct and sorted by descending order, so every such
         j is greater than i, and only those are tested.
         """
-        if self._below is None:
-            masks = [s.members for s in self.nodes]
-            out = []
-            for i, big in enumerate(masks):
-                bits = 0
-                for j in range(i + 1, len(masks)):
-                    if masks[j] & big == masks[j]:
-                        bits |= 1 << j
-                out.append(bits)
-            self._below = tuple(out)
-        return self._below
+        masks = [s.members for s in self.nodes]
+        out = []
+        for i, big in enumerate(masks):
+            bits = 0
+            for j in range(i + 1, len(masks)):
+                if masks[j] & big == masks[j]:
+                    bits |= 1 << j
+            out.append(bits)
+        return tuple(out)
 
     def hasse_edges(self) -> tuple[tuple[int, int], ...]:
         """Covering pairs (i, j): node i properly contains node j with nothing between.
@@ -65,16 +61,14 @@ class CentralizerLattice:
         The covers of i are the nodes below i that are not below another node
         below i, listed by ascending j.
         """
-        if self._hasse is None:
-            below = self._containment()
-            edges = []
-            for i, under in enumerate(below):
-                deeper = 0
-                for k in iter_mask(under):
-                    deeper |= below[k]
-                edges.extend((i, j) for j in iter_mask(under & ~deeper))
-            self._hasse = tuple(edges)
-        return self._hasse
+        below = self._containment()
+        edges = []
+        for i, under in enumerate(below):
+            deeper = 0
+            for k in iter_mask(under):
+                deeper |= below[k]
+            edges.extend((i, j) for j in iter_mask(under & ~deeper))
+        return tuple(edges)
 
     def to_dot(self) -> str:
         lines = ["digraph centralizers {"]

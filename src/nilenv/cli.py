@@ -122,6 +122,7 @@ def _cmd_envelope(args) -> int:
     G = _group_argument(args.group)
     H = _subgroup_argument(G, args.subgroup)
     trace = build_envelope(G, H)
+    parameters = trace.parameters  # may refuse the group, before any output
     print(f"group: {G.name} (order {G.order})")
     print(f"subgroup order: {trace.original.order}")
     print(f"nilpotence class: {trace.nilpotence_class}")
@@ -132,7 +133,7 @@ def _cmd_envelope(args) -> int:
         wits = ", ".join(str(w) for w in lvl.witnesses)
         print(f"  E_{lvl.level} order {lvl.subgroup.order} witnesses ({wits})")
     print(f"envelope order: {trace.envelope.order}")
-    print("parameters: " + _element_list(trace.parameters))
+    print("parameters: " + _element_list(parameters))
     if args.emit_formula:
         print("formula: " + format_formula(emit_envelope_formula(trace)))
     if args.trace:

@@ -11,7 +11,7 @@ are the recorded witnesses.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,7 +67,11 @@ class EnvelopeTrace:
     tower: tuple[TowerLevel, ...]
     envelope: Subgroup
     nilpotence_class: int
-    parameters: tuple[int, ...]
+
+    @property
+    def parameters(self) -> tuple[int, ...]:
+        """The witnesses padded to ``dimension(group)``: of the trace, only these need the lattice."""
+        return padded_parameters(self, dimension(self.group)) if self.tower else ()
 
 
 def _stage_cut(G: FiniteGroup, above: Subgroup, elements, center: Subgroup) -> int:
@@ -117,7 +121,7 @@ def build_envelope(G: FiniteGroup, H: Subgroup) -> EnvelopeTrace:
     if n is None:
         raise NotNilpotentError("envelope construction needs a nilpotent subgroup")
     if n == 0:
-        return EnvelopeTrace(G, H, H, (), G.trivial_subgroup(), 0, ())
+        return EnvelopeTrace(G, H, H, (), G.trivial_subgroup(), 0)
 
     e1, c_of_h = minimal_centralizer_above(H)
     witnesses1 = greedy_witness(c_of_h)
@@ -146,9 +150,9 @@ def build_envelope(G: FiniteGroup, H: Subgroup) -> EnvelopeTrace:
         levels.append(TowerLevel(k, current, wits, prev_center))
 
     envelope = _series_term(upper_central_series(current).terms, n)
-    trace = EnvelopeTrace(G, H, replaced, tuple(levels), envelope, n, ())
+    trace = EnvelopeTrace(G, H, replaced, tuple(levels), envelope, n)
     _assert_trace(trace)
-    return replace(trace, parameters=padded_parameters(trace, dimension(G)))
+    return trace
 
 
 def _assert_trace(trace: EnvelopeTrace) -> None:

@@ -28,14 +28,14 @@ import itertools
 import re
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .centralizers import dimension
 from .envelope import EnvelopeTrace, padded_parameters
 from .errors import ArityMismatchError, FormulaSyntaxError, MalformedInputError
-from .groups import ElementSet, FiniteGroup, _vector_mask
+from .groups import MAX_DEPTH, ElementSet, FiniteGroup, _vector_mask
 
 
 WARN_BUDGET = 10**18
@@ -48,29 +48,43 @@ class EvaluationCostWarning(RuntimeWarning):
 # -- Syntax trees --------------------------------------------------------
 
 
+class _Node:
+    """Base of the syntax tree classes."""
+
+    @cached_property
+    def _pass(self) -> tuple[_Shapes, int, tuple[str, ...]]:
+        """The shape pass over this node, its shape and free variables, kept in ``__dict__``."""
+        shapes = _Shapes()
+        return (shapes, *shapes.of(self))
+
+    def __getstate__(self) -> dict:
+        # the pass is keyed by node ids, so a copied or unpickled node makes its own
+        return {name: value for name, value in vars(self).items() if name != "_pass"}
+
+
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     name: str
 
 
 @dataclass(frozen=True)
-class Param:
+class Param(_Node):
     index: int
 
 
 @dataclass(frozen=True)
-class One:
+class One(_Node):
     pass
 
 
 @dataclass(frozen=True)
-class Mul:
+class Mul(_Node):
     left: "Term"
     right: "Term"
 
 
 @dataclass(frozen=True)
-class Inv:
+class Inv(_Node):
     operand: "Term"
 
 
@@ -78,36 +92,36 @@ Term = Var | Param | One | Mul | Inv
 
 
 @dataclass(frozen=True)
-class Eq:
+class Eq(_Node):
     left: Term
     right: Term
 
 
 @dataclass(frozen=True)
-class And:
+class And(_Node):
     left: "Formula"
     right: "Formula"
 
 
 @dataclass(frozen=True)
-class Or:
+class Or(_Node):
     left: "Formula"
     right: "Formula"
 
 
 @dataclass(frozen=True)
-class Not:
+class Not(_Node):
     operand: "Formula"
 
 
 @dataclass(frozen=True)
-class ForAll:
+class ForAll(_Node):
     var: str
     body: "Formula"
 
 
 @dataclass(frozen=True)
-class Exists:
+class Exists(_Node):
     var: str
     body: "Formula"
 
@@ -193,14 +207,20 @@ class _Shapes:
         return got
 
 
+def _pass_of(node: Formula | Term) -> tuple[_Shapes, int, tuple[str, ...]]:
+    if not isinstance(node, _Node):
+        raise MalformedInputError(f"not a formula node: {node!r}")
+    return node._pass
+
+
 def _measures(node: Formula | Term) -> tuple[int, int, int, int]:
-    shapes = _Shapes()
-    return shapes.measures[shapes.of(node)[0]]
+    shapes, shape, _ = _pass_of(node)
+    return shapes.measures[shape]
 
 
 def free_variables(node: Formula | Term) -> frozenset[str]:
     """Free variable names, respecting quantifier binding."""
-    return frozenset(_Shapes().of(node)[1])
+    return frozenset(_pass_of(node)[2])
 
 
 def max_parameter(node: Formula | Term) -> int:
@@ -218,26 +238,12 @@ def size(node: Formula | Term) -> int:
     return _measures(node)[2]
 
 
-def _cost(shapes: _Shapes, group: FiniteGroup) -> int:
-    return sum(group.order ** m[3] for m in shapes.measures)
-
-
 def cost_estimate(formula: Formula, group: FiniteGroup) -> int:
     """Sum over shapes of order ** width, the assignments each can see (Vardi, PODS 1995)."""
-    shapes = _Shapes()
-    shapes.of(formula)
-    return _cost(shapes, group)
+    return sum(group.order ** m[3] for m in _pass_of(formula)[0].measures)
 
 
 # -- Parser --------------------------------------------------------------
-
-# The deepest tree, and the most brackets open at once, that parse accepts.
-# The parser recurses only at brackets, at most 4 frames each.  The shape
-# pass and format_formula recurse one frame per tree level, and the
-# evaluator and ``==`` on trees at most about 3.5, so at 150 all of them
-# stay well inside Python's default recursion limit of 1000.  The envelope
-# formulas are 63 deep at (d, n) = (2, 4), 78 at (6, 4) and 91 at (2, 5).
-MAX_DEPTH = 150
 
 # one token per match, after optional whitespace: a parameter slot (ASCII
 # digits only), an identifier, the identity, a symbol, or any other
@@ -407,7 +413,9 @@ def _depth(node: Formula) -> int:
     depth, level = 0, [node]
     while level:
         depth += 1
-        level = [child for n in level for child in vars(n).values() if not isinstance(child, (str, int))]
+        # the fields only: a node's __dict__ may also hold its shape pass
+        level = [getattr(n, name) for n in level for name in n.__dataclass_fields__]
+        level = [child for child in level if isinstance(child, _Node)]
     return depth
 
 
@@ -579,11 +587,10 @@ class _Evaluator:
         return reduce(held, axis=have.index(var))
 
 
-def _prepare(shapes: _Shapes, shape: int, group: FiniteGroup, params) -> _Evaluator:
+def _prepare(formula: Formula, group: FiniteGroup, params) -> _Evaluator:
     """Check the parameters, then the cost budget; return the evaluator."""
-    measures = shapes.measures[shape]
     params = tuple(params)
-    expected = measures[0] + 1
+    expected = max_parameter(formula) + 1
     if len(params) != expected:
         raise ArityMismatchError(
             f"formula uses parameter slots p0..p{expected - 1}, got {len(params)} values"
@@ -591,20 +598,14 @@ def _prepare(shapes: _Shapes, shape: int, group: FiniteGroup, params) -> _Evalua
     for value in params:
         if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < group.order:
             raise MalformedInputError(f"parameter {value!r} is not an element index")
-    cost = _cost(shapes, group)
+    cost = cost_estimate(formula, group)
     if cost > WARN_BUDGET:
         warnings.warn(
             f"estimated evaluation cost {cost} exceeds budget {WARN_BUDGET}",
             EvaluationCostWarning,
             stacklevel=3,
         )
-    return _Evaluator(group, params, shapes)
-
-
-def _shape_pass(formula: Formula) -> tuple[Formula, _Shapes, int, tuple[str, ...]]:
-    """The ``("shapes", id(formula))`` memo entry; it holds the formula, so the id stays its own."""
-    shapes = _Shapes()
-    return (formula, shapes, *shapes.of(formula))
+    return _Evaluator(group, params, formula._pass[0])
 
 
 def evaluate(formula: Formula, group: FiniteGroup, params=()) -> ElementSet:
@@ -616,20 +617,20 @@ def evaluate(formula: Formula, group: FiniteGroup, params=()) -> ElementSet:
     """
     if not isinstance(formula, (Eq, And, Or, Not, ForAll, Exists)):
         raise MalformedInputError(f"not a formula: {formula!r}")
-    _, shapes, shape, fv = group.memo(("shapes", id(formula)), _shape_pass, formula)
+    fv = formula._pass[2]
     if fv and fv != ("x",):
         extra = ", ".join(sorted(set(fv) - {"x"}))
         raise MalformedInputError(f"unexpected free variables: {extra}")
-    holds = _prepare(shapes, shape, group, params).relation(formula, {})[0]
+    holds = _prepare(formula, group, params).relation(formula, {})[0]
     return ElementSet(group, _vector_mask(holds) if fv else group.full_mask if holds else 0)
 
 
 def sentence_holds(formula: Formula, group: FiniteGroup, params=()) -> bool:
     """Truth value of a closed formula (no free variables at all)."""
-    _, shapes, shape, fv = group.memo(("shapes", id(formula)), _shape_pass, formula)
+    fv = _pass_of(formula)[2]
     if fv:
         raise MalformedInputError(f"sentence has free variables: {', '.join(sorted(fv))}")
-    return bool(_prepare(shapes, shape, group, params).relation(formula, {})[0])
+    return bool(_prepare(formula, group, params).relation(formula, {})[0])
 
 
 # -- The uniform envelope formula ----------------------------------------
@@ -713,17 +714,16 @@ def envelope_formula(d: int, n: int) -> Formula:
 def emit_envelope_formula(trace: EnvelopeTrace, d: int | None = None) -> Formula:
     """The envelope formula sized for a trace.
 
-    With d omitted, uses the width the trace's parameters were padded to
-    (the ambient group's centralizer dimension).  The width must cover the
+    With d omitted, uses the ambient group's centralizer dimension, the
+    width ``trace.parameters`` is padded to.  The width must cover the
     largest witness count in the tower, else :class:`ArityMismatchError`.
     Pair the result with :func:`~nilenv.envelope.padded_parameters` at the
     same width; at those parameters its solution set is the envelope.
     """
-    n = trace.nilpotence_class
     if d is None:
-        d = len(trace.parameters) // n if n else dimension(trace.group)
+        d = dimension(trace.group)
     padded_parameters(trace, d)
-    return envelope_formula(d, n)
+    return envelope_formula(d, trace.nilpotence_class)
 
 
 # -- Centralizer dimension as a sentence ----------------------------------

@@ -42,6 +42,16 @@ _SCALAR_MAX_WORK = 64
 # Element pairs per numpy block, which bounds the kernels' temporaries.
 _BLOCK_PAIRS = 1 << 14
 
+# The deepest formula tree parse accepts, and the most brackets a formula or
+# a group spec may hold open at once.  The formula parser recurses only at
+# brackets, at most 4 frames each, and the spec parser once per nested
+# product(...).  The shape pass and format_formula recurse one frame per tree
+# level, and the evaluator and ``==`` on trees at most about 3.5, so at 150
+# all of them stay well inside Python's default recursion limit of 1000.
+# The envelope formulas are 63 deep at (d, n) = (2, 4), 78 at (6, 4) and 91
+# at (2, 5).
+MAX_DEPTH = 150
+
 
 def _is_index(value) -> bool:
     """Whether ``value`` is an int, not a bool: the type of indices, degrees and points."""
@@ -245,9 +255,6 @@ class FiniteGroup:
     def _mul(self, a: int, b: int) -> int:
         return self._rows[a][b]
 
-    def _inv(self, a: int) -> int:
-        return self.inverse_table[a]
-
     def _conj(self, g: int, h: int) -> int:
         """g conjugated by h, that is h^-1 * g * h."""
         T = self._rows
@@ -359,10 +366,9 @@ class FiniteGroup:
         which ``iterated_centralizer`` extends in place.  Element centralizers
         stay a list indexed by element: a seed-0 ``verify`` looks up about
         297,000 of them, and indexing a list is the cheapest lookup.  Set
-        centralizers are the ``("centralizer", setmask)`` family (2,866
-        entries over a seed-0 ``verify``'s 19 groups), and formula shape
-        passes the ``("shapes", id(formula))`` family (66 entries).  A shape
-        entry holds its formula, which so lives as long as the group.
+        centralizers, the center among them, are the ``("centralizer",
+        setmask)`` family (2,866 entries over a seed-0 ``verify``'s 19
+        groups).
         """
         try:
             return self._memo[key]
@@ -379,15 +385,7 @@ class FiniteGroup:
         return cached
 
     def center_mask(self) -> int:
-        return self.memo(("center",), self._center_mask)
-
-    def _center_mask(self) -> int:
-        center = self.full_mask
-        for g in range(self.order):
-            center &= self.element_centralizer_mask(g)
-            if center == 1:
-                break
-        return center
+        return self.centralizer_mask(self.full_mask)
 
     def conjugacy_classes(self) -> tuple[int, ...]:
         """Masks of the conjugacy classes, in order of their least element."""
@@ -411,6 +409,8 @@ class FiniteGroup:
         result = self.full_mask
         for g in iter_mask(setmask):
             result &= self.element_centralizer_mask(g)
+            if result == 1:
+                break
         return result
 
     def normalizer_mask(self, mask: int) -> int:

@@ -357,6 +357,14 @@ def test_centralizer_lattice_limit_exits_2(capsys, tmp_path, argv):
     assert err == "error: centralizer lattice exceeds 20000 nodes\n"
 
 
+def test_fitting_above_the_lattice_limit(capsys, tmp_path):
+    path = tmp_path / "extraspecial.json"
+    save_group(extraspecial_2_1_8(), path)
+    code, out, err = run(capsys, "fitting", "--group", str(path))
+    assert code == 0 and err == ""
+    assert "fitting subgroup order: 512\n" in out
+
+
 def test_order_cap_on_loaded_cayley_table_exits_2(capsys, tmp_path):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"kind": "cayley", "table": [[0]] * 2049}), encoding="utf-8")

@@ -6,6 +6,7 @@ import random
 from dataclasses import replace
 
 import pytest
+from test_centralizers import extraspecial_2_1_8
 
 from nilenv.catalog import alternating, cyclic, dihedral, from_spec, quaternion, symmetric, unitriangular
 from nilenv.envelope import (
@@ -20,6 +21,7 @@ from nilenv.envelope import (
 )
 from nilenv.errors import (
     ArityMismatchError,
+    CapExceededError,
     NotNilpotentError,
     NotNormalError,
     ParentMismatchError,
@@ -232,6 +234,17 @@ def test_trace_to_dict_shape():
     assert data["parameters"] == list(trace.parameters)
     rebuilt = closure(G, data["envelope"]["generators"])
     assert rebuilt.members == trace.envelope.members
+
+
+def test_envelope_above_the_lattice_limit():
+    # only the padded parameters need the centralizer dimension
+    G = extraspecial_2_1_8()
+    trace = build_envelope(G, closure(G, [1]))
+    assert trace.nilpotence_class == 1
+    assert trace.original.members & ~trace.envelope.members == 0
+    for read in (lambda t: t.parameters, trace_to_dict):
+        with pytest.raises(CapExceededError, match="^centralizer lattice exceeds 20000 nodes$"):
+            read(trace)
 
 
 def test_envelope_of_normal():

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import gc
+import pickle
 import random
 import warnings
 import weakref
@@ -365,16 +368,21 @@ def _count_shape_passes(monkeypatch) -> list:
     return passes
 
 
-def test_one_shape_pass_per_formula_and_group(monkeypatch):
+def test_one_shape_pass_per_formula(monkeypatch):
     passes = _count_shape_passes(monkeypatch)
-    G = symmetric(4)
     tree = parse("x*p0 = p0*x")
-    first = evaluate(tree, G, (5,)).members
-    assert evaluate(tree, G, (5,)).members == first
-    assert evaluate(tree, G, (7,)).members == G.element_centralizer_mask(7)
-    assert len(passes) == 1
-    # another group makes its own pass
-    evaluate(tree, dihedral(4), (1,))
+    sentence = parse("E x (!(x = 1) & x*x = 1)")
+    for G in (symmetric(4), dihedral(4)):
+        for p in (5, 7, 5):
+            assert evaluate(tree, G, (p,)).members == G.element_centralizer_mask(p)
+        assert sentence_holds(sentence, G)
+        assert evaluate(sentence, G).members == G.full_mask
+    assert free_variables(tree) == frozenset({"x"})
+    assert free_variables(sentence) == frozenset()
+    assert size(tree) == 7 and size(sentence) == 11
+    # shapes x, p0, x*p0, p0*x and the equation, of widths 1, 0, 1, 1, 1
+    assert cost_estimate(tree, dihedral(4)) == 4 * 8 + 1
+    # the pass belongs to the formula object, whichever group or function asks
     assert len(passes) == 2
 
 
@@ -389,24 +397,33 @@ def test_sentence_holds_shares_the_shape_pass(monkeypatch):
 
 
 def test_equal_formulas_keep_their_own_shape_passes():
-    G = symmetric(4)
+    G = from_spec("symmetric(4)")
     texts = ["x*p0 = p0*x", "E y (x = y*y*p0)", "A y (x*y*p0 = p0*y*x)"]
     first, second = parse(texts[0]), parse(texts[0])
     assert first == second and first is not second
     dropped = []
     for p in (3, 11):
-        fresh = symmetric(4)  # an empty memo: a fresh shape pass
+        fresh = symmetric(4)  # a group no formula has been evaluated on
         want = {text: evaluate(parse(text), fresh, (p,)).members for text in texts}
         # alternate with other formulas, each parsed afresh and dropped after use
-        for text, tree in ((texts[0], first), (texts[1], None), (texts[0], second), (texts[2], None)) * 2:
-            tree = tree or parse(text)
+        for text, kept in ((texts[0], first), (texts[1], None), (texts[0], second), (texts[2], None)) * 2:
+            tree = kept or parse(text)
             assert evaluate(tree, G, (p,)).members == want[text]
-            dropped.append(weakref.ref(tree))
-        del tree
-    assert G._memo[("shapes", id(first))][0] is first
-    assert G._memo[("shapes", id(second))][0] is second
-    # each entry holds its formula, so no later formula can take over its id
-    assert all(ref() is not None for ref in dropped)
+            if kept is None:
+                dropped.append(weakref.ref(tree))
+    # many formulas parsed afresh on a cached catalog group leave nothing behind
+    for i in range(2000):
+        tree = parse("E y (x*y*p0 = p0*y*x)")
+        evaluate(tree, G, (i % G.order,))
+        dropped.append(weakref.ref(tree))
+    del tree
+    assert not [key for key in G._memo if key[0] == "shapes"]
+    gc.collect()
+    assert all(ref() is None for ref in dropped)
+    assert first._pass is not second._pass
+    # a copy is its own formula object, with its own pass
+    for dup in (copy.copy(first), copy.deepcopy(first), pickle.loads(pickle.dumps(first))):
+        assert dup == first and evaluate(dup, G, (11,)).members == want[texts[0]]
 
 
 def test_variable_and_parameter_validation():
@@ -427,6 +444,9 @@ def test_variable_and_parameter_validation():
         evaluate(parse("x*p0 = p0*x"), G, (True,))
     with pytest.raises(MalformedInputError):
         evaluate(Var("x"), G)
+    for measure in (free_variables, size, lambda node: sentence_holds(node, G)):
+        with pytest.raises(MalformedInputError, match="not a formula node"):
+            measure("x = 1")
 
 
 def test_metrics():
@@ -526,8 +546,7 @@ def test_evaluation_work_is_bounded_by_shapes(monkeypatch):
         warnings.simplefilter("error", EvaluationCostWarning)
         assert evaluate(phi, G, trace.parameters).members == trace.envelope.members
     (ev,) = evaluators
-    shapes = formula_module._Shapes()
-    shapes.of(phi)
+    shapes = phi._pass[0]
     # the tree holds about 114k node objects but only 124 shapes; keying the
     # cache by node identity again took 2.86M formula evaluations
     assert len(shapes.measures) <= 300
