@@ -428,18 +428,35 @@ def p_core(G: FiniteGroup, p: int) -> Subgroup:
 def _engel_set(G: FiniteGroup) -> tuple[int, int]:
     """(mask of the bounded left Engel elements, largest Engel bound).
 
-    Runs the image-set chains of :func:`fitting` for a block of x at a time,
-    with block * order at most ``_BLOCK_PAIRS``.  Row b of ``image`` holds
-    S_k for x = xs[b] as a bool vector, and ``step[b, y]`` is [y, x].  A row
-    leaves ``live`` once it is {1}, or once a step leaves it unchanged.
+    Runs the image-set chains of :func:`fitting` once per conjugacy class,
+    for its least element: [y, x^g] = [y^(g^-1), x]^g, so S_k(x^g) = S_k(x)^g
+    and conjugates are Engel together, with the same bound.  ``label[x]`` is
+    the least conjugate of x, found by spreading minima along conjugation by
+    the generators of G until nothing changes, not read from
+    :meth:`~nilenv.groups.FiniteGroup.conjugacy_classes`, which (i) uses.
+    The chains run for a block of x at a time, with block * order at most
+    ``_BLOCK_PAIRS``.  Row b of ``image`` holds S_k for x = xs[b] as a bool
+    vector, and ``step[b, y]`` is [y, x].  A row leaves ``live`` once it is
+    {1}, or once a step leaves it unchanged.
     """
     n = G.order
+    T, inv = G._array, G._inv_array
     everything = np.arange(n)
+    moves = [T[T[inv[g]], g] for g in G.as_subgroup().generators]
+    label = everything
+    while True:
+        least = label
+        for move in moves:
+            least = np.minimum(least, least[move])
+        if np.array_equal(least, label):
+            break
+        label = least
+    classes = np.flatnonzero(label == everything)
     engel = np.zeros(n, dtype=bool)
     bound = 0
     block = max(1, _BLOCK_PAIRS // n)
-    for start in range(0, n, block):
-        xs = everything[start : start + block]
+    for start in range(0, len(classes), block):
+        xs = classes[start : start + block]
         step = G._pair_values("comm", everything, xs).T
         image = np.ones((len(xs), n), dtype=bool)
         live = np.arange(len(xs))
@@ -457,7 +474,7 @@ def _engel_set(G: FiniteGroup) -> tuple[int, int]:
             image[live] = nxt
             live = live[moved]
             steps += 1
-    return _vector_mask(engel), bound
+    return _vector_mask(engel[label]), bound
 
 
 @dataclass(frozen=True)
@@ -486,7 +503,8 @@ def fitting(G: FiniteGroup) -> FittingReport:
     The identity is fixed by y -> [y, x], so x is a bounded Engel element
     exactly when the chain reaches {1}, and the least such k is the largest
     :func:`engel_iterate` over g, which ``engel_bound_n`` maximizes over x.
-    :func:`_engel_set` runs these chains for a block of x at a time.
+    :func:`_engel_set` runs these chains once per conjugacy class, since
+    conjugates are Engel together, with the same bound.
     """
     cores = G.trivial_subgroup()
     for p in _prime_factors(G.order):

@@ -32,7 +32,7 @@ from .centralizers import (
     greedy_witness,
     minimal_centralizer_above,
 )
-from .envelope import build_envelope, fitting, verify_envelope
+from .envelope import _prime_factors, build_envelope, fitting, verify_envelope
 from .errors import InternalCheckError, MalformedInputError
 from .formula import emit_envelope_formula, envelope_formula, evaluate, format_formula, parse
 from .groups import (
@@ -192,29 +192,43 @@ def all_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
     normalizer N(H), because H v C^n = (H v C)^n for n in N(H); each
     N(H)-orbit of cyclic subgroups is read off one gather of the labels of
     the conjugates c^n.
+
+    Three shortcuts save closures.  C is of prime-power order only, because
+    <x> is the join of the prime-power powers of x, so every subgroup is the
+    join of its prime-power cyclic subgroups.  When C = <c> with c in N(H),
+    the join is the product H<c>, one gather instead of a closure.  And each
+    representative keeps the generators it was built from, so its
+    normalizer, {g : gens^g inside H}, costs |G|*|gens| pairs, not |G|*|H|.
     """
     return G.memo(("allsubs",), _all_subgroups, G)
 
 
 def _all_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
     cyc_gen, cyc_mask, cyc_label = _cyclic_subgroups(G)
+    prime_power = np.array([len(_prime_factors(m.bit_count())) <= 1 for m in cyc_mask])
     conjugators = G.as_subgroup().generators
     T, inv = G._array, G._inv_array
     found = {1}
-    reps = [1]
-    for H in reps:
-        outside = ~_bool_vector(H, G.order)[cyc_gen]
+    # each representative with the mask of the generators it was built from
+    reps = [(1, 0)]
+    for H, gens in reps:
+        outside = ~_bool_vector(H, G.order)[cyc_gen] & prime_power
         if not outside.any():
             continue
-        N = np.flatnonzero(_bool_vector(G.normalizer_mask(H), G.order))
+        norm = G.memo(("norm", H), G._select, "conj", G.full_mask, gens, H)
+        N = np.flatnonzero(_bool_vector(norm, G.order))
         # orbits[i, c] is the label of <cyc_gen[c]^n> for the i-th n in N(H)
         orbits = cyc_label[T[T[inv[N][:, None], cyc_gen], N[:, None]]]
         least = orbits.min(axis=0) == np.arange(len(cyc_gen))
         for c in np.flatnonzero(least & outside):
-            J = G.closure_mask(H | cyc_mask[c])
+            x = int(cyc_gen[c])
+            if norm >> x & 1:
+                J = G._image("mul", H, cyc_mask[c])
+            else:
+                J = G.closure_mask(H | cyc_mask[c])
             if J in found:
                 continue
-            reps.append(J)
+            reps.append((J, gens | 1 << x))
             found.add(J)
             orbit = [J]
             for K in orbit:

@@ -18,8 +18,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nilenv.catalog import from_spec, symmetric
-from nilenv.envelope import fitting
-from nilenv.errors import NotASubgroupError
+from nilenv.envelope import _engel_set, fitting
+from nilenv.errors import InternalCheckError, NotASubgroupError
 from nilenv.groups import (
     MAX_ORDER,
     ElementSet,
@@ -340,6 +340,17 @@ def test_fitting_engel_set_matches_reference(G):
     assert report.by_engel.members == mask
     assert report.engel_bound_n == bound
     assert report.by_op_cores.members == ref_fitting_by_cores(G)
+
+
+def test_engel_set_does_not_read_the_conjugacy_classes():
+    """The Engel set finds its own classes, so it stays independent of the p-cores."""
+    G = symmetric(4)
+    # one class: labels read from it would run only the identity's chain
+    G._memo[("classes",)] = (G.full_mask,)
+    assert _engel_set(G) == ref_engel(G)
+    # the p-cores read the poisoned class, so the three methods disagree
+    with pytest.raises(InternalCheckError):
+        fitting(G)
 
 
 def test_normal_structure_work_is_bounded(monkeypatch):

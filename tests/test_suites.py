@@ -122,16 +122,19 @@ def join_closure(G):
     return tuple(sorted(known, key=lambda m: (m.bit_count(), m)))
 
 
-def relabelled_symmetric5():
-    """symmetric(5) from a Cayley table with its elements renamed at random."""
-    table = symmetric(5)._array.tolist()
+def relabelled(spec, seed):
+    """The catalog group ``spec`` from a Cayley table with its elements renamed at random."""
+    table = from_spec.__wrapped__(spec)._array.tolist()
     perm = list(range(len(table)))
-    random.Random(5).shuffle(perm)
+    random.Random(seed).shuffle(perm)
     out = [[0] * len(table) for _ in table]
     for a, row in enumerate(table):
         for b, c in enumerate(row):
             out[perm[a]][perm[b]] = perm[c]
-    return FiniteGroup.from_cayley_table(out, name="relabelled symmetric(5)")
+    return FiniteGroup.from_cayley_table(out, name=f"relabelled {spec}")
+
+
+relabelled_symmetric5 = partial(relabelled, "symmetric(5)", 5)
 
 
 def conjugated_symmetric5():
@@ -150,9 +153,15 @@ DIFFERENTIAL_GROUPS = [
     *((spec, partial(from_spec.__wrapped__, spec)) for spec in DEFAULT_CATALOG),
     *(
         (spec, partial(from_spec.__wrapped__, spec))
-        for spec in ("symmetric(5)", "dihedral(32)", "product(symmetric(3),symmetric(3))")
+        for spec in (
+            "symmetric(5)",
+            "dihedral(32)",
+            "product(symmetric(3),symmetric(3))",
+            "product(unitriangular(3),symmetric(3))",
+        )
     ),
     ("relabelled symmetric(5)", relabelled_symmetric5),
+    ("relabelled unitriangular(7)", partial(relabelled, "unitriangular(7)", 7)),
     ("conjugated symmetric(5)", conjugated_symmetric5),
 ]
 
@@ -219,6 +228,22 @@ def test_suites_write_each_memo_key_once():
         # a longer tower extends its entry in place instead of storing it again
         assert any(key[0] == "tower" for key in writes)
         assert [key for key, count in writes.items() if count != 1] == []
+
+
+# closing every candidate join built 151 and 192 closures
+@pytest.mark.parametrize("spec, most", [("unitriangular(7)", 40), ("symmetric(5)", 130)])
+def test_all_subgroups_builds_few_closures(spec, most, monkeypatch):
+    """Most joins are products H<c> or skipped candidates, not closures."""
+    builds = Counter()
+    build = FiniteGroup._closure_mask
+
+    def counting_build(self, seedmask):
+        builds["closure"] += 1
+        return build(self, seedmask)
+
+    monkeypatch.setattr(FiniteGroup, "_closure_mask", counting_build)
+    all_subgroups(from_spec.__wrapped__(spec))
+    assert builds["closure"] <= most
 
 
 def test_all_subgroups_memo_is_bounded_by_classes_times_cyclic_subgroups():
