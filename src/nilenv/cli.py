@@ -65,6 +65,11 @@ def _subgroup_argument(G: FiniteGroup, token: str) -> Subgroup:
     return G.subgroup_from_generators(_indices(token))
 
 
+def _subject(G: FiniteGroup, args) -> Subgroup:
+    """What a command works on: its ``--subgroup``, or else the whole group."""
+    return _subgroup_argument(G, args.subgroup) if args.subgroup else G.as_subgroup()
+
+
 def _element_list(elements) -> str:
     return "[" + ", ".join(str(e) for e in elements) + "]"
 
@@ -83,17 +88,10 @@ def _cmd_info(args) -> int:
 
 def _cmd_dim(args) -> int:
     G = _group_argument(args.group)
-    if args.subgroup:
-        ambient = _subgroup_argument(G, args.subgroup)
-        order = ambient.order
-        center = G.centralizer_mask(ambient.members, within=ambient.members).bit_count()
-    else:
-        ambient = G
-        order = G.order
-        center = G.center().order
-    report = c_dimension(centralizer_lattice(ambient))
-    print(f"order: {order}")
-    print(f"center order: {center}")
+    S = _subject(G, args)
+    report = c_dimension(centralizer_lattice(S))
+    print(f"order: {S.order}")
+    print(f"center order: {G.centralizer_mask(S.members, within=S.members).bit_count()}")
     print(f"dimension: {report.length}")
     print("witness chain:")
     for node, wit in zip(report.chain, report.witness_sets):
@@ -103,10 +101,7 @@ def _cmd_dim(args) -> int:
 
 def _cmd_series(args) -> int:
     G = _group_argument(args.group)
-    if args.subgroup:
-        P = _subgroup_argument(G, args.subgroup)
-    else:
-        P = G.as_subgroup()
+    P = _subject(G, args)
     lower = lower_central_series(P)
     upper = upper_central_series(P)
     cls = nilpotence_class(P)
@@ -173,12 +168,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
-    G = _group_argument(args.group)
-    if args.subgroup:
-        ambient = _subgroup_argument(G, args.subgroup)
-    else:
-        ambient = G
-    lattice = centralizer_lattice(ambient)
+    lattice = centralizer_lattice(_subject(_group_argument(args.group), args))
     if args.dot:
         print(lattice.to_dot())
         return 0

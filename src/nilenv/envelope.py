@@ -440,9 +440,8 @@ def _engel_set(G: FiniteGroup) -> tuple[int, int]:
     {1}, or once a step leaves it unchanged.
     """
     n = G.order
-    T, inv = G._array, G._inv_array
     everything = np.arange(n)
-    moves = [T[T[inv[g]], g] for g in G.as_subgroup().generators]
+    moves = [G._pair_values("conj", g, everything) for g in G.as_subgroup().generators]
     label = everything
     while True:
         least = label
@@ -457,7 +456,7 @@ def _engel_set(G: FiniteGroup) -> tuple[int, int]:
     block = max(1, _BLOCK_PAIRS // n)
     for start in range(0, len(classes), block):
         xs = classes[start : start + block]
-        step = G._pair_values("comm", everything, xs).T
+        step = G._pair_values("comm", everything, xs[:, None])
         image = np.ones((len(xs), n), dtype=bool)
         live = np.arange(len(xs))
         steps = 0

@@ -19,6 +19,7 @@ their permutations, for reading and writing files only.
 from __future__ import annotations
 
 import json
+from functools import cached_property
 
 import numpy as np
 
@@ -102,15 +103,16 @@ def _vector_mask(flags: np.ndarray) -> int:
 class FiniteGroup:
     """A finite group on elements 0..order-1 with identity 0."""
 
-    def __init__(self, name, kind, array, perms=None, perm_generators=None, perm_index=None):
+    def __init__(self, name, kind, array, degree=None, perm_generators=None, perms=None):
         self.order = order = len(array)
         self.name = name
         self.kind = kind
         self._array = array
         # permutation groups only, for reading and writing files
-        self._perms = perms
+        self._degree = degree
         self._perm_generators = perm_generators
-        self._perm_index = perm_index
+        if perms is not None:
+            self._perms = perms
         self.full_mask = (1 << order) - 1
         self._elem_cent: list[int | None] = [None] * order
         self._memo: dict = {}
@@ -217,6 +219,8 @@ class FiniteGroup:
             if len(p) != degree or not all(map(_is_index, p)) or sorted(p) != list(range(degree)):
                 raise MalformedInputError(f"{g!r} is not a permutation of 0..{degree - 1}")
             gens.append(p)
+        if not gens:  # the trivial group; its permutation is built only if read (see _perms)
+            return cls(name, "perm", np.zeros((1, 1), dtype=np.int16), degree, ())
 
         identity = tuple(range(degree))
         perms = [identity]
@@ -248,7 +252,12 @@ class FiniteGroup:
         for b in range(1, n):
             k, s = divmod(parent[b], m)
             table[:, b] = by_gen[s][table[:, k]]
-        return cls(name, "perm", table, tuple(perms), tuple(gens), index)
+        return cls(name, "perm", table, degree, tuple(gens), tuple(perms))
+
+    @cached_property
+    def _perms(self) -> tuple:
+        """The trivial group's one permutation, built when first read; from_permutations sets the rest."""
+        return (tuple(range(self._degree)),)
 
     # -- the operations -----------------------------------------------
 
@@ -288,9 +297,7 @@ class FiniteGroup:
         self._check_index(h)
         return self._comm(g, h)
 
-    # -- kernels over element pairs ---------------------------------------
-    #
-    # op(x, p) is one of "mul": x * p, "comm": [x, p], "conj": p^x = x^-1 p x.
+    # -- kernels over element pairs (op names an operation of _pair_values) --
 
     def _scalar_op(self, op: str):
         if op == "mul":
@@ -299,10 +306,12 @@ class FiniteGroup:
             return self._comm
         return lambda x, p: self._conj(p, x)
 
-    def _pair_values(self, op: str, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-        """The array op(x, p) for x in ``xs`` (rows) and p in ``ps`` (columns)."""
+    def _pair_values(self, op: str, x, p):
+        """op(x, p) elementwise, for element indices or broadcastable index arrays.
+
+        "mul" is x * p, "comm" is [x, p] = x^-1 p^-1 x p, "conj" is p^x = x^-1 p x.
+        """
         T, inv = self._array, self._inv_array
-        x, p = xs[:, None], ps[None, :]
         if op == "mul":
             return T[x, p]
         if op == "comm":
@@ -334,7 +343,7 @@ class FiniteGroup:
         inside = _bool_vector(target, self.order)
         flags = np.zeros(self.order, dtype=bool)
         for x_idx, p_idx in blocks:
-            flags[x_idx[inside[self._pair_values(op, x_idx, p_idx)].all(axis=1)]] = True
+            flags[x_idx[inside[self._pair_values(op, x_idx[:, None], p_idx)].all(axis=1)]] = True
         return _vector_mask(flags)
 
     def _image(self, op: str, xs: int, ps: int) -> int:
@@ -350,7 +359,7 @@ class FiniteGroup:
             return out
         flags = np.zeros(self.order, dtype=bool)
         for x_idx, p_idx in blocks:
-            flags[self._pair_values(op, x_idx, p_idx)] = True
+            flags[self._pair_values(op, x_idx[:, None], p_idx)] = True
         return _vector_mask(flags)
 
     # -- memo and masks -------------------------------------------------
@@ -663,17 +672,17 @@ def hall_witt_products(G: FiniteGroup, x, y, z):
         for entry in (e for row in rows for e in row):
             G._check_index(entry)
     x, y, z = cols if scalar else np.stack(cols).astype(np.intp)
-    T, inv = G._array, G._inv_array  # [g, h] = (hg)^-1 gh and g^h = h^-1 gh
+    op = G._pair_values
     s, t = [], []
     for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
         u = v = a
-        for h in (inv[b], c):  # u = [a, b^-1, c]
-            u = T[inv[T[h, u]], T[u, h]]
-        for h in (b, T[T[inv[a], c], a]):  # v = [a, b, c^a]
-            v = T[inv[T[h, v]], T[v, h]]
-        s.append(T[T[inv[b], u], b])  # u^b, a factor of the first product
+        for h in (G._inv_array[b], c):  # u = [a, b^-1, c]
+            u = op("comm", u, h)
+        for h in (b, op("conj", a, c)):  # v = [a, b, c^a]
+            v = op("comm", v, h)
+        s.append(op("conj", b, u))  # u^b, a factor of the first product
         t.append(v)  # a factor of the second
-    first, second = T[T[s[0], s[1]], s[2]], T[T[t[0], t[2]], t[1]]
+    first, second = op("mul", op("mul", s[0], s[1]), s[2]), op("mul", op("mul", t[0], t[2]), t[1])
     return (int(first), int(second)) if scalar else (first, second)
 
 
@@ -685,7 +694,7 @@ def group_to_dict(G: FiniteGroup) -> dict:
         return {
             "kind": "perm",
             "name": G.name,
-            "degree": len(G._perms[0]),
+            "degree": G._degree,
             "generators": [list(p) for p in G._perm_generators],
         }
     return {"kind": "cayley", "name": G.name, "order": G.order, "table": G._array.tolist()}
@@ -771,11 +780,10 @@ def subgroup_from_dict(parent: FiniteGroup, data: dict) -> Subgroup:
         elif isinstance(spec, list):
             if parent.kind != "perm":
                 raise MalformedInputError("image-array generators need a permutation group")
-            # an exact lookup: True and 1.0 hash and compare equal to 1
-            idx = parent._perm_index.get(tuple(spec)) if all(map(_is_index, spec)) else None
-            if idx is None:
+            # an exact lookup: True and 1.0 compare equal to 1
+            if not all(map(_is_index, spec)) or tuple(spec) not in parent._perms:
                 raise MalformedInputError(f"{spec!r} is not an element of {parent.name}")
-            gens.append(idx)
+            gens.append(parent._perms.index(tuple(spec)))
         else:
             raise MalformedInputError(f"bad generator spec {spec!r}")
     return parent.subgroup_from_generators(gens)

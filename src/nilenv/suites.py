@@ -5,8 +5,8 @@ envelope construction, formula evaluation, Fitting subgroups) over a pool of
 groups and subgroups.  Every check is defined once, in the :data:`CHECKS`
 registry; the suites call it on sampled or enumerated arguments and
 :func:`replay_failure` calls it again on the arguments decoded from a
-failure's payload.  Runs are deterministic: the same configuration always
-produces the same report.
+failure's payload.  Every suite is defined once too, in :data:`SUITES`.
+Runs are deterministic: the same configuration always produces the same report.
 """
 
 from __future__ import annotations
@@ -51,43 +51,6 @@ from .series import (
     check_three_subgroup,
     nilpotence_class,
 )
-
-ALL_SUITES = (
-    "hallwitt",
-    "threesubgroup",
-    "hall",
-    "bryant",
-    "nested",
-    "bottomchain",
-    "dimension",
-    "envelope",
-    "formula",
-    "fitting",
-)
-
-
-@dataclass(frozen=True)
-class SuiteConfig:
-    """Knobs for a suite run.  Equal configs give equal reports."""
-
-    seed: int = 0
-    max_exhaustive_order: int = 200
-    samples_per_group: int = 200
-    suites: tuple[str, ...] = ALL_SUITES
-    groups: tuple[str, ...] = DEFAULT_CATALOG
-    hallwitt_triples: int = 1000
-    threesubgroup_target: int = 5000
-    bryant_target: int = 10000
-    nested_target: int = 5000
-    envelope_samples: int = 24
-
-    def __post_init__(self) -> None:
-        # every int but the seed is a count or an order; a negative one would
-        # slice from the end or run nothing
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, int) and f.name != "seed" and value < 0:
-                raise MalformedInputError(f"{f.name} must be non-negative, not {value}")
 
 
 @dataclass(frozen=True)
@@ -207,7 +170,6 @@ def _all_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
     cyc_gen, cyc_mask, cyc_label = _cyclic_subgroups(G)
     prime_power = np.array([len(_prime_factors(m.bit_count())) <= 1 for m in cyc_mask])
     conjugators = G.as_subgroup().generators
-    T, inv = G._array, G._inv_array
     found = {1}
     # each representative with the mask of the generators it was built from
     reps = [(1, 0)]
@@ -218,7 +180,7 @@ def _all_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
         norm = G.memo(("norm", H), G._select, "conj", G.full_mask, gens, H)
         N = np.flatnonzero(_bool_vector(norm, G.order))
         # orbits[i, c] is the label of <cyc_gen[c]^n> for the i-th n in N(H)
-        orbits = cyc_label[T[T[inv[N][:, None], cyc_gen], N[:, None]]]
+        orbits = cyc_label[G._pair_values("conj", N[:, None], cyc_gen)]
         least = orbits.min(axis=0) == np.arange(len(cyc_gen))
         for c in np.flatnonzero(least & outside):
             x = int(cyc_gen[c])
@@ -689,60 +651,53 @@ def _suite_fitting(ctx: GroupContext, config: SuiteConfig, run: _Tally):
     return (("engel-bound", str(_fitting(ctx.group).engel_bound_n)),)
 
 
-_SUITE_FUNCS = {
-    "hallwitt": _suite_hallwitt,
-    "threesubgroup": partial(_sample_to_quota, draw=_draw_threesubgroup),
-    "hall": _suite_hall,
-    "bryant": partial(_sample_to_quota, draw=_draw_bryant),
-    "nested": partial(_sample_to_quota, draw=_draw_nested),
-    "bottomchain": _suite_bottomchain,
-    "dimension": _suite_dimension,
-    "envelope": _suite_envelope,
-    "formula": _suite_formula,
-    "fitting": _suite_fitting,
+# suite -> (its runner, the SuiteConfig field of its sample quota or None,
+# the largest group order the quota covers); run_suites splits a quota
+# evenly over the groups it covers, rounding up
+SUITES = {
+    "hallwitt": (_suite_hallwitt, None, None),
+    "threesubgroup": (partial(_sample_to_quota, draw=_draw_threesubgroup), "threesubgroup_target", 64),
+    "hall": (_suite_hall, None, None),
+    "bryant": (partial(_sample_to_quota, draw=_draw_bryant), "bryant_target", 100),
+    "nested": (partial(_sample_to_quota, draw=_draw_nested), "nested_target", 100),
+    "bottomchain": (_suite_bottomchain, None, None),
+    "dimension": (_suite_dimension, None, None),
+    "envelope": (_suite_envelope, None, None),
+    "formula": (_suite_formula, None, None),
+    "fitting": (_suite_fitting, None, None),
 }
 
-# suite -> (config field of its sample quota, largest eligible group order)
-_QUOTA_SUITES = {
-    "threesubgroup": ("threesubgroup_target", 64),
-    "bryant": ("bryant_target", 100),
-    "nested": ("nested_target", 100),
-}
+ALL_SUITES = tuple(SUITES)
 
 
-def _quotas(config: SuiteConfig, contexts) -> dict[tuple[str, str], int | None]:
-    """Per-(suite, group) sampling quotas, split evenly over eligible groups."""
-    out: dict[tuple[str, str], int | None] = {}
-    for suite, (target_field, max_order) in _QUOTA_SUITES.items():
-        target = getattr(config, target_field)
-        eligible = [c for c in contexts if c.group.order <= max_order]
-        for c in contexts:
-            if c in eligible:
-                out[(suite, c.label)] = -(-target // len(eligible))
-            else:
-                out[(suite, c.label)] = None
-    return out
+@dataclass(frozen=True)
+class SuiteConfig:
+    """Knobs for a suite run.  Equal configs give equal reports."""
 
+    seed: int = 0
+    max_exhaustive_order: int = 200
+    samples_per_group: int = 200
+    suites: tuple[str, ...] = ALL_SUITES
+    groups: tuple[str, ...] = DEFAULT_CATALOG
+    hallwitt_triples: int = 1000
+    threesubgroup_target: int = 5000
+    bryant_target: int = 10000
+    nested_target: int = 5000
+    envelope_samples: int = 24
 
-def _check_suite_name(suite: str) -> None:
-    if suite not in _SUITE_FUNCS:
-        raise MalformedInputError(f"unknown suite {suite!r}")
-
-
-def run_suite(
-    suite: str, contexts, config: SuiteConfig, quotas=None
-) -> list[SuiteOutcome]:
-    """Run one suite over the given contexts."""
-    _check_suite_name(suite)
-    if quotas is None:
-        quotas = _quotas(config, contexts)
-    return [_run_task(suite, ctx, config, quotas.get((suite, ctx.label))) for ctx in contexts]
+    def __post_init__(self) -> None:
+        # every int but the seed is a count or an order; a negative one would
+        # slice from the end or run nothing
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, int) and f.name != "seed" and value < 0:
+                raise MalformedInputError(f"{f.name} must be non-negative, not {value}")
 
 
 def _run_task(suite: str, ctx: GroupContext, config: SuiteConfig, quota) -> SuiteOutcome:
     started = time.perf_counter()
     run = _Tally(suite, ctx.label, ctx.group, ctx.digest, quota)
-    notes = _SUITE_FUNCS[suite](ctx, config, run) or ()
+    notes = SUITES[suite][0](ctx, config, run) or ()
     return SuiteOutcome(
         suite, ctx.label, run.passes, tuple(run.failures), time.perf_counter() - started, notes
     )
@@ -753,10 +708,16 @@ def run_suites(
 ) -> Report:
     """Run the configured suites and merge outcomes in (suite, group) order."""
     for suite in config.suites:
-        _check_suite_name(suite)
+        if suite not in SUITES:
+            raise MalformedInputError(f"unknown suite {suite!r}")
     contexts = build_contexts(config, extra_groups)
-    quotas = _quotas(config, contexts)
-    outcomes = [o for suite in config.suites for o in run_suite(suite, contexts, config, quotas)]
+    outcomes = []
+    for suite in config.suites:
+        _, target, max_order = SUITES[suite]
+        eligible = [c for c in contexts if target and c.group.order <= max_order]
+        for ctx in contexts:
+            quota = -(-getattr(config, target) // len(eligible)) if ctx in eligible else None
+            outcomes.append(_run_task(suite, ctx, config, quota))
     outcomes.sort(key=lambda o: (o.suite, o.group))
     outcomes.extend(_uniformity_outcome(outcomes))
     return Report(config, tuple(outcomes))
@@ -829,7 +790,7 @@ _FIELDS = {
     **dict.fromkeys(("achieved", "attempts"), partial(_integer, least=0)),
     "seed": _integer,
     "check": partial(_choice, choices=_ENVELOPE_CHECKS),
-    "suite": partial(_choice, choices=tuple(_QUOTA_SUITES)),
+    "suite": partial(_choice, choices=tuple(name for name, (_, target, _) in SUITES.items() if target)),
 }
 
 

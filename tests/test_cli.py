@@ -163,6 +163,23 @@ def test_lattice_text_and_dot(capsys):
     assert code == 0
     assert dot.startswith("digraph")
     assert "->" in dot
+    # inside a subgroup: elements 1 and 5 generate one of order 8
+    argv = ("lattice", "--group", "symmetric(4)", "--subgroup", "1,5")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == [
+        "nodes: 5",
+        "  C0: order 8 = C([])",
+        "  C1: order 4 = C([7])",
+        "  C2: order 4 = C([5])",
+        "  C3: order 4 = C([1])",
+        "  C4: order 2 = C([1, 5])",
+        "cover edges: 0>1 0>2 0>3 1>4 2>4 3>4",
+    ]
+    code, dot, _ = run(capsys, *argv, "--dot")
+    assert code == 0
+    assert dot.splitlines()[1:6] == [f'  n{i} [label="C{i} (order {o})"];' for i, o in enumerate((8, 4, 4, 4, 2))]
+    assert dot.splitlines()[6:-1] == [f"  n{i} -> n{j};" for i, j in ((0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4))]
 
 
 def test_subgroup_json_file(capsys, tmp_path):
@@ -290,6 +307,28 @@ def test_verify_unknown_suite_exits_2(capsys):
     assert code == 2
     assert err.startswith("error:")
     assert "unknown suite" in err
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("cyclic(0)", "cyclic order must be at least 1"),
+        ("dihedral(0)", "dihedral argument must be at least 1"),
+        ("symmetric(0)", "symmetric degree must be at least 1"),
+        ("alternating(0)", "alternating degree must be at least 1"),
+        ("unitriangular(1)", "unitriangular argument must be a prime"),
+        ("unitriangular(4)", "unitriangular argument must be a prime"),
+        ("(3)", "expected a group name at position 0 of '(3)'"),
+        ("cyclic", "group 'cyclic' needs arguments, as in cyclic(...)"),
+        ("product(cyclic(2),cyclic(3)", "unclosed product(...) in 'product(cyclic(2),cyclic(3)'"),
+        ("product(cyclic(2))", "product(...) needs at least two factors"),
+        ("cyclic(3", "unclosed cyclic(...) in 'cyclic(3'"),
+    ],
+)
+def test_catalog_input_errors_exit_2(capsys, spec, message):
+    code, out, err = run(capsys, "info", "--group", spec)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_unknown_group_spec_exits_2(capsys):

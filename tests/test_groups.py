@@ -661,6 +661,21 @@ def test_group_dict_rejects_junk():
     assert group_from_dict({"kind": "cayley", "order": 2, "table": [[0, 1], [1, 0]]}).order == 2
 
 
+def test_trivial_perm_group_costs_nothing_per_point():
+    tracemalloc.start()
+    try:
+        G = group_from_dict({"kind": "perm", "degree": 10**8, "generators": []})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert G.order == 1 and group_to_dict(G)["degree"] == 10**8
+    # on a small degree, the identity's image array still names element 0
+    H = group_from_dict({"kind": "perm", "degree": 3, "generators": []})
+    assert subgroup_from_dict(H, {"generators": [[0, 1, 2]]}).members == 1
+    assert group_from_dict(group_to_dict(H)).order == 1
+
+
 def test_group_file_round_trip(tmp_path):
     G = dihedral(4)
     path = tmp_path / "d8.json"

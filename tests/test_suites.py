@@ -31,7 +31,6 @@ from nilenv.suites import (
     build_contexts,
     group_digest,
     replay_failure,
-    run_suite,
     run_suites,
     sample_subgroups,
 )
@@ -332,7 +331,7 @@ def test_unknown_suite_name_rejected():
     with pytest.raises(MalformedInputError, match="unknown suite"):
         run_suites(replace(SMALL_CONFIG, suites=("hallwitt", "bogus")))
     with pytest.raises(MalformedInputError, match="unknown suite"):
-        run_suite("bogus", build_contexts(SMALL_CONFIG), SMALL_CONFIG)
+        run_suites(replace(SMALL_CONFIG, suites=("bogus",)))
 
 
 def test_reduced_run_is_deterministic():
@@ -362,9 +361,8 @@ def test_report_notes_and_cross_group_line():
 
 
 def test_run_suite_single():
-    contexts = build_contexts(SMALL_CONFIG)
-    outcomes = run_suite("dimension", contexts, SMALL_CONFIG)
-    assert [o.group for o in outcomes] == ["symmetric(3)", "dihedral(4)"]
+    outcomes = run_suites(replace(SMALL_CONFIG, suites=("dimension",))).outcomes
+    assert [o.group for o in outcomes] == ["dihedral(4)", "symmetric(3)"]
     assert all(o.suite == "dimension" for o in outcomes)
     assert all(not o.failures for o in outcomes)
 
@@ -643,14 +641,15 @@ _QUOTA_KINDS = ("bryant", "nested", "threesubgroup")
 
 def _record_draws(monkeypatch, kind, drawn):
     """Record every instance the quota suite ``kind`` draws, as (key, args)."""
-    draw = suites._SUITE_FUNCS[kind].keywords["draw"]
+    run, *quota = suites.SUITES[kind]
+    draw = run.keywords["draw"]
 
     def recording(ctx, rng):
         args = draw(ctx, rng)
         drawn.append((_hashable(args), args))
         return args
 
-    monkeypatch.setitem(suites._SUITE_FUNCS, kind, partial(suites._sample_to_quota, draw=recording))
+    monkeypatch.setitem(suites.SUITES, kind, (partial(suites._sample_to_quota, draw=recording), *quota))
 
 
 def _count_checks(monkeypatch, kind, calls, forced):
@@ -763,11 +762,10 @@ _CHUNK = suites._HALLWITT_CHUNK
 def test_injected_hallwitt_failures_report_their_own_triples(rows, monkeypatch):
     config = replace(SMALL_CONFIG, groups=("symmetric(5)",), suites=("hallwitt",))
     config = replace(config, max_exhaustive_order=1, hallwitt_triples=_CHUNK + 5)
-    contexts = build_contexts(config)
     calls = []
     with pytest.MonkeyPatch.context() as mp:
         _wrap_checks(mp, calls)
-        assert not run_suite("hallwitt", contexts, config)[0].failures
+        assert not run_suites(config).outcomes[0].failures
     drawn = _drawn_triples(calls)
     assert len(drawn) == _CHUNK + 5
     picked = [drawn[r] for r in rows]
@@ -775,7 +773,7 @@ def test_injected_hallwitt_failures_report_their_own_triples(rows, monkeypatch):
     del calls[:]
     with pytest.MonkeyPatch.context() as mp:
         _wrap_checks(mp, calls, fail_rows={tuple(t) for t in picked})
-        (outcome,) = run_suite("hallwitt", contexts, config)
+        (outcome,) = run_suites(config).outcomes
         assert _drawn_triples(calls) == drawn
         assert outcome.passes == _CHUNK + 5 - len(rows)
         assert [f.payload for f in outcome.failures] == [
