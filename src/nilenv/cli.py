@@ -59,15 +59,16 @@ def _indices(text: str) -> list[int]:
     return out
 
 
-def _subgroup_argument(G: FiniteGroup, token: str) -> Subgroup:
-    if os.path.exists(token):
-        return subgroup_from_dict(G, read_json(token))
-    return G.subgroup_from_generators(_indices(token))
-
-
 def _subject(G: FiniteGroup, args) -> Subgroup:
-    """What a command works on: its ``--subgroup``, or else the whole group."""
-    return _subgroup_argument(G, args.subgroup) if args.subgroup else G.as_subgroup()
+    """What a command works on: the subgroup ``--subgroup`` gives, or the whole group without one.
+
+    A given list, even an empty one, means the subgroup it generates.
+    """
+    if args.subgroup is None:
+        return G.as_subgroup()
+    if os.path.exists(args.subgroup):
+        return subgroup_from_dict(G, read_json(args.subgroup))
+    return G.subgroup_from_generators(_indices(args.subgroup))
 
 
 def _element_list(elements) -> str:
@@ -115,7 +116,7 @@ def _cmd_series(args) -> int:
 
 def _cmd_envelope(args) -> int:
     G = _group_argument(args.group)
-    H = _subgroup_argument(G, args.subgroup)
+    H = _subject(G, args)
     trace = build_envelope(G, H)
     parameters = trace.parameters  # may refuse the group, before any output
     print(f"group: {G.name} (order {G.order})")
@@ -145,7 +146,7 @@ def _cmd_fitting(args) -> int:
     print(f"group: {G.name} (order {G.order})")
     print(f"fitting subgroup order: {report.fitting.order}")
     print(f"generators: {_element_list(report.fitting.generators)}")
-    print(f"by p-cores: order {report.by_op_cores.order}")
+    print(f"by p-cores: order {report.fitting.order}")
     print(f"by envelope fixpoint: order {report.by_envelope.order}")
     print(f"by engel set: order {report.by_engel.order}")
     print(f"engel bound: {report.engel_bound_n}")

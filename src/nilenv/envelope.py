@@ -38,7 +38,7 @@ from .groups import (
 )
 from .series import (
     _center_mismatch,
-    _restriction_mismatch,
+    _restricts,
     _series_term,
     iterated_centralizer,
     lower_central_series,
@@ -61,12 +61,19 @@ class TowerLevel:
 class EnvelopeTrace:
     """Everything the envelope construction produced, for checking and emission."""
 
-    group: FiniteGroup
     original: Subgroup
     replaced: Subgroup
     tower: tuple[TowerLevel, ...]
     envelope: Subgroup
-    nilpotence_class: int
+
+    @property
+    def group(self) -> FiniteGroup:
+        return self.original.parent
+
+    @property
+    def nilpotence_class(self) -> int:
+        """The class n of H: the tower has one stage per level."""
+        return len(self.tower)
 
     @property
     def parameters(self) -> tuple[int, ...]:
@@ -121,7 +128,7 @@ def build_envelope(G: FiniteGroup, H: Subgroup) -> EnvelopeTrace:
     if n is None:
         raise NotNilpotentError("envelope construction needs a nilpotent subgroup")
     if n == 0:
-        return EnvelopeTrace(G, H, H, (), G.trivial_subgroup(), 0)
+        return EnvelopeTrace(H, H, (), G.trivial_subgroup())
 
     e1, c_of_h = minimal_centralizer_above(H)
     witnesses1 = greedy_witness(c_of_h)
@@ -150,7 +157,7 @@ def build_envelope(G: FiniteGroup, H: Subgroup) -> EnvelopeTrace:
         levels.append(TowerLevel(k, current, wits, prev_center))
 
     envelope = _series_term(upper_central_series(current).terms, n)
-    trace = EnvelopeTrace(G, H, replaced, tuple(levels), envelope, n)
+    trace = EnvelopeTrace(H, replaced, tuple(levels), envelope)
     _assert_trace(trace)
     return trace
 
@@ -230,7 +237,11 @@ class EnvelopeReport:
         return tuple(e for e in self.entries if not e.ok)
 
 
-def verify_envelope(trace: EnvelopeTrace, samples_per_level: int = 4, seed: int = 0) -> EnvelopeReport:
+# how many elements, and intermediate and sampled subgroups, verify_envelope draws per level
+_SAMPLES_PER_LEVEL = 2
+
+
+def verify_envelope(trace: EnvelopeTrace, seed: int = 0) -> EnvelopeReport:
     """Independently re-check the identities behind an envelope trace.
 
     Some checks re-derive a stage by another route than the construction:
@@ -285,7 +296,7 @@ def verify_envelope(trace: EnvelopeTrace, samples_per_level: int = 4, seed: int 
              _stage_cut(G, prev, iter_mask(t_k.members), prev_center) == lvl.subgroup.members)
 
         t_elems = list(iter_mask(t_k.members))
-        picked = t_elems if len(t_elems) <= samples_per_level else rng.sample(t_elems, samples_per_level)
+        picked = t_elems if len(t_elems) <= _SAMPLES_PER_LEVEL else rng.sample(t_elems, _SAMPLES_PER_LEVEL)
         for h in picked:
             ekh = Subgroup(G, _stage_cut(G, prev, (h,), prev_center))
             gamma = _series_term(lower_central_series(ekh).terms, k - 1)
@@ -297,17 +308,17 @@ def verify_envelope(trace: EnvelopeTrace, samples_per_level: int = 4, seed: int 
         note(k, "gamma_k of the stage centralizes the whole level",
              commutator_subgroup(gamma_ek, t_k).members == 1)
 
-        for _ in range(samples_per_level):
+        for _ in range(_SAMPLES_PER_LEVEL):
             extra = rng.choice(list(iter_mask(prev.members)))
             p = Subgroup(G, G.closure_mask(hp.members | 1 << extra))
             p_tower = iterated_centralizer(p, hp, k)
-            ok = _restriction_mismatch(p_tower, iterated_centralizer(prev, hp, k)) is None
+            ok = _restricts(p_tower, iterated_centralizer(prev, hp, k))
             note(k, "relative towers restrict along sampled intermediate subgroups",
                  ok, detail=f"extra={extra}")
 
     for lvl in trace.tower:
         e_k = lvl.subgroup
-        for _ in range(samples_per_level):
+        for _ in range(_SAMPLES_PER_LEVEL):
             extra = rng.choice(list(iter_mask(e_k.members)))
             p = Subgroup(G, G.closure_mask(hp.members | 1 << extra))
             ok = _center_mismatch(iterated_centralizer(e_k, p, lvl.level), lvl.level) is None
@@ -478,10 +489,9 @@ def _engel_set(G: FiniteGroup) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class FittingReport:
-    """The Fitting subgroup computed three independent ways."""
+    """The Fitting subgroup computed three independent ways; ``fitting`` is the p-cores' product."""
 
     fitting: Subgroup
-    by_op_cores: Subgroup
     by_envelope: Subgroup
     by_engel: Subgroup
     engel_bound_n: int
@@ -505,10 +515,9 @@ def fitting(G: FiniteGroup) -> FittingReport:
     :func:`_engel_set` runs these chains once per conjugacy class, since
     conjugates are Engel together, with the same bound.
     """
-    cores = G.trivial_subgroup()
+    by_cores = G.trivial_subgroup()
     for p in _prime_factors(G.order):
-        cores = product_set(cores, p_core(G, p))
-    by_cores = cores
+        by_cores = product_set(by_cores, p_core(G, p))
 
     if nilpotence_class(by_cores) is None:
         raise InternalCheckError("product of p-cores is not nilpotent")
@@ -522,4 +531,4 @@ def fitting(G: FiniteGroup) -> FittingReport:
 
     if not by_cores.members == by_envelope.members == by_engel.members:
         raise InternalCheckError("fitting computations disagree")
-    return FittingReport(by_cores, by_cores, by_envelope, by_engel, bound)
+    return FittingReport(by_cores, by_envelope, by_engel, bound)

@@ -18,7 +18,6 @@ from .groups import (
     _ambient_pair,
     commutator_subgroup,
     is_subgroup_mask,
-    iter_mask,
     mask_of,
 )
 
@@ -27,7 +26,6 @@ from .groups import (
 class CentralSeries:
     """A lower or upper central series with its class, when it terminates."""
 
-    kind: str
     terms: tuple[Subgroup, ...]
     nilpotence_class: int | None
 
@@ -46,7 +44,7 @@ def _lower_central_series(P: Subgroup) -> CentralSeries:
             break
         terms.append(nxt)
     cls = len(terms) - 1 if terms[-1].members == 1 else None
-    return CentralSeries("lower", tuple(terms), cls)
+    return CentralSeries(tuple(terms), cls)
 
 
 def upper_central_series(P: Subgroup) -> CentralSeries:
@@ -72,7 +70,7 @@ def _upper_central_series(P: Subgroup) -> CentralSeries:
             break
         masks.append(nxt)
     cls = len(masks) - 1 if masks[-1] == P.members else None
-    return CentralSeries("upper", tuple(Subgroup(G, m) for m in masks), cls)
+    return CentralSeries(tuple(Subgroup(G, m) for m in masks), cls)
 
 
 def nilpotence_class(P: Subgroup) -> int | None:
@@ -156,76 +154,41 @@ def _center_mismatch(tower: IteratedCentralizerTower, top: int) -> int | None:
     return None
 
 
-def _restriction_mismatch(inner, outer) -> int | None:
-    """The least j with C_B^j(A) != C_C^j(A) meet B, or None, for A <= B <= C.
+def _restricts(inner, outer) -> bool:
+    """Whether C_B^j(A) = C_C^j(A) meet B at every level j, for A <= B <= C.
 
     ``inner`` and ``outer`` are the towers of A inside B and inside C, built to one level.
     """
-    for j, (term, over) in enumerate(zip(inner.terms, outer.terms)):
-        if term.members != over.members & inner.ambient.members:
-            return j
-    return None
+    b = inner.ambient.members
+    return all(term.members == over.members & b for term, over in zip(inner.terms, outer.terms))
 
 
-@dataclass(frozen=True)
-class HallBoundReport:
+def check_hall_bound(ambient, base: Subgroup, i: int, k: int) -> bool:
     """Whether [gamma_i(base), C^k(base)] lands inside C^(k-i)(base)."""
-
-    ok: bool
-    lhs: Subgroup
-    rhs: Subgroup
-    counterexample: tuple[int, int, int] | None
-
-
-def check_hall_bound(ambient, base: Subgroup, i: int, k: int) -> HallBoundReport:
-    """Check the commutator bound relating the tower to the lower series."""
     if not 1 <= i <= k:
         raise HypothesisError("indices must satisfy 1 <= i <= k")
     G, _ = _ambient_pair(ambient)
     tower = iterated_centralizer(ambient, base, k)
     gamma_i = _series_term(lower_central_series(base).terms, i - 1)
     c_k = tower.terms[k]
-    rhs = tower.terms[k - i]
+    rhs = tower.terms[k - i].members
 
-    # the kernel keeps the a with [a, c] in rhs for every c in C^k; the scan
-    # over the rest finds the first failing (a, c) in ascending order
-    bad = gamma_i.members & ~G._select("comm", gamma_i.members, c_k.members, rhs.members)
-    counterexample = None
-    for a in iter_mask(bad):
-        for c in iter_mask(c_k.members):
-            w = G._comm(a, c)
-            if not rhs.members >> w & 1:
-                counterexample = (a, c, w)
-                break
-        if counterexample:
-            break
-    lhs = commutator_subgroup(gamma_i, c_k)
-    ok = counterexample is None
-    if ok != (lhs.members & ~rhs.members == 0):
+    # the kernel keeps the a with [a, c] in rhs for every c in C^k
+    ok = G._select("comm", gamma_i.members, c_k.members, rhs) == gamma_i.members
+    if ok != (commutator_subgroup(gamma_i, c_k).members & ~rhs == 0):
         raise InternalCheckError("pairwise and generated commutator checks disagree")
-    return HallBoundReport(ok, lhs, rhs, counterexample)
-
-
-@dataclass(frozen=True)
-class ThreeSubgroupReport:
-    """Outcome of a three-subgroup implication instance.
-
-    ``conclusion_holds`` is None when the hypotheses fail (the implication is
-    then vacuously true).
-    """
-
-    hypotheses_hold: bool
-    conclusion_holds: bool | None
-    implication_holds: bool
+    return ok
 
 
 def check_three_subgroup(
     first: Subgroup, second: Subgroup, third: Subgroup, inside: Subgroup
-) -> ThreeSubgroupReport:
+) -> bool | None:
     """Check: [K,L,M] <= N and [L,M,K] <= N imply [M,K,L] <= N.
 
-    K, L, M must all normalize N; violating that precondition raises
-    :class:`HypothesisError`, matching the lemma's standing hypothesis.
+    Returns whether [M,K,L] <= N, or None when the hypotheses fail (the
+    implication is then vacuously true).  K, L, M must all normalize N;
+    violating that precondition raises :class:`HypothesisError`, matching
+    the lemma's standing hypothesis.
     """
     G = inside.parent
     for sub in (first, second, third):
@@ -236,41 +199,22 @@ def check_three_subgroup(
         if sub.members & ~norm:
             raise HypothesisError(f"subgroup {label} does not normalize N")
 
-    def triple(a, b, c):
-        return commutator_subgroup(commutator_subgroup(a, b), c)
+    def inside_n(a, b, c):
+        return commutator_subgroup(commutator_subgroup(a, b), c).members & ~inside.members == 0
 
-    n_mask = inside.members
-    hyp = (
-        triple(first, second, third).members & ~n_mask == 0
-        and triple(second, third, first).members & ~n_mask == 0
-    )
-    if not hyp:
-        return ThreeSubgroupReport(False, None, True)
-    conclusion = triple(third, first, second).members & ~n_mask == 0
-    return ThreeSubgroupReport(True, conclusion, conclusion)
+    if not (inside_n(first, second, third) and inside_n(second, third, first)):
+        return None
+    return inside_n(third, first, second)
 
 
-@dataclass(frozen=True)
-class TransferReport:
-    """Outcome of a centralizer transfer instance at level k.
-
-    status is one of "hypotheses-fail", "conclusion-holds", "violation";
-    the tower terms C^k(X) and C^k(P) are included for inspection.
-    """
-
-    status: str
-    level: int
-    x_term: Subgroup
-    p_term: Subgroup
-
-
-def check_centralizer_transfer(ambient, small: Subgroup, big: Subgroup, k: int) -> TransferReport:
+def check_centralizer_transfer(ambient, small: Subgroup, big: Subgroup, k: int) -> bool | None:
     """Check that a subgroup and an overgroup share their level-k centralizer.
 
     Given X <= P inside the ambient subgroup, the hypotheses are: the towers
     of X and P agree below level k, [gamma_k(P), C^k(X)] = 1, and X and P
-    have equal centralizers.  The conclusion is C^k(X) = C^k(P); a violation
-    with the hypotheses holding would mean an implementation bug.
+    have equal centralizers.  Returns whether the conclusion C^k(X) = C^k(P)
+    holds, or None when the hypotheses fail; False would mean an
+    implementation bug.
     """
     if k < 1:
         raise HypothesisError("level k must be at least 1")
@@ -293,26 +237,16 @@ def check_centralizer_transfer(ambient, small: Subgroup, big: Subgroup, k: int) 
     )
 
     if not (agree_below and commute and same_centralizer):
-        return TransferReport("hypotheses-fail", k, c_k_x, p_tower.terms[k])
-    status = "conclusion-holds" if c_k_x.members == p_tower.terms[k].members else "violation"
-    return TransferReport(status, k, c_k_x, p_tower.terms[k])
+        return None
+    return c_k_x.members == p_tower.terms[k].members
 
 
-@dataclass(frozen=True)
-class NestedTowerReport:
-    """Outcome of a nested tower comparison across subgroups A <= B <= C."""
-
-    hypothesis_holds: bool
-    conclusion_holds: bool | None
-    implication_holds: bool
-    failed_level: int | None
-
-
-def check_nested_towers(inner: Subgroup, mid: Subgroup, outer: Subgroup, n: int) -> NestedTowerReport:
+def check_nested_towers(inner: Subgroup, mid: Subgroup, outer: Subgroup, n: int) -> bool | None:
     """Check C_B^j(A) = C_C^j(A) meet B for j <= n, for nested A <= B <= C.
 
     The hypothesis, checked first, is that the tower of A inside C agrees
-    with the upper central series of C at every level below n.
+    with the upper central series of C at every level below n.  Returns
+    whether the conclusion holds, or None when the hypothesis fails.
     """
     if n < 1:
         raise HypothesisError("level n must be at least 1")
@@ -321,9 +255,5 @@ def check_nested_towers(inner: Subgroup, mid: Subgroup, outer: Subgroup, n: int)
 
     outer_tower = iterated_centralizer(outer, inner, n)
     if _center_mismatch(outer_tower, n - 1) is not None:
-        return NestedTowerReport(False, None, True, None)
-
-    failed = _restriction_mismatch(iterated_centralizer(mid, inner, n), outer_tower)
-    if failed is not None:
-        return NestedTowerReport(True, False, False, failed)
-    return NestedTowerReport(True, True, True, None)
+        return None
+    return _restricts(iterated_centralizer(mid, inner, n), outer_tower)

@@ -193,7 +193,6 @@ def test_criterion_6_fitting_three_ways():
         F = report.fitting
         if not (
             F.members
-            == report.by_op_cores.members
             == report.by_envelope.members
             == report.by_engel.members
         ):

@@ -195,6 +195,22 @@ def test_subgroup_json_file(capsys, tmp_path):
     assert "dimension: 1" in out
 
 
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("dim", "order: 1"),
+        ("series", "subject order: 1"),
+        ("lattice", "nodes: 1"),
+        ("envelope", "subgroup order: 1"),
+    ],
+)
+@pytest.mark.parametrize("given", ["", " "])
+def test_an_empty_subgroup_list_is_the_trivial_subgroup(capsys, command, line, given):
+    code, out, err = run(capsys, command, "--group", "symmetric(3)", "--subgroup", given)
+    assert code == 0 and err == ""
+    assert line in out.splitlines()
+
+
 def test_verify_reduced(capsys):
     code, out, _ = run(
         capsys,

@@ -148,7 +148,7 @@ def test_verify_envelope_reports():
     G = from_spec("product(dihedral(4),symmetric(3))")
     factor = closure(G, [6, 24])
     trace = build_envelope(G, factor)
-    report = verify_envelope(trace, samples_per_level=3, seed=1)
+    report = verify_envelope(trace, seed=1)
     assert report.ok
     assert report.failures() == ()
     assert any(entry.level == 1 for entry in report.entries)
@@ -176,6 +176,9 @@ def _tampered(which):
         return replace(trace, tower=(e1, replace(e2, witnesses=e2.witnesses[:-1])))
     if which == "stage-one center":
         return replace(trace, tower=(replace(e1, prev_center=e1.subgroup), e2))
+    if which == "cut":
+        # the class is the tower's length, so the cut trace claims class 1
+        return replace(trace, tower=(e1,))
     swapped = (replace(e1, prev_center=e2.prev_center), replace(e2, prev_center=e1.prev_center))
     return replace(trace, tower=swapped)
 
@@ -193,11 +196,12 @@ def _tampered(which):
             },
         ),
         ("stage-one center", {"recorded center matches Z_(k-1) of the stage above"}),
+        ("cut", {"envelope is Z_n of the last stage", "envelope class matches"}),
     ],
 )
 def test_verify_envelope_catches_tampered_traces(which, labels):
-    report = verify_envelope(_tampered(which), samples_per_level=3, seed=1)
-    assert not report.ok
+    report = verify_envelope(_tampered(which), seed=1)
+    assert report.ok is False
     assert {entry.label for entry in report.failures()} == labels
 
 
@@ -291,7 +295,7 @@ def test_fitting_anchor_values():
     report = fitting(symmetric(4))
     assert report.fitting.order == 4
     assert report.fitting.members == klein_in(symmetric(4)).members
-    assert report.by_op_cores == report.by_envelope == report.by_engel
+    assert report.fitting == report.by_envelope == report.by_engel
 
     assert fitting(alternating(5)).fitting.order == 1
     assert fitting(quaternion()).fitting.order == 8

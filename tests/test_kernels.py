@@ -323,9 +323,7 @@ def test_series_kernels_match_references(rng):
                 for i in range(1, k + 1):
                     gamma = lower[min(i - 1, len(lower) - 1)]
                     expect = ref_hall_counterexample(G, gamma, masks[k], masks[k - i])
-                    report = check_hall_bound(Subgroup(G, amb), Subgroup(G, base), i, k)
-                    assert report.counterexample == expect
-                    assert report.ok == (expect is None)
+                    assert check_hall_bound(Subgroup(G, amb), Subgroup(G, base), i, k) is (expect is None)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -339,7 +337,7 @@ def test_fitting_engel_set_matches_reference(G):
     mask, bound = ref_engel(G)
     assert report.by_engel.members == mask
     assert report.engel_bound_n == bound
-    assert report.by_op_cores.members == ref_fitting_by_cores(G)
+    assert report.fitting.members == ref_fitting_by_cores(G)
 
 
 def test_engel_set_does_not_read_the_conjugacy_classes():

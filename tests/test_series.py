@@ -181,10 +181,7 @@ def test_hall_bound_on_sampled_nilpotent_subgroups():
             seen += 1
             for k in range(1, k_class + 1):
                 for i in range(1, k + 1):
-                    report = check_hall_bound(G, sub, i, k)
-                    assert report.ok
-                    assert report.counterexample is None
-                    assert report.lhs.members & ~report.rhs.members == 0
+                    assert check_hall_bound(G, sub, i, k) is True
 
 
 def test_hall_bound_index_validation():
@@ -200,20 +197,14 @@ def test_three_subgroup_conclusion_holds():
     D8 = dihedral(4)
     whole = D8.as_subgroup()
     center = D8.center()
-    report = check_three_subgroup(whole, whole, whole, center)
-    assert report.hypotheses_hold
-    assert report.conclusion_holds
-    assert report.implication_holds
+    assert check_three_subgroup(whole, whole, whole, center) is True
 
 
 def test_three_subgroup_vacuous_case():
     S3 = symmetric(3)
     whole = S3.as_subgroup()
     trivial = S3.subgroup([0])
-    report = check_three_subgroup(whole, whole, whole, trivial)
-    assert not report.hypotheses_hold
-    assert report.conclusion_holds is None
-    assert report.implication_holds
+    assert check_three_subgroup(whole, whole, whole, trivial) is None
 
 
 def test_three_subgroup_normalization_precondition():
@@ -242,19 +233,14 @@ def test_three_subgroup_random_instances_never_violate():
             cand = closure(G, [rng.randrange(G.order) for _ in range(rng.randint(1, 2))])
             if cand.members & ~norm == 0:
                 subs.append(cand)
-        report = check_three_subgroup(subs[0], subs[1], subs[2], n)
-        assert report.implication_holds
+        assert check_three_subgroup(subs[0], subs[1], subs[2], n) is not False
 
 
 def test_centralizer_transfer_statuses():
     D8 = dihedral(4)
     rotations = closure(D8, [1])
-    report = check_centralizer_transfer(D8, rotations, rotations, 1)
-    assert report.status == "conclusion-holds"
-    assert report.x_term.members == report.p_term.members
-
-    report = check_centralizer_transfer(D8, D8.center(), rotations, 1)
-    assert report.status == "hypotheses-fail"
+    assert check_centralizer_transfer(D8, rotations, rotations, 1) is True
+    assert check_centralizer_transfer(D8, D8.center(), rotations, 1) is None
 
     with pytest.raises(HypothesisError):
         check_centralizer_transfer(D8, rotations, D8.center(), 1)
@@ -270,25 +256,19 @@ def test_centralizer_transfer_random_instances():
             candidates = [g for g in p_sub]
             x_sub = closure(G, rng.sample(candidates, rng.randint(1, min(2, len(candidates)))))
             k = rng.randint(1, 3)
-            report = check_centralizer_transfer(G, x_sub, p_sub, k)
-            assert report.status in ("hypotheses-fail", "conclusion-holds")
+            assert check_centralizer_transfer(G, x_sub, p_sub, k) is not False
 
 
 def test_nested_towers():
     D8 = dihedral(4)
     center = D8.center()
     rotations = closure(D8, [1])
-    report = check_nested_towers(center, rotations, D8.as_subgroup(), 1)
-    assert report.hypothesis_holds
-    assert report.implication_holds
+    assert check_nested_towers(center, rotations, D8.as_subgroup(), 1) is True
 
     S3 = symmetric(3)
     flip = next(g for g in range(6) if g and S3.mul(g, g) == 0)
     small = closure(S3, [flip])
-    report = check_nested_towers(small, small, S3.as_subgroup(), 2)
-    assert not report.hypothesis_holds
-    assert report.conclusion_holds is None
-    assert report.implication_holds
+    assert check_nested_towers(small, small, S3.as_subgroup(), 2) is None
 
     with pytest.raises(HypothesisError):
         check_nested_towers(rotations, center, D8.as_subgroup(), 1)
@@ -303,8 +283,7 @@ def test_nested_towers_random_instances():
             a = closure(G, [rng.randrange(G.order)])
             b = closure(G, [*a.generators, rng.randrange(G.order)])
             c = closure(G, [*b.generators, rng.randrange(G.order)])
-            report = check_nested_towers(a, b, c, rng.randint(1, 3))
-            assert report.implication_holds
+            assert check_nested_towers(a, b, c, rng.randint(1, 3)) is not False
 
 
 def test_gamma_2_is_derived_subgroup():
