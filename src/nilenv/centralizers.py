@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from .errors import CapExceededError, InternalCheckError
 from .groups import ElementSet, Subgroup, _ambient_pair, iter_mask, mask_of
+from .series import _series_term, upper_central_series
 
 # most centralizers `centralizer_lattice` enumerates before it gives up
 NODE_CAP = 20_000
@@ -248,7 +249,7 @@ def bottom_chain_classify(h: Subgroup) -> BottomChainCase:
         if h.members & ~c_of_c or c_of_c == G.full_mask:
             raise InternalCheckError("case 2 witness fails H <= C(A) < G")
         return BottomChainCase(2, ElementSet(G, c))
-    inner_center = G.centralizer_mask(h.members, within=h.members)
-    if inner_center != z & h.members:
+    # Z(H) by H's own generators, not from the C(H) just compared with Z(G)
+    if _series_term(upper_central_series(h).terms, 1).members != z & h.members:
         raise InternalCheckError("Z(H) differs from Z(G) meet H in case 3")
     return BottomChainCase(3, None)

@@ -125,9 +125,9 @@ def _cmd_envelope(args) -> int:
     if trace.replaced.members != trace.original.members:
         print(f"replaced subgroup order: {trace.replaced.order}")
     print("tower:")
-    for lvl in trace.tower:
+    for k, lvl in enumerate(trace.tower, 1):
         wits = ", ".join(str(w) for w in lvl.witnesses)
-        print(f"  E_{lvl.level} order {lvl.subgroup.order} witnesses ({wits})")
+        print(f"  E_{k} order {lvl.subgroup.order} witnesses ({wits})")
     print(f"envelope order: {trace.envelope.order}")
     print("parameters: " + _element_list(parameters))
     if args.emit_formula:

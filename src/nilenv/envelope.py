@@ -49,22 +49,19 @@ from .series import (
 
 @dataclass(frozen=True)
 class TowerLevel:
-    """One stage of the tower: E_k, its witnesses, and Z_(k-1) of the stage above."""
+    """One stage E_k, k its position in the tower from 1, and the witnesses that cut it out."""
 
-    level: int
     subgroup: Subgroup
     witnesses: tuple[int, ...]
-    prev_center: Subgroup
 
 
 @dataclass(frozen=True)
 class EnvelopeTrace:
-    """Everything the envelope construction produced, for checking and emission."""
+    """The construction's choices: H, H' = H * Z(E_1), and each stage with its witnesses."""
 
     original: Subgroup
     replaced: Subgroup
     tower: tuple[TowerLevel, ...]
-    envelope: Subgroup
 
     @property
     def group(self) -> FiniteGroup:
@@ -76,20 +73,26 @@ class EnvelopeTrace:
         return len(self.tower)
 
     @property
+    def envelope(self) -> Subgroup:
+        """D = Z_n(E_n), the trivial subgroup for an empty tower."""
+        if not self.tower:
+            return self.group.trivial_subgroup()
+        return _center(self.tower[-1].subgroup, self.nilpotence_class)
+
+    @property
     def parameters(self) -> tuple[int, ...]:
         """The witnesses padded to ``dimension(group)``: of the trace, only these need the lattice."""
         return padded_parameters(self, dimension(self.group)) if self.tower else ()
 
 
-def _stage_cut(G: FiniteGroup, above: Subgroup, elements, center: Subgroup) -> int:
-    """{x in above : [x, h] in center for each h in ``elements``}.
+def _center(P: Subgroup, j: int) -> Subgroup:
+    """Z_j(P), read from the memoized upper central series."""
+    return _series_term(upper_central_series(P).terms, j)
 
-    One kernel call per h keeps the calls on small stages on the scalar path.
-    """
-    mask = above.members
-    for h in elements:
-        mask &= G._select("comm", above.members, 1 << h, center.members)
-    return mask
+
+def _stage_cut(above: Subgroup, witnesses: int, center: Subgroup) -> int:
+    """{x in above : [x, h] in center for each h in the mask ``witnesses``}."""
+    return above.parent._select("comm", above.members, witnesses, center.members)
 
 
 def _witnesses_cut_out(G: FiniteGroup, witnesses, target: int, within: int | None = None) -> bool:
@@ -107,7 +110,8 @@ def _not_normalized(trace: EnvelopeTrace, base: int) -> str | None:
     """The name of the first stage, or the envelope, that N_G(base) does not normalize."""
     G = trace.group
     norm = G.normalizer_mask(base)
-    named = [(f"stage {lvl.level}", lvl.subgroup) for lvl in trace.tower] + [("envelope", trace.envelope)]
+    named = [(f"stage {k}", lvl.subgroup) for k, lvl in enumerate(trace.tower, 1)]
+    named.append(("envelope", trace.envelope))
     return next((name for name, sub in named if norm & ~G.normalizer_mask(sub.members)), None)
 
 
@@ -128,7 +132,7 @@ def build_envelope(G: FiniteGroup, H: Subgroup) -> EnvelopeTrace:
     if n is None:
         raise NotNilpotentError("envelope construction needs a nilpotent subgroup")
     if n == 0:
-        return EnvelopeTrace(H, H, (), G.trivial_subgroup())
+        return EnvelopeTrace(H, H, ())
 
     e1, c_of_h = minimal_centralizer_above(H)
     witnesses1 = greedy_witness(c_of_h)
@@ -138,11 +142,9 @@ def build_envelope(G: FiniteGroup, H: Subgroup) -> EnvelopeTrace:
     if nilpotence_class(replaced) != n:
         raise InternalCheckError("central enlargement changed the nilpotence class")
 
-    levels = [TowerLevel(1, e1, witnesses1, G.trivial_subgroup())]
-    current = e1
+    levels = [TowerLevel(e1, witnesses1)]
     for k in range(2, n + 1):
-        prev = current
-        prev_center = _series_term(upper_central_series(prev).terms, k - 1)
+        prev = levels[-1].subgroup
         t_k = iterated_centralizer(prev, replaced, k).terms[k]
         wits = greedy_witness(ElementSet(G, t_k.members), within=prev)
         if not wits:
@@ -150,14 +152,12 @@ def build_envelope(G: FiniteGroup, H: Subgroup) -> EnvelopeTrace:
         level_centralizer = G.centralizer_mask(t_k.members, within=prev.members)
         if not _witnesses_cut_out(G, wits, level_centralizer, within=prev.members):
             raise InternalCheckError(f"witnesses at level {k} have the wrong centralizer")
-        mask = _stage_cut(G, prev, wits, prev_center)
+        mask = _stage_cut(prev, mask_of(wits), _center(prev, k - 1))
         if not is_subgroup_mask(G, mask):
             raise InternalCheckError(f"stage {k} intersection is not a subgroup")
-        current = Subgroup(G, mask)
-        levels.append(TowerLevel(k, current, wits, prev_center))
+        levels.append(TowerLevel(Subgroup(G, mask), wits))
 
-    envelope = _series_term(upper_central_series(current).terms, n)
-    trace = EnvelopeTrace(H, replaced, tuple(levels), envelope)
+    trace = EnvelopeTrace(H, replaced, tuple(levels))
     _assert_trace(trace)
     return trace
 
@@ -176,10 +176,10 @@ def _assert_trace(trace: EnvelopeTrace) -> None:
         if lvl.subgroup.members & ~upper_mask or hp.members & ~lvl.subgroup.members:
             raise InternalCheckError("tower is not a descending chain over H")
 
-    for lvl in levels:
-        j = _center_mismatch(iterated_centralizer(lvl.subgroup, hp, lvl.level), lvl.level)
+    for k, lvl in enumerate(levels, 1):
+        j = _center_mismatch(iterated_centralizer(lvl.subgroup, hp, k), k)
         if j is not None:
-            raise InternalCheckError(f"level {lvl.level}: C^{j}(H) differs from Z_{j} of the stage")
+            raise InternalCheckError(f"level {k}: C^{j}(H) differs from Z_{j} of the stage")
 
     envelope = trace.envelope
     if h_mask & ~envelope.members or envelope.members & ~levels[-1].subgroup.members:
@@ -204,11 +204,11 @@ def padded_parameters(trace: EnvelopeTrace, d: int) -> tuple[int, ...]:
     if d < 1:
         raise ArityMismatchError("parameter width d must be at least 1")
     out: list[int] = []
-    for lvl in trace.tower:
+    for k, lvl in enumerate(trace.tower, 1):
         wits = lvl.witnesses
         if len(wits) > d:
             raise ArityMismatchError(
-                f"stage {lvl.level} has {len(wits)} witnesses, more than width {d}"
+                f"stage {k} has {len(wits)} witnesses, more than width {d}"
             )
         if wits:
             out.extend(wits + (wits[-1],) * (d - len(wits)))
@@ -250,9 +250,12 @@ def verify_envelope(trace: EnvelopeTrace, seed: int = 0) -> EnvelopeReport:
     the identities [gamma_k(E_k(h)), h] = 1 and [gamma_k(E_k), C^k(H)] = 1.
     The rest share one definition with the construction, its assertions or
     :func:`~nilenv.series.check_nested_towers`: the witnesses' centralizer,
-    H * Z(E_1), the stage centers, towers of sampled subgroups against those
-    centers and along sampled intermediate subgroups, and normalization by
-    the normalizers of both the original and the replaced subgroup.
+    H * Z(E_1), towers of sampled subgroups against the stage centers and
+    along sampled intermediate subgroups, and normalization by the
+    normalizers of both the original and the replaced subgroup.
+
+    A hand-made trace gets a report, not an exception: where H' escapes a
+    stage, the entries on towers over H' inside it fail without being computed.
     """
     G = trace.group
     n = trace.nilpotence_class
@@ -263,42 +266,38 @@ def verify_envelope(trace: EnvelopeTrace, seed: int = 0) -> EnvelopeReport:
     def note(level, label, ok, detail=""):
         entries.append(CheckEntry(level, label, bool(ok), detail))
 
-    if n == 0:
-        note(None, "trivial subgroup has the trivial envelope", trace.envelope.order == 1)
-        return EnvelopeReport(tuple(entries))
+    holds = [hp.members & ~lvl.subgroup.members == 0 for lvl in trace.tower]
+    if trace.tower:
+        e1 = trace.tower[0].subgroup
+        c_h = G.centralizer_mask(trace.original.members)
+        note(1, "stage one is the double centralizer", G.centralizer_mask(c_h) == e1.members)
+        note(1, "stage-one witnesses cut out the stage",
+             _witnesses_cut_out(G, trace.tower[0].witnesses, e1.members))
+        # H * Z(E_1) is a subgroup when H lies in E_1
+        note(1, "replacement only adds the stage-one center",
+             trace.original.members & ~e1.members == 0
+             and hp.members == _replacement(trace.original, e1).members)
 
-    e1 = trace.tower[0].subgroup
-    c_h = G.centralizer_mask(trace.original.members)
-    note(1, "stage one is the double centralizer", G.centralizer_mask(c_h) == e1.members)
-    note(1, "stage-one witnesses cut out the stage",
-         _witnesses_cut_out(G, trace.tower[0].witnesses, e1.members))
-    note(1, "replacement only adds the stage-one center",
-         hp.members == _replacement(trace.original, e1).members)
-    note(1, "recorded center matches Z_(k-1) of the stage above",
-         trace.tower[0].prev_center.members == 1)  # Z_0 is trivial
-
-    for idx in range(1, n):
-        lvl = trace.tower[idx]
-        k = lvl.level
-        prev = trace.tower[idx - 1].subgroup
-        prev_center = lvl.prev_center
-        note(k, "recorded center matches Z_(k-1) of the stage above",
-             prev_center.members == _series_term(upper_central_series(prev).terms, k - 1).members)
-
-        t_k = iterated_centralizer(prev, hp, k).terms[k]
+    for k in range(2, n + 1):
+        lvl = trace.tower[k - 1]
+        prev = trace.tower[k - 2].subgroup
+        prev_center = _center(prev, k - 1)
+        inside = holds[k - 2]
+        t_k = iterated_centralizer(prev, hp, k).terms[k] if inside else None
         note(k, "witnesses lie in the level-k iterated centralizer",
-             mask_of(lvl.witnesses) & ~t_k.members == 0)
-        level_centralizer = G.centralizer_mask(t_k.members, within=prev.members)
+             inside and mask_of(lvl.witnesses) & ~t_k.members == 0)
         note(k, "witnesses have the same relative centralizer as the full level",
-             _witnesses_cut_out(G, lvl.witnesses, level_centralizer, within=prev.members))
+             inside and _witnesses_cut_out(
+                 G, lvl.witnesses, G.centralizer_mask(t_k.members, within=prev.members), within=prev.members
+             ))
 
         note(k, "stage equals the intersection over the whole level",
-             _stage_cut(G, prev, iter_mask(t_k.members), prev_center) == lvl.subgroup.members)
+             inside and _stage_cut(prev, t_k.members, prev_center) == lvl.subgroup.members)
 
-        t_elems = list(iter_mask(t_k.members))
+        t_elems = list(iter_mask(t_k.members)) if inside else []
         picked = t_elems if len(t_elems) <= _SAMPLES_PER_LEVEL else rng.sample(t_elems, _SAMPLES_PER_LEVEL)
         for h in picked:
-            ekh = Subgroup(G, _stage_cut(G, prev, (h,), prev_center))
+            ekh = Subgroup(G, _stage_cut(prev, 1 << h, prev_center))
             gamma = _series_term(lower_central_series(ekh).terms, k - 1)
             ok = commutator_subgroup(gamma, ElementSet(G, 1 << h | 1)).members == 1
             note(k, "commutators of gamma_k of a one-witness stage with its witness vanish",
@@ -306,28 +305,25 @@ def verify_envelope(trace: EnvelopeTrace, seed: int = 0) -> EnvelopeReport:
 
         gamma_ek = _series_term(lower_central_series(lvl.subgroup).terms, k - 1)
         note(k, "gamma_k of the stage centralizes the whole level",
-             commutator_subgroup(gamma_ek, t_k).members == 1)
+             inside and commutator_subgroup(gamma_ek, t_k).members == 1)
 
         for _ in range(_SAMPLES_PER_LEVEL):
             extra = rng.choice(list(iter_mask(prev.members)))
             p = Subgroup(G, G.closure_mask(hp.members | 1 << extra))
-            p_tower = iterated_centralizer(p, hp, k)
-            ok = _restricts(p_tower, iterated_centralizer(prev, hp, k))
+            ok = inside and _restricts(iterated_centralizer(p, hp, k), iterated_centralizer(prev, hp, k))
             note(k, "relative towers restrict along sampled intermediate subgroups",
                  ok, detail=f"extra={extra}")
 
-    for lvl in trace.tower:
+    for k, (lvl, inside) in enumerate(zip(trace.tower, holds), 1):
+        note(k, "stage contains the replaced subgroup", inside)
         e_k = lvl.subgroup
         for _ in range(_SAMPLES_PER_LEVEL):
             extra = rng.choice(list(iter_mask(e_k.members)))
             p = Subgroup(G, G.closure_mask(hp.members | 1 << extra))
-            ok = _center_mismatch(iterated_centralizer(e_k, p, lvl.level), lvl.level) is None
-            note(lvl.level, "iterated centralizers of sampled subgroups equal the stage centers",
+            ok = inside and _center_mismatch(iterated_centralizer(e_k, p, k), k) is None
+            note(k, "iterated centralizers of sampled subgroups equal the stage centers",
                  ok, detail=f"extra={extra}")
 
-    e_n = trace.tower[-1].subgroup
-    note(n, "envelope is Z_n of the last stage",
-         trace.envelope.members == _series_term(upper_central_series(e_n).terms, n).members)
     note(n, "envelope contains the original subgroup",
          trace.original.members & ~trace.envelope.members == 0)
     note(n, "envelope class matches", nilpotence_class(trace.envelope) == n)
@@ -349,12 +345,12 @@ def trace_to_dict(trace: EnvelopeTrace) -> dict:
         "nilpotence_class": trace.nilpotence_class,
         "tower": [
             {
-                "level": lvl.level,
+                "level": k,
                 "subgroup": subgroup_to_dict(lvl.subgroup),
                 "order": lvl.subgroup.order,
                 "witnesses": list(lvl.witnesses),
             }
-            for lvl in trace.tower
+            for k, lvl in enumerate(trace.tower, 1)
         ],
         "envelope": subgroup_to_dict(trace.envelope),
         "envelope_order": trace.envelope.order,

@@ -32,7 +32,7 @@ from .centralizers import (
     greedy_witness,
     minimal_centralizer_above,
 )
-from .envelope import _prime_factors, build_envelope, fitting, verify_envelope
+from .envelope import _not_normalized, _prime_factors, build_envelope, fitting, verify_envelope
 from .errors import InternalCheckError, MalformedInputError
 from .formula import emit_envelope_formula, envelope_formula, evaluate, format_formula, parse
 from .groups import (
@@ -423,7 +423,7 @@ def _envelope(G, subgroup, check, seed=0):
     if check == "class":
         return nilpotence_class(envelope) == trace.nilpotence_class == nilpotence_class(subgroup)
     if check == "normality":
-        return G.normalizer_mask(subgroup.members) & ~G.normalizer_mask(envelope.members) == 0
+        return _not_normalized(trace, subgroup.members) is None
     if check == "verify":
         return verify_envelope(trace, seed=seed).ok
     return _trace(G, envelope).envelope.members == envelope.members

@@ -26,7 +26,7 @@ from nilenv.errors import (
     NotNormalError,
     ParentMismatchError,
 )
-from nilenv.groups import closure, mask_of, normal_closure
+from nilenv.groups import Subgroup, closure, mask_of, normal_closure
 from nilenv.series import nilpotence_class
 
 
@@ -165,44 +165,87 @@ def test_verify_envelope_is_deterministic():
 
 
 def _tampered(which):
+    """The dihedral(8) trace of <2, 8> with one stored field changed.
+
+    H = H' = E_2 has order 8 and E_1 is the whole group; subgroup 0x101 is <8>, of order 2.
+    """
     G = dihedral(8)
     trace = build_envelope(G, closure(G, [2, 8]))
     e1, e2 = trace.tower
     assert (e1.subgroup.order, e2.subgroup.order, trace.envelope.order) == (16, 8, 8)
-    if which == "envelope":
-        # E_n equals D on every trace a seed-0 verify builds; E_1 differs from D here
-        return replace(trace, envelope=e1.subgroup)
-    if which == "witness":
-        return replace(trace, tower=(e1, replace(e2, witnesses=e2.witnesses[:-1])))
-    if which == "stage-one center":
-        return replace(trace, tower=(replace(e1, prev_center=e1.subgroup), e2))
-    if which == "cut":
-        # the class is the tower's length, so the cut trace claims class 1
-        return replace(trace, tower=(e1,))
-    swapped = (replace(e1, prev_center=e2.prev_center), replace(e2, prev_center=e1.prev_center))
-    return replace(trace, tower=swapped)
+    assert (e1.witnesses, trace.replaced) == ((), trace.original)
+    small = Subgroup(G, 0x101)
+
+    def tower(*levels):
+        return replace(trace, tower=levels)
+
+    tampers = {
+        "witness": lambda: tower(e1, replace(e2, witnesses=e2.witnesses[:-1])),
+        "extra witness": lambda: tower(e1, replace(e2, witnesses=e2.witnesses + (1,))),
+        "stage-one witness": lambda: tower(replace(e1, witnesses=(1,)), e2),
+        # the class is the tower's length, so these claim class 1, 3 and 0
+        "cut": lambda: tower(e1),
+        "extra stage": lambda: tower(e1, e2, e2),
+        "empty tower": lambda: tower(),
+        "trivial original": lambda: replace(trace, original=G.trivial_subgroup()),
+        "whole replaced": lambda: replace(trace, replaced=G.as_subgroup()),
+        "trivial stage one": lambda: tower(replace(e1, subgroup=G.trivial_subgroup()), e2),
+        "whole stage two": lambda: tower(e1, replace(e2, subgroup=G.as_subgroup())),
+        "small stage two": lambda: tower(e1, replace(e2, subgroup=small)),
+    }
+    return tampers[which]()
 
 
-@pytest.mark.parametrize(
-    "which, labels",
-    [
-        ("envelope", {"envelope is Z_n of the last stage", "envelope class matches"}),
-        ("witness", {"witnesses have the same relative centralizer as the full level"}),
-        (
-            "center",
-            {
-                "recorded center matches Z_(k-1) of the stage above",
-                "stage equals the intersection over the whole level",
-            },
-        ),
-        ("stage-one center", {"recorded center matches Z_(k-1) of the stage above"}),
-        ("cut", {"envelope is Z_n of the last stage", "envelope class matches"}),
-    ],
-)
-def test_verify_envelope_catches_tampered_traces(which, labels):
+_REPLACEMENT = "replacement only adds the stage-one center"
+_CONTAINS = "stage contains the replaced subgroup"
+_SAMPLED_CENTERS = "iterated centralizers of sampled subgroups equal the stage centers"
+_CUT = "stage equals the intersection over the whole level"
+_IN_LEVEL = "witnesses lie in the level-k iterated centralizer"
+_LEVEL_CENTRALIZER = "witnesses have the same relative centralizer as the full level"
+_GAMMA_STAGE = "gamma_k of the stage centralizes the whole level"
+_IN_ENVELOPE = "envelope contains the original subgroup"
+_CLASS = "envelope class matches"
+_NORMALIZED = "tower and envelope are normalized by the normalizer of the {} subgroup"
+
+TAMPERED = {
+    "witness": {_LEVEL_CENTRALIZER},
+    "extra witness": {_IN_LEVEL},
+    "stage-one witness": {"stage-one witnesses cut out the stage"},
+    "cut": {_IN_ENVELOPE},
+    "extra stage": {_CLASS},
+    # an empty tower goes straight to the envelope entries, and H is not trivial
+    "empty tower": {_IN_ENVELOPE},
+    "trivial original": {_REPLACEMENT, "stage one is the double centralizer"},
+    # H' escapes E_2, or E_1: the entries on towers inside that stage fail unread
+    "whole replaced": {_REPLACEMENT, _CONTAINS, _SAMPLED_CENTERS, _CUT, _IN_LEVEL, _LEVEL_CENTRALIZER},
+    "trivial stage one": {
+        _REPLACEMENT, _CONTAINS, _SAMPLED_CENTERS, _CUT, _IN_LEVEL, _LEVEL_CENTRALIZER, _GAMMA_STAGE,
+        "stage one is the double centralizer",
+        "stage-one witnesses cut out the stage",
+        "relative towers restrict along sampled intermediate subgroups",
+    },
+    "whole stage two": {_CUT, _GAMMA_STAGE, _IN_ENVELOPE, _CLASS},
+    "small stage two": {
+        _CONTAINS, _SAMPLED_CENTERS, _CUT, _IN_ENVELOPE, _CLASS,
+        _NORMALIZED.format("original"), _NORMALIZED.format("replaced"),
+    },
+}
+
+
+@pytest.mark.parametrize("which", TAMPERED)
+def test_verify_envelope_catches_tampered_traces(which):
     report = verify_envelope(_tampered(which), seed=1)
     assert report.ok is False
-    assert {entry.label for entry in report.failures()} == labels
+    assert {entry.label for entry in report.failures()} == TAMPERED[which]
+
+
+def test_every_verify_envelope_label_has_a_tampered_trace():
+    G = dihedral(8)
+    labels = {entry.label for entry in verify_envelope(build_envelope(G, closure(G, [2, 8]))).entries}
+    # [gamma_k(E_k(h)), h] = 1 holds for every subgroup P in place of E_(k-1) and
+    # every h in P, and both E_k(h) and Z_(k-1)(P) are derived, so no trace fails it
+    theorem = "commutators of gamma_k of a one-witness stage with its witness vanish"
+    assert set().union(*TAMPERED.values()) == labels - {theorem}
 
 
 def test_padded_parameters():

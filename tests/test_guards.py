@@ -5,12 +5,17 @@ the guard fire.  Each row of ``GUARDS`` names a guard's message, a fault
 injected with ``monkeypatch`` or planted in the group's memo, the catalog
 spec of a group, and the call that reaches the guard on that group; the
 group is built fresh, outside ``from_spec``'s cache, so a fault planted in
-its memo stays with that one test.
+its memo stays with that one test.  A meta-test reads every ``raise
+InternalCheckError`` under ``src/nilenv`` and requires a row for each, or
+an ``UNREACHABLE`` entry with the reason; ``guard_mutants.py`` beside this
+file checks that each row fails once its guard's ``raise`` is gone.
 """
 
 from __future__ import annotations
 
+import ast
 import re
+from pathlib import Path
 
 import pytest
 
@@ -96,13 +101,83 @@ def _centralizer_is_trivial(monkeypatch, G):
     G._memo[("centralizer", _below_its_centralizer(G).members)] = 1
 
 
-def _relative_centralizer_loses_the_identity(monkeypatch, G):
-    whole = G.centralizer_mask
+def _upper_series_reads_the_group_as_its_center(monkeypatch, G):
+    G._memo[("ucs", G.full_mask)] = series.CentralSeries((G.trivial_subgroup(), G.as_subgroup()), 1)
 
-    def relative(setmask, within=None):
-        return whole(setmask) if within is None else within & whole(setmask) & ~1
 
-    monkeypatch.setattr(G, "centralizer_mask", relative)
+def _witnesses(monkeypatch, first, later):
+    """Witnesses as built, passed through ``first`` at stage one and through ``later`` at each later stage."""
+    build = centralizers.greedy_witness
+    monkeypatch.setattr(
+        envelope, "greedy_witness",
+        lambda subset, within=None: (first if within is None else later)(build(subset, within)),
+    )
+
+
+def _stage_one_witnesses_lose_the_last(monkeypatch, G):
+    _witnesses(monkeypatch, lambda wits: wits[:-1], lambda wits: wits)
+
+
+def _no_later_witnesses(monkeypatch, G):
+    _witnesses(monkeypatch, lambda wits: wits, lambda wits: ())
+
+
+def _later_witnesses_lose_the_last(monkeypatch, G):
+    _witnesses(monkeypatch, lambda wits: wits, lambda wits: wits[:-1])
+
+
+def _replacement_is_trivial(monkeypatch, G):
+    monkeypatch.setattr(envelope, "_replacement", lambda H, e1: G.trivial_subgroup())
+
+
+def _replacement_is_the_center(monkeypatch, G):
+    monkeypatch.setattr(envelope, "_replacement", lambda H, e1: G.center())
+
+
+def _stage_cut(monkeypatch, value):
+    build = envelope._stage_cut
+    monkeypatch.setattr(envelope, "_stage_cut", lambda *args: value(build(*args)))
+
+
+def _stage_cut_loses_the_identity(monkeypatch, G):
+    _stage_cut(monkeypatch, lambda mask: mask & ~1)
+
+
+def _stage_cut_is_trivial(monkeypatch, G):
+    _stage_cut(monkeypatch, lambda mask: 1)
+
+
+def _towers_lose_their_top_term(monkeypatch, G):
+    build = series.iterated_centralizer
+
+    def lower(ambient, base, n):
+        tower = build(ambient, base, n)
+        return series.IteratedCentralizerTower(tower.ambient, base, tower.terms[:-1] + (G.trivial_subgroup(),))
+
+    monkeypatch.setattr(envelope, "iterated_centralizer", lower)
+
+
+def _envelope_series_stops_at_the_identity(monkeypatch, G):
+    build = series.upper_central_series
+    monkeypatch.setattr(envelope, "upper_central_series", lambda P: series.CentralSeries(build(P).terms[:1], None))
+
+
+def _stage_one_reads_as_class_two(monkeypatch, G):
+    # D = H' on every catalog subgroup, so H' = H first makes the class of D a fact of its own
+    monkeypatch.setattr(envelope, "_replacement", lambda H, e1: H)
+    e1, _ = centralizers.minimal_centralizer_above(_below_its_centralizer(G))
+    G._memo[("nilclass", e1.members)] = 2
+
+
+def _stage_one_has_a_trivial_normalizer(monkeypatch, G):
+    e1, _ = centralizers.minimal_centralizer_above(_below_its_centralizer(G))
+    G._memo[("norm", e1.members)] = 1
+
+
+def _envelope_of_a_non_normal_subgroup(monkeypatch, G):
+    traces = (envelope.build_envelope(G, G.subgroup_from_generators([g])) for g in range(G.order))
+    odd = next(trace for trace in traces if not trace.envelope.is_normal)
+    monkeypatch.setattr(envelope, "build_envelope", lambda G, H: odd)
 
 
 def _nilpotence_class(G):
@@ -127,6 +202,18 @@ def _bottom_chain(G):
 
 def _bottom_chain_of_whole_group(G):
     return centralizers.bottom_chain_classify(G.as_subgroup())
+
+
+def _envelope_below_its_centralizer(G):
+    return envelope.build_envelope(G, _below_its_centralizer(G))
+
+
+def _envelope_of_whole_group(G):
+    return envelope.build_envelope(G, G.as_subgroup())
+
+
+def _envelope_of_normal_whole_group(G):
+    return envelope.envelope_of_normal(G, G.as_subgroup())
 
 
 # guard message -> (fault, spec of the group, the call that reaches the guard)
@@ -163,9 +250,77 @@ GUARDS = {
         _double_centralizer_is_everything, "dihedral(4)", _bottom_chain,
     ),
     "Z(H) differs from Z(G) meet H in case 3": (
-        _relative_centralizer_loses_the_identity, "dihedral(4)", _bottom_chain_of_whole_group,
+        _upper_series_reads_the_group_as_its_center, "dihedral(4)", _bottom_chain_of_whole_group,
+    ),
+    "stage-one witnesses do not cut out E_1": (
+        _stage_one_witnesses_lose_the_last, "dihedral(4)", _envelope_below_its_centralizer,
+    ),
+    "central enlargement changed the nilpotence class": (
+        _replacement_is_trivial, "dihedral(4)", _envelope_below_its_centralizer,
+    ),
+    "no tower witnesses at level 2": (_no_later_witnesses, "dihedral(4)", _envelope_of_whole_group),
+    "witnesses at level 2 have the wrong centralizer": (
+        _later_witnesses_lose_the_last, "dihedral(4)", _envelope_of_whole_group,
+    ),
+    "stage 2 intersection is not a subgroup": (
+        _stage_cut_loses_the_identity, "dihedral(4)", _envelope_of_whole_group,
+    ),
+    "replaced subgroup lost elements of H": (
+        _replacement_is_the_center, "dihedral(4)", _envelope_below_its_centralizer,
+    ),
+    "tower is not a descending chain over H": (_stage_cut_is_trivial, "dihedral(4)", _envelope_of_whole_group),
+    "level 1: C^1(H) differs from Z_1 of the stage": (
+        _towers_lose_their_top_term, "dihedral(4)", _envelope_below_its_centralizer,
+    ),
+    "envelope is not squeezed between H and E_n": (
+        _envelope_series_stops_at_the_identity, "dihedral(4)", _envelope_below_its_centralizer,
+    ),
+    "envelope has the wrong nilpotence class": (
+        _stage_one_reads_as_class_two, "dihedral(4)", _envelope_below_its_centralizer,
+    ),
+    "stage 1 is not normalized by N_G(H)": (
+        _stage_one_has_a_trivial_normalizer, "dihedral(4)", _envelope_below_its_centralizer,
+    ),
+    "envelope of a normal subgroup came out non-normal": (
+        _envelope_of_a_non_normal_subgroup, "dihedral(8)", _envelope_of_normal_whole_group,
     ),
 }
+
+# guard message as written in the source -> why no injected fault reaches it
+UNREACHABLE: dict[str, str] = {}
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "nilenv"
+
+
+def guard_sites(src: Path = SRC) -> list[tuple[Path, ast.Raise, str]]:
+    """(file, statement, message) of every ``raise InternalCheckError`` under ``src``, in line order.
+
+    An f-string message keeps its fields as written, such as ``{k}``.
+    """
+    sites = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call) and getattr(exc.func, "id", None) == "InternalCheckError":
+                message = exc.args[0]
+                parts = message.values if isinstance(message, ast.JoinedStr) else [message]
+                text = "".join(p.value if isinstance(p, ast.Constant) else f"{{{ast.unparse(p.value)}}}" for p in parts)
+                sites.append((path, node, text))
+    return sorted(sites, key=lambda site: (site[0], site[1].lineno))
+
+
+def _pattern(message: str) -> str:
+    """A regex for the messages a guard raises: each ``{field}`` matches any text."""
+    return re.sub(r"\\\{[^}]*\\\}", ".+", re.escape(message))
+
+
+def test_every_guard_has_a_row():
+    messages = [message for _, _, message in guard_sites()]
+    rows = {row: [m for m in messages if re.fullmatch(_pattern(m), row)] for row in GUARDS}
+    assert {row: hits for row, hits in rows.items() if len(hits) != 1} == {}
+    covered = {hits[0] for hits in rows.values()}
+    assert [m for m in messages if m not in covered and m not in UNREACHABLE] == []
+    assert set(UNREACHABLE) <= set(messages) - covered
 
 
 @pytest.mark.parametrize("message", GUARDS)
