@@ -19,7 +19,9 @@ soundness argument.
 The module also emits the uniform envelope formula: for positive integers
 ``d`` and ``n``, :func:`envelope_formula` builds a formula with ``d * n``
 parameter slots whose solution set, at the witnesses recorded by an envelope
-trace, is exactly the constructed envelope.
+trace, is exactly the constructed envelope.  Most of its nodes lie in renamed
+copies of a few subformulas; the builder gives each copy its shape as it
+makes it, so the formula's shape pass never walks them.
 """
 
 from __future__ import annotations
@@ -53,7 +55,10 @@ class _Node:
 
     @cached_property
     def _pass(self) -> tuple[_Shapes, int, tuple[str, ...]]:
-        """The shape pass over this node, its shape and free variables, kept in ``__dict__``."""
+        """The shape pass over this node, its shape and free variables, kept in ``__dict__``.
+
+        :func:`envelope_formula` puts its builder's pass there instead.
+        """
         shapes = _Shapes()
         return (shapes, *shapes.of(self))
 
@@ -152,6 +157,11 @@ class _Shapes:
     order; ``measures`` holds, per shape, the largest parameter slot (-1 for
     none), the quantifier depth, the tree size and the width: the number of
     free variables, plus one for a quantifier's bound variable.
+
+    ``nodes`` keeps ``of``'s answer per node id.  An entry put there before
+    a walk reaches its node stands for the node's whole subtree, which the
+    walk then skips; :func:`envelope_formula` seeds its renamed copies so.
+    ``of`` fills in a node below such an entry when it is first asked for.
     """
 
     def __init__(self) -> None:
@@ -507,12 +517,15 @@ class _Evaluator:
     three open variables has two open variables itself; it is evaluated
     with the first of them fixed to each element in turn, through this same
     kernel and cache, and the rows are stacked.
+
+    Shapes are read through ``shapes.of`` as nodes are reached, so of a
+    seeded pass only the few nodes visited inside renamed copies are added.
     """
 
     def __init__(self, group: FiniteGroup, params: tuple[int, ...], shapes: _Shapes) -> None:
         self.group = group
         self.params = params
-        self.nodes = shapes.nodes
+        self.shapes = shapes
         self.cache: dict = {}
         self.formula_evals = 0
         self.elements = np.arange(group.order, dtype=group._array.dtype)
@@ -520,7 +533,7 @@ class _Evaluator:
 
     def relation(self, node: Formula, env: dict[str, int]):
         """The node's relation, computed once per cache key, and its open variables."""
-        shape, fv = self.nodes[id(node)]
+        shape, fv = self.shapes.of(node)
         key, open_ = shape, fv
         if env and not env.keys().isdisjoint(fv):
             key = (shape, tuple(env.get(v, -1) for v in fv))
@@ -570,10 +583,10 @@ class _Evaluator:
             and isinstance(body.left, Not)
             and isinstance(body.left.operand, Eq)
             and body.left.operand.left == Var(var)
-            and var not in self.nodes[id(body.left.operand.right)][1]
+            and var not in self.shapes.of(body.left.operand.right)[1]
         ):
             body, guard = body.right, body.left.operand.right
-        if sum(v not in env for v in self.nodes[id(body)][1]) > 2:
+        if sum(v not in env for v in self.shapes.of(body)[1]) > 2:
             first = open_[0]
             return np.stack([self.relation(node, {**env, first: g})[0] for g in range(self.group.order)])
         held, have = self.relation(body, env)
@@ -649,7 +662,19 @@ def envelope_formula(d: int, n: int) -> Formula:
     itself and is quantifier-free.  For n = 0 the formula is x = 1.
 
     The result depends only on (d, n): one syntax tree per pair, shared
-    between calls.
+    between calls, with one ``Var`` per name, one ``Param`` per slot and
+    one ``One``.
+
+    The tree comes with its shape pass, made as the tree is built.  The
+    first stage(k, .) and center(k, j, .) built are walked; each later one,
+    built for another name, is entered as one node with the first one's
+    shape and its name as sole free variable, and is not walked.  This is
+    exact.  A name only labels variables and keys the memo, every bound
+    variable is a fresh name with one binder and is used only under it, and
+    the only free variable of a stage or center is its name.  So a later
+    copy is the first one under a one-to-one renaming of all its variables,
+    and as a shape records variables by position only, the copy's shape and
+    measures are the first one's.
     """
     if d < 1:
         raise ArityMismatchError("parameter width d must be at least 1")
@@ -659,30 +684,44 @@ def envelope_formula(d: int, n: int) -> Formula:
         return Eq(Var("x"), One())
 
     counter = itertools.count(1)
-    stage_memo: dict[tuple[int, str], Formula] = {}
-    center_memo: dict[tuple[int, int, str], Formula] = {}
+    shapes = _Shapes()
+    one, slots = One(), [Param(i) for i in range(d * n)]
+    variables: dict[str, Var] = {}
+    memo: dict[tuple, Formula] = {}
+    first: dict[tuple[int, ...], int] = {}
+
+    def var(name: str) -> Var:
+        return variables.setdefault(name, Var(name))
 
     def slot(k: int, i: int) -> Param:
-        return Param((k - 1) * d + i)
+        return slots[(k - 1) * d + i]
+
+    def keep(family: tuple[int, ...], name: str, node: Formula) -> None:
+        memo[(*family, name)] = node
+        shape = first.get(family)
+        if shape is None:
+            first[family] = shapes.of(node)[0]
+        else:  # a renamed copy of the family's first node: its shape, not a walk
+            shapes.nodes[id(node)] = (shape, (name,))
 
     def stage(k: int, name: str) -> Formula:
-        got = stage_memo.get((k, name))
+        got = memo.get((k, name))
         if got is None:
-            v = Var(name)
-            parts = [Eq(Mul(v, slot(1, i)), Mul(slot(1, i), v)) for i in range(d)]
-            got = conjunction(parts)
-            if k > 1:
+            v = var(name)
+            if k == 1:
+                got = conjunction([Eq(Mul(v, slot(1, i)), Mul(slot(1, i), v)) for i in range(d)])
+            else:
                 got = And(
                     stage(k - 1, name),
                     conjunction(
                         [center_at(k - 1, k - 1, commutator(v, slot(k, i))) for i in range(d)]
                     ),
                 )
-            stage_memo[(k, name)] = got
+            keep((k,), name, got)
         return got
 
     def center(k: int, j: int, name: str) -> Formula:
-        got = center_memo.get((k, j, name))
+        got = memo.get((k, j, name))
         if got is None:
             w = f"w{next(counter)}"
             got = And(
@@ -691,24 +730,24 @@ def envelope_formula(d: int, n: int) -> Formula:
                     w,
                     Or(
                         Not(stage(k, w)),
-                        center_at(k, j - 1, commutator(Var(name), Var(w))),
+                        center_at(k, j - 1, commutator(var(name), var(w))),
                     ),
                 ),
             )
-            center_memo[(k, j, name)] = got
+            keep((k, j), name, got)
         return got
 
     def center_at(k: int, j: int, term: Term) -> Formula:
         if j == 0:
-            return Eq(term, One())
+            return Eq(term, one)
         if isinstance(term, Var):
             return center(k, j, term.name)
         v = f"v{next(counter)}"
-        return ForAll(v, Or(Not(Eq(Var(v), term)), center(k, j, v)))
+        return ForAll(v, Or(Not(Eq(var(v), term)), center(k, j, v)))
 
-    if n == 1:
-        return stage(1, "x")
-    return center_at(n, n, Var("x"))
+    root = stage(1, "x") if n == 1 else center(n, n, "x")
+    vars(root)["_pass"] = (shapes, *shapes.of(root))
+    return root
 
 
 def emit_envelope_formula(trace: EnvelopeTrace, d: int | None = None) -> Formula:

@@ -547,11 +547,66 @@ def test_evaluation_work_is_bounded_by_shapes(monkeypatch):
         assert evaluate(phi, G, trace.parameters).members == trace.envelope.members
     (ev,) = evaluators
     shapes = phi._pass[0]
-    # the tree holds about 114k node objects but only 124 shapes; keying the
+    # the tree holds 82,538 node objects but only 124 shapes; keying the
     # cache by node identity again took 2.86M formula evaluations
     assert len(shapes.measures) <= 300
     assert len(ev.cache) <= len(shapes.measures)
     assert ev.formula_evals <= len(shapes.measures)
+
+
+def _node_objects(node) -> int:
+    seen, todo = set(), [node]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            fields = ("left", "right", "operand", "body")
+            todo.extend(getattr(node, name) for name in fields if hasattr(node, name))
+    return len(seen)
+
+
+def _assert_pass_is_exact(phi) -> None:
+    """The formula's kept pass against a fresh full walk: same shapes, same node facts."""
+    seeded, shape, fv = phi._pass
+    fresh = formula_module._Shapes()
+    fresh_shape, fresh_fv = fresh.of(phi)
+    assert fresh_fv == fv
+    assert len(fresh.measures) == len(seeded.measures)
+    # one bijection of shape ids that keeps every node's measures and free variables
+    to_fresh = {}
+    for key, (got, got_fv) in seeded.nodes.items():
+        want, want_fv = fresh.nodes[key]
+        assert got_fv == want_fv
+        assert to_fresh.setdefault(got, want) == want
+        assert seeded.measures[got] == fresh.measures[want]
+    assert to_fresh[shape] == fresh_shape
+    assert sorted(to_fresh) == sorted(set(to_fresh.values())) == list(range(len(seeded.measures)))
+
+
+@pytest.mark.parametrize("d, n", [(d, n) for d in range(1, 5) for n in range(4)] + [(2, 4)])
+def test_envelope_formula_shape_pass_is_exact(d, n):
+    phi = envelope_formula.__wrapped__(d, n)  # built afresh: the builder's pass alone
+    _assert_pass_is_exact(phi)
+    # the evaluator adds the nodes it visits inside renamed copies on demand
+    G = dihedral(4)
+    evaluate(phi, G, tuple(i % G.order for i in range(d * n)))
+    _assert_pass_is_exact(phi)
+
+
+def test_envelope_formula_brings_its_shape_pass(monkeypatch):
+    passes = _count_shape_passes(monkeypatch)
+    G = dihedral(16)
+    trace = build_envelope(G, G.as_subgroup())
+    phi = envelope_formula.__wrapped__(2, 4)  # built afresh, past the cache
+    assert size(phi) == 137_469
+    assert cost_estimate(phi, G) < 10**6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", EvaluationCostWarning)
+        assert evaluate(phi, G, trace.parameters).members == trace.envelope.members
+    assert len(passes) == 1
+    # the walk stops at renamed copies; leaves are shared and no dead node is built
+    assert len(phi._pass[0].nodes) <= 10_000
+    assert _node_objects(phi) <= 82_538
 
 
 def test_relations_have_at_most_two_axes(monkeypatch):
@@ -651,7 +706,7 @@ def test_cost_estimate_sums_shapes():
     # shapes: the variable (width 1), x*y and y*x (one shape, width 2), the
     # equation (width 2), the quantifier (width 1 + its bound variable)
     assert cost_estimate(parse("A y (x*y = y*x)"), symmetric(3)) == 6 + 3 * 6**2
-    # renamed copies share shapes, so phi_{2,4} (113,509 nodes) costs about 5e5
+    # renamed copies share shapes, so phi_{2,4} (137,469 nodes) costs about 5e5
     assert cost_estimate(envelope_formula(2, 4), dihedral(16)) < 10**6
 
 
