@@ -25,13 +25,17 @@ from dataclasses import fields
 from .catalog import from_spec
 from .centralizers import c_dimension, centralizer_lattice
 from .envelope import build_envelope, fitting, trace_to_dict
-from .errors import InputError, MalformedInputError
-from .formula import emit_envelope_formula, evaluate, format_formula, free_variables, parse, sentence_holds
+from .errors import CapExceededError, InputError, MalformedInputError
+from .formula import emit_envelope_formula, evaluate, format_formula, free_variables, parse, sentence_holds, size
 from .groups import FiniteGroup, Subgroup, load_group, read_json, read_text, subgroup_from_dict
 from .series import lower_central_series, nilpotence_class, upper_central_series
 from .suites import ALL_SUITES, SuiteConfig, run_suites
 
 _KNOWN_ERRORS = (InputError, OSError)
+
+# the most nodes ``--emit-formula`` prints: phi_{4,4} (1,397,181) is 4.4 MB of
+# text, phi_{2,5} (2,921,517) would be 9.7 MB and phi_{2,6} 25 times that
+_MAX_FORMULA_SIZE = 2_000_000
 
 
 def _group_argument(token: str) -> FiniteGroup:
@@ -119,6 +123,9 @@ def _cmd_envelope(args) -> int:
     H = _subject(G, args)
     trace = build_envelope(G, H)
     parameters = trace.parameters  # may refuse the group, before any output
+    phi = emit_envelope_formula(trace) if args.emit_formula else None
+    if phi is not None and size(phi) > _MAX_FORMULA_SIZE:
+        raise CapExceededError(f"formula size {size(phi)} exceeds cap {_MAX_FORMULA_SIZE}", partial=size(phi))
     print(f"group: {G.name} (order {G.order})")
     print(f"subgroup order: {trace.original.order}")
     print(f"nilpotence class: {trace.nilpotence_class}")
@@ -130,8 +137,8 @@ def _cmd_envelope(args) -> int:
         print(f"  E_{k} order {lvl.subgroup.order} witnesses ({wits})")
     print(f"envelope order: {trace.envelope.order}")
     print("parameters: " + _element_list(parameters))
-    if args.emit_formula:
-        print("formula: " + format_formula(emit_envelope_formula(trace)))
+    if phi is not None:
+        print("formula: " + format_formula(phi))
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             json.dump(trace_to_dict(trace), fh, indent=2, sort_keys=True)

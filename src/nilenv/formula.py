@@ -20,17 +20,16 @@ The module also emits the uniform envelope formula: for positive integers
 ``d`` and ``n``, :func:`envelope_formula` builds a formula with ``d * n``
 parameter slots whose solution set, at the witnesses recorded by an envelope
 trace, is exactly the constructed envelope.  Most of its nodes lie in renamed
-copies of a few subformulas; the builder gives each copy its shape as it
-makes it, so the formula's shape pass never walks them.
+copies of a few subformulas.  The builder defers each copy, with its shape,
+until one of its fields is read, so evaluation builds and walks almost none.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -51,7 +50,12 @@ class EvaluationCostWarning(RuntimeWarning):
 
 
 class _Node:
-    """Base of the syntax tree classes."""
+    """Base of the syntax tree classes.
+
+    A deferred member of an envelope formula (see :func:`envelope_formula`)
+    holds no fields until one is read; then ``__getattr__`` builds them
+    once, and the node is an ordinary one from then on.
+    """
 
     @cached_property
     def _pass(self) -> tuple[_Shapes, int, tuple[str, ...]]:
@@ -62,9 +66,19 @@ class _Node:
         shapes = _Shapes()
         return (shapes, *shapes.of(self))
 
+    def __getattr__(self, name: str):
+        # runs only for a missing attribute: a deferred member builds its fields once
+        build = vars(self).get("_build")
+        if build is None or name not in self.__dataclass_fields__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        vars(self).update(vars(build()))
+        vars(self).pop("_build", None)
+        return vars(self)[name]
+
     def __getstate__(self) -> dict:
-        # the pass is keyed by node ids, so a copied or unpickled node makes its own
-        return {name: value for name, value in vars(self).items() if name != "_pass"}
+        # the fields only: the pass is keyed by node ids, so a copied or
+        # unpickled node makes its own, and a deferred member is built first
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
 
 @dataclass(frozen=True)
@@ -519,7 +533,8 @@ class _Evaluator:
     kernel and cache, and the rows are stacked.
 
     Shapes are read through ``shapes.of`` as nodes are reached, so of a
-    seeded pass only the few nodes visited inside renamed copies are added.
+    seeded pass only the few nodes visited inside renamed copies are added,
+    and only those copies are built.
     """
 
     def __init__(self, group: FiniteGroup, params: tuple[int, ...], shapes: _Shapes) -> None:
@@ -665,16 +680,30 @@ def envelope_formula(d: int, n: int) -> Formula:
     between calls, with one ``Var`` per name, one ``Param`` per slot and
     one ``One``.
 
-    The tree comes with its shape pass, made as the tree is built.  The
-    first stage(k, .) and center(k, j, .) built are walked; each later one,
-    built for another name, is entered as one node with the first one's
-    shape and its name as sole free variable, and is not walked.  This is
-    exact.  A name only labels variables and keys the memo, every bound
-    variable is a fresh name with one binder and is used only under it, and
-    the only free variable of a stage or center is its name.  So a later
-    copy is the first one under a one-to-one renaming of all its variables,
-    and as a shape records variables by position only, the copy's shape and
-    measures are the first one's.
+    The tree comes with its shape pass, made as the tree is built.  Only
+    the first stage(k, .) and center(k, j, .), the first member of its
+    family, is built and walked.  Each later one, asked for another name,
+    is a deferred member: an instance of the first member's class holding
+    no fields, only the builder call that makes them from the fresh-name
+    counter value at which it starts.  It is entered in the pass with the
+    first member's shape and its name as sole free variable, and it
+    advances the counter by the first member's span, the number of fresh
+    names that member took.  Its first field read runs that call, with a
+    counter of its own, and the node is then an ordinary one.  Evaluating
+    phi_{2,4} on dihedral(16) builds no deferred member; a walk of the
+    whole tree, such as ``format_formula``, builds them all.
+
+    This is exact.  Every builder call is fresh: a stage or center is asked
+    for once per name, and the term given to center_at is a commutator.
+    So a member's nodes depend only on its family, its name, the counter
+    value at its start and the shared leaves, and its span on its family
+    only; a deferred member built from its start is what building it at
+    once would have made.  Its shape is the first member's: a name only
+    labels variables, every bound variable is a fresh name with one binder
+    and is used only under it, and the only free variable of a stage or
+    center is its name, so a later member is the first one under a
+    one-to-one renaming of its variables, and a shape records variables by
+    position only.
     """
     if d < 1:
         raise ArityMismatchError("parameter width d must be at least 1")
@@ -683,69 +712,65 @@ def envelope_formula(d: int, n: int) -> Formula:
     if n == 0:
         return Eq(Var("x"), One())
 
-    counter = itertools.count(1)
     shapes = _Shapes()
     one, slots = One(), [Param(i) for i in range(d * n)]
     variables: dict[str, Var] = {}
-    memo: dict[tuple, Formula] = {}
-    first: dict[tuple[int, ...], int] = {}
+    first: dict[tuple, tuple[type, int, int]] = {}  # family: class, shape, span
 
     def var(name: str) -> Var:
-        return variables.setdefault(name, Var(name))
+        return variables.get(name) or variables.setdefault(name, Var(name))
 
     def slot(k: int, i: int) -> Param:
         return slots[(k - 1) * d + i]
 
-    def keep(family: tuple[int, ...], name: str, node: Formula) -> None:
-        memo[(*family, name)] = node
-        shape = first.get(family)
-        if shape is None:
-            first[family] = shapes.of(node)[0]
-        else:  # a renamed copy of the family's first node: its shape, not a walk
-            shapes.nodes[id(node)] = (shape, (name,))
+    def member(counter: list[int], make, *key) -> Formula:
+        """``make(counter, *key)`` if first of the family ``(make, *key[:-1])``, else deferred."""
+        family, name = (make, *key[:-1]), key[-1]
+        known = first.get(family)
+        if known is None:
+            start = counter[0]
+            node = make(counter, *key)
+            first[family] = (type(node), shapes.of(node)[0], counter[0] - start)
+            return node
+        cls, shape, span = known
+        node = cls.__new__(cls)
+        vars(node)["_build"] = partial(make, [counter[0]], *key)
+        counter[0] += span
+        shapes.nodes[id(node)] = (shape, (name,))
+        return node
 
-    def stage(k: int, name: str) -> Formula:
-        got = memo.get((k, name))
-        if got is None:
-            v = var(name)
-            if k == 1:
-                got = conjunction([Eq(Mul(v, slot(1, i)), Mul(slot(1, i), v)) for i in range(d)])
-            else:
-                got = And(
-                    stage(k - 1, name),
-                    conjunction(
-                        [center_at(k - 1, k - 1, commutator(v, slot(k, i))) for i in range(d)]
-                    ),
-                )
-            keep((k,), name, got)
-        return got
+    def stage(counter: list[int], k: int, name: str) -> Formula:
+        v = var(name)
+        if k == 1:
+            return conjunction([Eq(Mul(v, slot(1, i)), Mul(slot(1, i), v)) for i in range(d)])
+        return And(
+            member(counter, stage, k - 1, name),
+            conjunction([center_at(counter, k - 1, k - 1, commutator(v, slot(k, i))) for i in range(d)]),
+        )
 
-    def center(k: int, j: int, name: str) -> Formula:
-        got = memo.get((k, j, name))
-        if got is None:
-            w = f"w{next(counter)}"
-            got = And(
-                stage(k, name),
-                ForAll(
-                    w,
-                    Or(
-                        Not(stage(k, w)),
-                        center_at(k, j - 1, commutator(var(name), var(w))),
-                    ),
+    def center(counter: list[int], k: int, j: int, name: str) -> Formula:
+        counter[0] += 1
+        w = f"w{counter[0]}"
+        return And(
+            member(counter, stage, k, name),
+            ForAll(
+                w,
+                Or(
+                    Not(member(counter, stage, k, w)),
+                    center_at(counter, k, j - 1, commutator(var(name), var(w))),
                 ),
-            )
-            keep((k, j), name, got)
-        return got
+            ),
+        )
 
-    def center_at(k: int, j: int, term: Term) -> Formula:
+    def center_at(counter: list[int], k: int, j: int, term: Term) -> Formula:
         if j == 0:
             return Eq(term, one)
-        if isinstance(term, Var):
-            return center(k, j, term.name)
-        v = f"v{next(counter)}"
-        return ForAll(v, Or(Not(Eq(var(v), term)), center(k, j, v)))
+        counter[0] += 1
+        v = f"v{counter[0]}"
+        return ForAll(v, Or(Not(Eq(var(v), term)), member(counter, center, k, j, v)))
 
-    root = stage(1, "x") if n == 1 else center(n, n, "x")
+    counter = [0]  # the last fresh name's number; a deferred member gets its own
+    root = member(counter, stage, 1, "x") if n == 1 else member(counter, center, n, n, "x")
     vars(root)["_pass"] = (shapes, *shapes.of(root))
     return root
 

@@ -14,7 +14,7 @@ from test_centralizers import extraspecial_2_1_8
 from nilenv import errors
 from nilenv.catalog import DEFAULT_CATALOG, cyclic, from_spec
 from nilenv.cli import _COMMANDS, _KNOWN_ERRORS, _build_parser, main
-from nilenv.formula import parse
+from nilenv.formula import envelope_formula, format_formula, parse
 from nilenv.groups import save_group
 from nilenv.suites import ALL_SUITES, SuiteConfig
 
@@ -120,6 +120,20 @@ def test_envelope_emit_formula_and_trace(capsys, tmp_path):
     assert data["group"] == "dihedral(4)"
     assert data["envelope_order"] == 8
     assert isinstance(data["tower"], list) and data["tower"]
+
+
+def test_envelope_emit_formula_refuses_a_formula_too_large_to_print(capsys):
+    # the whole dihedral(32) has class 5: phi_{2,5} has 2,921,517 nodes
+    argv = ["envelope", "--group", "dihedral(32)", "--subgroup", "1,32"]
+    code, out, err = run(capsys, *argv, "--emit-formula")
+    assert code == 2 and out == ""
+    assert err == "error: formula size 2921517 exceeds cap 2000000\n"
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "nilpotence class: 5" in out
+    # class 4, phi_{2,4} with 137,469 nodes, still prints
+    code, out, _ = run(capsys, "envelope", "--group", "dihedral(16)", "--subgroup", "1,16", "--emit-formula")
+    assert code == 0
+    assert out.splitlines()[-1] == "formula: " + format_formula(envelope_formula(2, 4))
 
 
 def test_fitting_command(capsys):

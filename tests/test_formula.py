@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import copy
+import functools
 import gc
+import hashlib
 import pickle
 import random
 import warnings
@@ -604,9 +606,105 @@ def test_envelope_formula_brings_its_shape_pass(monkeypatch):
         warnings.simplefilter("error", EvaluationCostWarning)
         assert evaluate(phi, G, trace.parameters).members == trace.envelope.members
     assert len(passes) == 1
-    # the walk stops at renamed copies; leaves are shared and no dead node is built
+    # the walk stops at renamed copies; built in full, the tree shares its
+    # leaves and holds no dead node
     assert len(phi._pass[0].nodes) <= 10_000
     assert _node_objects(phi) <= 82_538
+
+
+# sha256 of format_formula(phi_{d,n}), pinned from a builder that built every
+# renamed copy at once: deferring the copies changes no byte of the text
+_ENVELOPE_TEXT_SHA256 = {
+    (1, 0): "8ff436def1451285599a1b1ad70800493b8dcafde2912e1a38345633054e4c26",
+    (1, 1): "1f469c542eda1d1e7f9f131180695cffcea167c36ece1a58e0d98648a21be81c",
+    (1, 2): "c816c8f2a4ee8a9b020b0e86998ed4298f34e33365d123df0389d9de2628c0ae",
+    (1, 3): "507f65a814c7f95e211c215fc694833d30b5d2c350846c5eab133917dee4354b",
+    (2, 0): "8ff436def1451285599a1b1ad70800493b8dcafde2912e1a38345633054e4c26",
+    (2, 1): "12850d6515f7bbb4b42f6a50091fea73155debc2b5011ce6b053289a468dba3e",
+    (2, 2): "8ee4bc71830b533df2996c8976c20d160eb5175a00e62e558df1c26737c3ef87",
+    (2, 3): "4a6819560d08edf2aae19e464bfc5e3751b8553b44920fdbb337e908d86a5162",
+    (3, 0): "8ff436def1451285599a1b1ad70800493b8dcafde2912e1a38345633054e4c26",
+    (3, 1): "86a6bc942a65e5b5a5dcdcbfe8b95ac939eb49c187b5b2ab2d2ce0c790ff68b6",
+    (3, 2): "65e8d6a6ebea3dff90a583844e2e8959dce04b348acb27ea2289eaf04a7f59c9",
+    (3, 3): "9d93c151870ac0d07fd5d3c415f09ac237656e50b97df2d6db5a3c48640af907",
+    (4, 0): "8ff436def1451285599a1b1ad70800493b8dcafde2912e1a38345633054e4c26",
+    (4, 1): "7c023009d3470c5fa9622bfe574104b87446726c72e5e3e559454f176d6ddf9a",
+    (4, 2): "3e1511373fe4a4e904f490dcfc835a133194b4125029ceb9f748ac0be3441781",
+    (4, 3): "03f08f73c40a421c1d7eb31bfdbf838043e248097af6c1830ae1b0a77accdf72",
+    (2, 4): "1b1bd0ec614ab0bf81234043ea59486edaa09ddf1d6ff9e87c796a53cbf0d260",
+}
+
+
+@pytest.mark.parametrize("d, n", sorted(_ENVELOPE_TEXT_SHA256))
+def test_envelope_formula_text_is_unchanged(d, n):
+    text = format_formula(envelope_formula.__wrapped__(d, n))
+    assert hashlib.sha256(text.encode()).hexdigest() == _ENVELOPE_TEXT_SHA256[d, n]
+
+
+def _live_nodes() -> int:
+    gc.collect()
+    return sum(isinstance(obj, formula_module._Node) for obj in gc.get_objects())
+
+
+def test_evaluating_an_envelope_formula_builds_few_nodes():
+    G = dihedral(16)
+    trace = build_envelope(G, G.as_subgroup())
+    before = _live_nodes()
+    phi = envelope_formula.__wrapped__(2, 4)  # built afresh, past the cache
+    assert evaluate(phi, G, trace.parameters).members == trace.envelope.members
+    # each family's first member and one deferred member per later call (239);
+    # building every renamed copy made 82,538
+    assert _live_nodes() - before <= 1_000
+    del phi
+
+
+def _unread_member(phi):
+    """A deferred member of phi not yet built, and its path of field names, found without building any."""
+    todo = [(phi, ())]
+    while todo:
+        node, path = todo.pop()
+        if "_build" in vars(node):
+            return node, path
+        todo.extend(
+            (child, (*path, name)) for name, child in vars(node).items() if isinstance(child, formula_module._Node)
+        )
+    raise AssertionError("no deferred member")
+
+
+@pytest.mark.parametrize("read", ["pickle", "copy", "deepcopy", "hash", "compare"])
+def test_unread_deferred_member_reads_as_its_built_twin(read):
+    stub, path = _unread_member(envelope_formula.__wrapped__(2, 3))
+    twin = functools.reduce(getattr, path, envelope_formula.__wrapped__(2, 3))
+    twin_text = format_formula(twin)  # builds the twin and every member below it
+    assert "_build" in vars(stub) and type(stub) is type(twin)
+    if read == "pickle":
+        got = pickle.loads(pickle.dumps(stub))
+    elif read == "copy":
+        got = copy.copy(stub)
+    elif read == "deepcopy":
+        got = copy.deepcopy(stub)
+    elif read == "hash":
+        assert hash(stub) == hash(twin)
+        got = stub
+    else:
+        assert stub == twin and twin == stub
+        got = stub
+    assert "_build" not in vars(stub) and "_build" not in vars(got)
+    assert type(got) is type(twin) and got == twin
+    assert format_formula(got) == format_formula(stub) == twin_text
+    with pytest.raises(AttributeError):
+        stub.operand  # a built member has its own fields only
+
+
+@pytest.mark.parametrize("m, n", [(32, 5), (64, 6)])
+def test_class_five_and_six_envelope_formulas_solve_envelopes(m, n):
+    G = dihedral(m)
+    trace = build_envelope(G, G.as_subgroup())
+    assert trace.nilpotence_class == n
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", EvaluationCostWarning)
+        got = evaluate(emit_envelope_formula(trace), G, trace.parameters)
+    assert got.members == trace.envelope.members
 
 
 def test_relations_have_at_most_two_axes(monkeypatch):
