@@ -189,8 +189,15 @@ def _cmd_lattice(args) -> int:
 
 
 def _names(text: str) -> tuple[str, ...] | None:
-    """The entries of a comma-separated list; empty text keeps the default."""
-    return tuple(s.strip() for s in text.split(",") if s.strip()) if text else None
+    """The entries of a list split at commas outside brackets; empty text keeps the default."""
+    entries, depth = [""], 0
+    for char in text:
+        depth += (char == "(") - (char == ")")
+        if char == "," and depth <= 0:
+            entries.append("")
+        else:
+            entries[-1] += char
+    return tuple(e.strip() for e in entries if e.strip()) if text else None
 
 
 def _verify_number(text: str, name: str) -> int:
@@ -205,7 +212,7 @@ def _verify_number(text: str, name: str) -> int:
 
 def _cmd_verify(args) -> int:
     # every SuiteConfig field is a verify option of the same dest; unset ones
-    # keep their defaults, and the numbers arrive as text
+    # keep their defaults, and the seed arrives as text
     given = ((f.name, getattr(args, f.name)) for f in fields(SuiteConfig))
     config = SuiteConfig(**{k: _verify_number(v, k) if isinstance(v, str) else v for k, v in given if v is not None})
     extra = tuple(load_group(path) for path in args.group_file)
@@ -259,16 +266,6 @@ _COMMANDS = {
                 dict(action="append", default=[], help="JSON group file to test alongside the catalog (repeatable)"),
             ),
             ("--seed", dict(help="suite sampling seed")),
-            (
-                "--samples",
-                dict(dest="samples_per_group", metavar="SAMPLES", help="random subsets per group for sampled suites"),
-            ),
-            ("--max-exhaustive-order", dict(help="largest order for exhaustive subgroup enumeration")),
-            ("--triples", dict(dest="hallwitt_triples", metavar="TRIPLES", help="Hall-Witt triples per group")),
-            ("--threesubgroup-target", dict(help="three-subgroup quadruple quota")),
-            ("--bryant-target", dict(help="centralizer transfer sample quota")),
-            ("--nested-target", dict(help="nested tower sample quota")),
-            ("--envelope-samples", dict(help="sampled subgroups per non-exhaustive group")),
         ),
     ),
 }

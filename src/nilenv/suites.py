@@ -18,7 +18,7 @@ import math
 import random
 import re
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -217,6 +217,13 @@ def sample_subgroups(G: FiniteGroup, count: int, seed: int) -> list[Subgroup]:
     return out
 
 
+# a group above MAX_EXHAUSTIVE_ORDER pools the closures of SAMPLES_PER_GROUP random
+# subsets, and the envelope and formula suites trace ENVELOPE_SAMPLES nilpotent ones
+MAX_EXHAUSTIVE_ORDER = 200
+SAMPLES_PER_GROUP = 200
+ENVELOPE_SAMPLES = 24
+
+
 class GroupContext:
     """One group plus its subgroup pool, shared by every suite.
 
@@ -231,12 +238,12 @@ class GroupContext:
         self.label = label
         self.group = group
         self.digest = digest
-        self.exhaustive = group.order <= config.max_exhaustive_order
+        self.exhaustive = group.order <= MAX_EXHAUSTIVE_ORDER
         if self.exhaustive:
             self.subgroups = all_subgroups(group)
         else:
             pool = {1: group.trivial_subgroup(), group.full_mask: group.as_subgroup()}
-            for sub in sample_subgroups(group, config.samples_per_group, config.seed):
+            for sub in sample_subgroups(group, SAMPLES_PER_GROUP, config.seed):
                 pool.setdefault(sub.members, sub)
             self.subgroups = tuple(
                 sorted(pool.values(), key=lambda s: (s.order, s.members))
@@ -255,11 +262,11 @@ class GroupContext:
             self._inside[mask] = got
         return got
 
-    def envelope_pool(self, config: SuiteConfig) -> tuple[Subgroup, ...]:
+    def envelope_pool(self) -> tuple[Subgroup, ...]:
         """Nilpotent subgroups to trace: all of them when exhaustive, a slice otherwise."""
         if self.exhaustive:
             return self.nilpotent
-        pool = list(self.nilpotent[: config.envelope_samples])
+        pool = list(self.nilpotent[:ENVELOPE_SAMPLES])
         full = self.group.as_subgroup()
         if nilpotence_class(full) is not None and all(
             s.members != full.members for s in pool
@@ -536,14 +543,13 @@ class _Tally:
         self.failures.append(Failure(self.suite, self.label, label, payload))
 
 
-_HALLWITT_CHUNK = 1024  # triples per draw and per block: memory is bounded for any count
+HALLWITT_TRIPLES = 1000  # random triples per group, drawn and checked as one block
 
 
 def _suite_hallwitt(ctx: GroupContext, config: SuiteConfig, run: _Tally):
     rng, n = _rng_for(config, "hallwitt", ctx.label), ctx.group.order
-    for start in range(0, config.hallwitt_triples, _HALLWITT_CHUNK):
-        m = min(_HALLWITT_CHUNK, config.hallwitt_triples - start)
-        run.check_rows("hallwitt", triple=np.reshape(rng.choices(range(n), k=3 * m), (m, 3)))
+    triples = rng.choices(range(n), k=3 * HALLWITT_TRIPLES)
+    run.check_rows("hallwitt", triple=np.reshape(triples, (HALLWITT_TRIPLES, 3)))
 
 
 # the payload fields of a quota failure, in order
@@ -609,7 +615,7 @@ def _suite_dimension(ctx: GroupContext, config: SuiteConfig, run: _Tally):
     G = ctx.group
     rng = _rng_for(config, "dimension", ctx.label)
     run.check("dimension-abelian")
-    for _ in range(config.samples_per_group):
+    for _ in range(SAMPLES_PER_GROUP):
         k = rng.randint(1, min(G.order, 5))
         subset = sorted(rng.sample(range(G.order), k))
         run.check("greedy-bound", subset=subset)
@@ -621,7 +627,7 @@ def _suite_dimension(ctx: GroupContext, config: SuiteConfig, run: _Tally):
 
 
 def _suite_envelope(ctx: GroupContext, config: SuiteConfig, run: _Tally):
-    for h in ctx.envelope_pool(config):
+    for h in ctx.envelope_pool():
         for which in _ENVELOPE_CHECKS:
             run.check("envelope", subgroup=h, check=which, seed=config.seed)
 
@@ -630,7 +636,7 @@ def _suite_formula(ctx: GroupContext, config: SuiteConfig, run: _Tally):
     G = ctx.group
     rng = _rng_for(config, "formula", ctx.label)
     shapes: dict[tuple[int, int], str] = {}
-    for h in ctx.envelope_pool(config):
+    for h in ctx.envelope_pool():
         run.check("formula-solution", subgroup=h, d=ctx.dimension)
         shape = (ctx.dimension, nilpotence_class(h))
         if shape not in shapes:
@@ -650,15 +656,15 @@ def _suite_fitting(ctx: GroupContext, config: SuiteConfig, run: _Tally):
     return (("engel-bound", str(_fitting(ctx.group).engel_bound_n)),)
 
 
-# suite -> (its runner, the SuiteConfig field of its sample quota or None,
-# the largest group order the quota covers); run_suites splits a quota
-# evenly over the groups it covers, rounding up
+# suite -> (its runner, its sample quota or None, the largest group order the
+# quota covers); run_suites splits a quota evenly over the groups it covers,
+# rounding up
 SUITES = {
     "hallwitt": (_suite_hallwitt, None, None),
-    "threesubgroup": (partial(_sample_to_quota, draw=_draw_threesubgroup), "threesubgroup_target", 64),
+    "threesubgroup": (partial(_sample_to_quota, draw=_draw_threesubgroup), 5000, 64),
     "hall": (_suite_hall, None, None),
-    "bryant": (partial(_sample_to_quota, draw=_draw_bryant), "bryant_target", 100),
-    "nested": (partial(_sample_to_quota, draw=_draw_nested), "nested_target", 100),
+    "bryant": (partial(_sample_to_quota, draw=_draw_bryant), 10000, 100),
+    "nested": (partial(_sample_to_quota, draw=_draw_nested), 5000, 100),
     "bottomchain": (_suite_bottomchain, None, None),
     "dimension": (_suite_dimension, None, None),
     "envelope": (_suite_envelope, None, None),
@@ -671,26 +677,11 @@ ALL_SUITES = tuple(SUITES)
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Knobs for a suite run.  Equal configs give equal reports."""
+    """What a suite run covers; how much each suite samples is fixed.  Equal configs give equal reports."""
 
     seed: int = 0
-    max_exhaustive_order: int = 200
-    samples_per_group: int = 200
     suites: tuple[str, ...] = ALL_SUITES
     groups: tuple[str, ...] = DEFAULT_CATALOG
-    hallwitt_triples: int = 1000
-    threesubgroup_target: int = 5000
-    bryant_target: int = 10000
-    nested_target: int = 5000
-    envelope_samples: int = 24
-
-    def __post_init__(self) -> None:
-        # every int but the seed is a count or an order; a negative one would
-        # slice from the end or run nothing
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, int) and f.name != "seed" and value < 0:
-                raise MalformedInputError(f"{f.name} must be non-negative, not {value}")
 
 
 def _run_task(suite: str, ctx: GroupContext, config: SuiteConfig, quota) -> SuiteOutcome:
@@ -705,17 +696,24 @@ def _run_task(suite: str, ctx: GroupContext, config: SuiteConfig, quota) -> Suit
 def run_suites(
     config: SuiteConfig, extra_groups: tuple[FiniteGroup, ...] = ()
 ) -> Report:
-    """Run the configured suites and merge outcomes in (suite, group) order."""
+    """Run the configured suites and merge outcomes in (suite, group) order.
+
+    An unknown suite, or a suite or catalog group named twice, is refused before any work.
+    """
     for suite in config.suites:
         if suite not in SUITES:
             raise MalformedInputError(f"unknown suite {suite!r}")
+    for kind, names in (("suite", config.suites), ("group", config.groups)):
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise MalformedInputError(f"{kind} {name!r} is named twice")
     contexts = build_contexts(config, extra_groups)
     outcomes = []
     for suite in config.suites:
         _, target, max_order = SUITES[suite]
         eligible = [c for c in contexts if target and c.group.order <= max_order]
         for ctx in contexts:
-            quota = -(-getattr(config, target) // len(eligible)) if ctx in eligible else None
+            quota = -(-target // len(eligible)) if ctx in eligible else None
             outcomes.append(_run_task(suite, ctx, config, quota))
     outcomes.sort(key=lambda o: (o.suite, o.group))
     outcomes.extend(_uniformity_outcome(outcomes))
@@ -828,21 +826,16 @@ def _replay_group(payload: dict, extra_groups: tuple[FiniteGroup, ...]) -> Finit
     )
 
 
-def replay_failure(
-    failure: Failure,
-    config: SuiteConfig | None = None,
-    extra_groups: tuple[FiniteGroup, ...] = (),
-) -> bool:
+def replay_failure(failure: Failure, extra_groups: tuple[FiniteGroup, ...] = ()) -> bool:
     """Re-run the single check behind a failure; True when it still fails.
 
     ``extra_groups`` takes the same groups as :func:`run_suites`; a failure on
-    one of them is matched to its group by digest.  ``config`` matters only
-    for a quota failure, whose suite is re-run with the payload's seed.  A
+    one of them is matched to its group by digest.  A quota failure re-runs
+    its suite's task with the payload's seed, quota and group.  A
     ``uniformity`` failure stores each group's sha256 of its formula text; it
     still fails when any of them differs from the re-emitted formula.  Any
     other payload is validated in full before its check runs.
     """
-    config = config or SuiteConfig()
     payload = failure.payload
     kind = payload.get("kind")
     if kind == "uniformity":
@@ -859,7 +852,7 @@ def replay_failure(
     G = _replay_group(payload, extra_groups)
     args = _replay_args(G, kind, payload)
     if kind == "quota":
-        seeded = replace(config, seed=args["seed"])
+        seeded = SuiteConfig(seed=args["seed"])
         ctx = GroupContext(payload["group"], G, seeded, payload.get("digest"))
         outcome = _run_task(args["suite"], ctx, seeded, args["quota"])
         return any(f.payload["kind"] == "quota" for f in outcome.failures)

@@ -233,13 +233,9 @@ def test_verify_reduced(capsys):
         "symmetric(3)",
         "--suites",
         "hallwitt,dimension",
-        "--triples",
-        "20",
-        "--samples",
-        "20",
     )
     assert code == 0
-    assert "suite=hallwitt group=symmetric(3) passes=20 failures=0" in out
+    assert "suite=hallwitt group=symmetric(3) passes=1000 failures=0" in out
     assert "total passes=" in out
     assert "failures=0" in out
 
@@ -248,13 +244,25 @@ def test_verify_reduced(capsys):
     "flag, value, field, expected",
     [
         ("--seed", "7", "seed", 7),
-        ("--samples", "3", "samples_per_group", 3),
-        ("--max-exhaustive-order", "9", "max_exhaustive_order", 9),
-        ("--triples", "4", "hallwitt_triples", 4),
-        ("--threesubgroup-target", "5", "threesubgroup_target", 5),
-        ("--bryant-target", "6", "bryant_target", 6),
-        ("--nested-target", "8", "nested_target", 8),
-        ("--envelope-samples", "2", "envelope_samples", 2),
+        # only a comma outside brackets separates
+        ("--groups", "product(cyclic(2),cyclic(4))", "groups", ("product(cyclic(2),cyclic(4))",)),
+        (
+            "--groups",
+            "product(cyclic(2), product(cyclic(3),cyclic(4))) ,quaternion",
+            "groups",
+            ("product(cyclic(2), product(cyclic(3),cyclic(4)))", "quaternion"),
+        ),
+        (
+            "--groups",
+            "quaternion,product(cyclic(2),cyclic(2)),product(cyclic(2),cyclic(4))",
+            "groups",
+            ("quaternion", "product(cyclic(2),cyclic(2))", "product(cyclic(2),cyclic(4))"),
+        ),
+        # an unclosed bracket keeps the rest in one entry, which from_spec refuses
+        ("--groups", "product(cyclic(2),cyclic(3)", "groups", ("product(cyclic(2),cyclic(3)",)),
+        ("--groups", "cyclic(2)),quaternion", "groups", ("cyclic(2))", "quaternion")),
+        ("--suites", "hallwitt,", "suites", ("hallwitt",)),
+        ("--groups", " quaternion ,, cyclic(2) ", "groups", ("quaternion", "cyclic(2)")),
         ("--suites", "hall, dimension", "suites", ("hall", "dimension")),
         ("--suites", " , ", "suites", ()),
         ("--suites", "", "suites", ALL_SUITES),
@@ -276,22 +284,22 @@ def test_verify_flags_set_their_fields(monkeypatch, flag, value, field, expected
     assert configs == [replace(SuiteConfig(), **{field: expected})]
 
 
+def test_verify_options_are_what_a_run_covers():
+    # how much each suite samples is fixed; no option sets it
+    assert [flag for flag, _ in _COMMANDS["verify"][2]] == ["--suites", "--groups", "--group-file", "--seed"]
+
+
 @pytest.mark.parametrize(
-    "flag, field",
+    "argv, message",
     [
-        ("--samples", "samples_per_group"),
-        ("--max-exhaustive-order", "max_exhaustive_order"),
-        ("--triples", "hallwitt_triples"),
-        ("--threesubgroup-target", "threesubgroup_target"),
-        ("--bryant-target", "bryant_target"),
-        ("--nested-target", "nested_target"),
-        ("--envelope-samples", "envelope_samples"),
+        (("--groups", "quaternion,quaternion", "--suites", "hallwitt,bryant"), "group 'quaternion' is named twice"),
+        (("--groups", "quaternion", "--suites", "hallwitt, bryant,hallwitt"), "suite 'hallwitt' is named twice"),
     ],
+    ids=["group", "suite"],
 )
-def test_verify_refuses_negative_counts(capsys, flag, field):
-    code, out, err = run(capsys, "verify", "--groups", "cyclic(2)", flag, "-1")
-    assert code == 2 and out == ""
-    assert err == f"error: {field} must be non-negative, not -1\n"
+def test_verify_refuses_a_name_given_twice(capsys, argv, message):
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_verify_group_file(capsys, tmp_path):
@@ -304,8 +312,6 @@ def test_verify_group_file(capsys, tmp_path):
         "symmetric(3)",
         "--suites",
         "dimension",
-        "--samples",
-        "15",
         "--group-file",
         str(path),
     )
@@ -513,7 +519,7 @@ PARSER_CASES = [
     ["fitting", "--group", "symmetric(4)", "extra", "more"],
     ["verify", "--seed", "x"],
     ["verify", "--groups", "cyclic(2)", "--suites", "hallwitt", "--triples", "3", "--bogus"],
-    ["verify", "--groups", "cyclic(2)", "--suites", "hallwitt", "--triples", "3", "--samples", "2"],
+    ["verify", "--groups", "cyclic(2)", "--suites", "hallwitt", "--seed", "3"],
 ]
 
 
@@ -620,12 +626,12 @@ _VERIFY = ("verify", "--groups", "cyclic(2)", "--suites", "hallwitt")
         (("dim", "--group", "symmetric(4)", "--subgroup", f"1, {_NINES}"), None, "index at position 3 has too many digits"),
         (("eval", "--group", "cyclic(4)", "--formula", "FILE", "--params", "0,1,2,3"), "x = p٣", "free variables: p٣"),
         (("eval", "--group", "cyclic(4)", "--formula", "FILE"), f"x = p{_NINES}", "too many digits (at position 4)"),
-        (_VERIFY + ("--triples", "1_0"), None, "hallwitt_triples must be a decimal integer, not '1_0'"),
-        (_VERIFY + ("--triples", "١٢"), None, "hallwitt_triples must be a decimal integer, not '١٢'"),
-        (_VERIFY + ("--triples", _NINES), None, "hallwitt_triples has too many digits"),
         (_VERIFY + ("--seed", "1_0"), None, "seed must be a decimal integer, not '1_0'"),
         (_VERIFY + ("--seed", "١٢"), None, "seed must be a decimal integer, not '١٢'"),
         (_VERIFY + ("--seed", _NINES), None, "seed has too many digits"),
+        (_VERIFY + ("--seed=-1_0",), None, "seed must be a decimal integer, not '-1_0'"),
+        (_VERIFY + ("--seed", "-١٢"), None, "seed must be a decimal integer, not '-١٢'"),
+        (_VERIFY + ("--seed", "-" + _NINES), None, "seed has too many digits"),
     ],
     ids=[
         "spec-superscript",
@@ -637,12 +643,12 @@ _VERIFY = ("verify", "--groups", "cyclic(2)", "--suites", "hallwitt")
         "index-5000-digits",
         "param-arabic-indic",
         "param-5000-digits",
-        "count-underscore",
-        "count-arabic-indic",
-        "count-5000-digits",
         "seed-underscore",
         "seed-arabic-indic",
         "seed-5000-digits",
+        "seed-minus-underscore",
+        "seed-minus-arabic-indic",
+        "seed-minus-5000-digits",
     ],
 )
 def test_decimal_integers_are_ascii_and_exact(capsys, tmp_path, argv, formula, message):

@@ -35,15 +35,7 @@ from nilenv.suites import (
     sample_subgroups,
 )
 
-SMALL_CONFIG = SuiteConfig(
-    groups=("symmetric(3)", "dihedral(4)"),
-    hallwitt_triples=40,
-    threesubgroup_target=60,
-    bryant_target=60,
-    nested_target=60,
-    samples_per_group=30,
-    envelope_samples=6,
-)
+SMALL_CONFIG = SuiteConfig(groups=("symmetric(3)", "dihedral(4)"))
 
 SUBGROUP_COUNTS = {
     "symmetric(3)": 6,
@@ -292,20 +284,20 @@ def test_group_context_exhaustive():
     assert ctx.subgroups == all_subgroups(G)
     assert set(ctx.nilpotent) <= set(ctx.subgroups)
     assert ctx.dimension == 4
-    assert ctx.envelope_pool(SuiteConfig()) == ctx.nilpotent
+    assert ctx.envelope_pool() == ctx.nilpotent
 
 
-def test_group_context_sampled():
+def test_group_context_sampled(monkeypatch):
     G = from_spec("unitriangular(7)")
-    config = SuiteConfig(samples_per_group=40, envelope_samples=5)
-    ctx = GroupContext("unitriangular(7)", G, config)
+    monkeypatch.setattr(suites, "ENVELOPE_SAMPLES", 5)
+    ctx = GroupContext("unitriangular(7)", G, SuiteConfig())
     assert not ctx.exhaustive
     assert ctx.subgroups[0].order == 1
     assert ctx.subgroups[-1].order == G.order
     keys = [(s.order, s.members) for s in ctx.subgroups]
     assert keys == sorted(keys)
-    pool = ctx.envelope_pool(config)
-    assert len(pool) <= config.envelope_samples + 1
+    pool = ctx.envelope_pool()
+    assert len(pool) <= 5 + 1
     assert any(s.order == G.order for s in pool)
 
 
@@ -343,10 +335,10 @@ def test_reduced_run_is_deterministic():
     assert "elapsed=" not in first.stable_text()
     assert first.total_passes == sum(o.passes for o in first.outcomes)
     assert first.failures == ()
-    assert first.total_passes == 566
+    assert first.total_passes == 22986
     assert (
         hashlib.sha256(first.stable_text().encode()).hexdigest()
-        == "707b4ff53a9d8ae486624f156dc46e20527e553b6d8ba3b7ec5dadf95321eb95"
+        == "7636dad77554b1ea230f2914c2a631c9c723849be6945afabad03a1e84932085"
     )
 
 
@@ -368,14 +360,10 @@ def test_run_suite_single():
 
 
 def test_quota_suites_skip_oversized_groups():
-    config = SuiteConfig(
-        groups=("dihedral(4)", "unitriangular(5)"),
-        suites=("bryant",),
-        bryant_target=40,
-    )
+    config = SuiteConfig(groups=("dihedral(4)", "unitriangular(5)"), suites=("bryant",))
     report = run_suites(config)
     by_group = {o.group: o for o in report.outcomes}
-    assert by_group["dihedral(4)"].passes == 40
+    assert by_group["dihedral(4)"].passes == 10000
     assert by_group["unitriangular(5)"].passes == 0
     assert report.ok
 
@@ -384,13 +372,28 @@ def _renamed(G, name):
     return group_from_dict({**group_to_dict(G), "name": name})
 
 
-def test_extra_groups_sharing_a_name_keep_their_own_quotas():
+def test_extra_groups_sharing_a_name_keep_their_own_quotas(monkeypatch):
     extra = (_renamed(dihedral(4), "X"), _renamed(symmetric(5), "X"))
-    config = SuiteConfig(groups=(), suites=("bryant",), max_exhaustive_order=10)
+    monkeypatch.setattr(suites, "MAX_EXHAUSTIVE_ORDER", 10)
+    config = SuiteConfig(groups=(), suites=("bryant",))
     assert [c.label for c in build_contexts(config, extra)] == ["X", "X#2"]
     report = run_suites(config, extra_groups=extra)
     assert [(o.group, o.passes) for o in report.outcomes] == [("X", 10000), ("X#2", 0)]
     assert report.ok
+
+
+@pytest.mark.parametrize(
+    "field, names, message",
+    [
+        ("suites", ("hallwitt", "bryant", "hallwitt"), "suite 'hallwitt' is named twice"),
+        ("groups", ("quaternion", "symmetric(3)", "quaternion"), "group 'quaternion' is named twice"),
+    ],
+    ids=["suite", "group"],
+)
+def test_a_name_given_twice_is_refused_before_any_work(field, names, message, monkeypatch):
+    monkeypatch.setattr(suites, "build_contexts", None)
+    with pytest.raises(MalformedInputError, match=message):
+        run_suites(replace(SMALL_CONFIG, **{field: names}))
 
 
 def test_failure_payload_text_round_trips():
@@ -614,7 +617,7 @@ def test_failing_check_is_reported_and_replays(kind, suite_of_kind, monkeypatch)
     assert failures
     run_args = {args for called, args in calls if called == kind}
     del calls[:]
-    assert replay_failure(failures[0], config) is True
+    assert replay_failure(failures[0]) is True
     # replay passes the run's own arguments, seed included
     assert len(calls) == 1 and calls[0][0] == kind and calls[0][1] in run_args
 
@@ -622,7 +625,7 @@ def test_failing_check_is_reported_and_replays(kind, suite_of_kind, monkeypatch)
 def test_failure_on_extra_group_replays_by_digest(monkeypatch):
     table = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
     k4 = FiniteGroup.from_cayley_table(table, name="k4")
-    config = replace(SMALL_CONFIG, groups=(), suites=("hallwitt",), hallwitt_triples=3)
+    config = replace(SMALL_CONFIG, groups=(), suites=("hallwitt",))
     with pytest.MonkeyPatch.context() as mp:
         _wrap_checks(mp, [], fail={"hallwitt"})
         failure = run_suites(config, extra_groups=(k4,)).failures[0]
@@ -639,9 +642,9 @@ def test_failure_on_extra_group_replays_by_digest(monkeypatch):
 _QUOTA_KINDS = ("bryant", "nested", "threesubgroup")
 
 
-def _record_draws(monkeypatch, kind, drawn):
-    """Record every instance the quota suite ``kind`` draws, as (key, args)."""
-    run, *quota = suites.SUITES[kind]
+def _record_draws(monkeypatch, kind, drawn, quota):
+    """Record every instance the quota suite ``kind`` draws, as (key, args), under ``quota``."""
+    run, _, max_order = suites.SUITES[kind]
     draw = run.keywords["draw"]
 
     def recording(ctx, rng):
@@ -649,7 +652,7 @@ def _record_draws(monkeypatch, kind, drawn):
         drawn.append((_hashable(args), args))
         return args
 
-    monkeypatch.setitem(suites.SUITES, kind, (partial(suites._sample_to_quota, draw=recording), *quota))
+    monkeypatch.setitem(suites.SUITES, kind, (partial(suites._sample_to_quota, draw=recording), quota, max_order))
 
 
 def _count_checks(monkeypatch, kind, calls, forced):
@@ -665,11 +668,14 @@ def _count_checks(monkeypatch, kind, calls, forced):
 
 
 def _quota_run(kind, monkeypatch, forced=lambda key, real: real()):
-    """One quota task of ``kind`` on symmetric(3): its outcome, draws and check runs."""
+    """One quota task of ``kind`` on symmetric(3): its outcome, draws and check runs.
+
+    The quota is 60, so that a shortfall makes 3,600 draws, not 60 times the suite's own.
+    """
     config = replace(SMALL_CONFIG, groups=("symmetric(3)",), suites=(kind,))
     drawn, calls = [], Counter()
     with pytest.MonkeyPatch.context() as mp:
-        _record_draws(mp, kind, drawn)
+        _record_draws(mp, kind, drawn, 60)
         _count_checks(mp, kind, calls, forced)
         (outcome,) = run_suites(config).outcomes
     return outcome, drawn, calls
@@ -751,23 +757,24 @@ def _drawn_triples(calls):
     return [json.loads(args[0][1]) for kind, args in calls if kind == "hallwitt"]
 
 
-_CHUNK = suites._HALLWITT_CHUNK
+_TRIPLES = suites.HALLWITT_TRIPLES
 
 
 @pytest.mark.parametrize(
     "rows",
-    [[0], [_CHUNK // 2], [_CHUNK - 1], [_CHUNK], [_CHUNK - 1, _CHUNK]],
-    ids=["first", "middle", "chunk-last", "next-chunk-first", "chunk-boundary"],
+    [[0], [_TRIPLES // 2], [_TRIPLES - 1], [0, _TRIPLES - 1]],
+    ids=["first", "middle", "last", "first-and-last"],
 )
 def test_injected_hallwitt_failures_report_their_own_triples(rows, monkeypatch):
     config = replace(SMALL_CONFIG, groups=("symmetric(5)",), suites=("hallwitt",))
-    config = replace(config, max_exhaustive_order=1, hallwitt_triples=_CHUNK + 5)
+    # the triples need no subgroup pool
+    monkeypatch.setattr(suites, "MAX_EXHAUSTIVE_ORDER", 1)
     calls = []
     with pytest.MonkeyPatch.context() as mp:
         _wrap_checks(mp, calls)
         assert not run_suites(config).outcomes[0].failures
     drawn = _drawn_triples(calls)
-    assert len(drawn) == _CHUNK + 5
+    assert len(drawn) == _TRIPLES
     picked = [drawn[r] for r in rows]
     assert all(drawn.count(t) == 1 for t in picked)
     del calls[:]
@@ -775,17 +782,17 @@ def test_injected_hallwitt_failures_report_their_own_triples(rows, monkeypatch):
         _wrap_checks(mp, calls, fail_rows={tuple(t) for t in picked})
         (outcome,) = run_suites(config).outcomes
         assert _drawn_triples(calls) == drawn
-        assert outcome.passes == _CHUNK + 5 - len(rows)
+        assert outcome.passes == _TRIPLES - len(rows)
         assert [f.payload for f in outcome.failures] == [
             {"kind": "hallwitt", "triple": t, "group": "symmetric(5)"} for t in picked
         ]
         for failure, triple in zip(outcome.failures, picked):
             del calls[:]
             # replay runs the registered block function on a one-row block
-            assert replay_failure(failure, config) is True
+            assert replay_failure(failure) is True
             assert _drawn_triples(calls) == [triple]
     for failure in outcome.failures:
-        assert replay_failure(failure, config) is False
+        assert replay_failure(failure) is False
 
 
 # a loop (a quasigroup with identity) that is not associative; its rows are not
@@ -797,29 +804,24 @@ def test_hallwitt_check_reports_every_failing_triple_of_a_loop(monkeypatch):
     loop = FiniteGroup("loop5", "cayley", np.array(_LOOP5, dtype=np.int16))
     every = itertools.product(range(5), repeat=3)
     assert sum(hall_witt_products(loop, *t) != (0, 0) for t in every) == 60
-    triples = _CHUNK + 300
-    config = SuiteConfig(groups=(), suites=("hallwitt",), hallwitt_triples=triples)
+    config = SuiteConfig(groups=(), suites=("hallwitt",))
     run = suites._Tally("hallwitt", "loop5", loop, group_digest(loop))
     calls = []
     _wrap_checks(monkeypatch, calls)
     # a bare context: GroupContext's subgroup lattice assumes associativity
     suites._suite_hallwitt(SimpleNamespace(label="loop5", group=loop), config, run)
     drawn = _drawn_triples(calls)
-    assert len(drawn) == triples
+    assert len(drawn) == _TRIPLES
     bad = [t for t in drawn if hall_witt_products(loop, *t) != (0, 0)]
-    assert 0 < len(bad) < triples
+    assert 0 < len(bad) < _TRIPLES
     assert [f.payload["triple"] for f in run.failures] == bad
-    assert run.passes == triples - len(bad)
+    assert run.passes == _TRIPLES - len(bad)
     assert all(f.payload["digest"] == group_digest(loop) for f in run.failures)
     assert all(replay_failure(f, extra_groups=(loop,)) for f in run.failures)
 
 
-@pytest.mark.parametrize(
-    "spec, chunks, extra",
-    [("symmetric(3)", 0, 0), ("cyclic(1)", 0, 7), ("cyclic(1)", 1, 0), ("symmetric(3)", 3, 1)],
-)
-def test_hallwitt_draws_each_group_in_chunks(spec, chunks, extra, monkeypatch):
-    triples = chunks * _CHUNK + extra
+@pytest.mark.parametrize("spec", ["symmetric(3)", "cyclic(1)"])
+def test_hallwitt_draws_each_group_in_one_block(spec, monkeypatch):
     blocks = []
     check = CHECKS["hallwitt"]
 
@@ -828,10 +830,10 @@ def test_hallwitt_draws_each_group_in_chunks(spec, chunks, extra, monkeypatch):
         return check.fn(G, triple)
 
     monkeypatch.setitem(CHECKS, "hallwitt", replace(check, fn=recorded))
-    config = SuiteConfig(groups=(spec,), suites=("hallwitt",), hallwitt_triples=triples)
+    config = SuiteConfig(groups=(spec,), suites=("hallwitt",))
     (outcome,) = run_suites(config).outcomes
-    assert (outcome.passes, outcome.failures) == (triples, ())
-    assert [b.shape for b in blocks] == [(_CHUNK, 3)] * chunks + [(extra, 3)] * (extra > 0)
+    assert (outcome.passes, outcome.failures) == (_TRIPLES, ())
+    assert [b.shape for b in blocks] == [(_TRIPLES, 3)]
     if spec == "cyclic(1)":
         assert all((b == 0).all() for b in blocks)
     # the same config draws the same triples
