@@ -267,7 +267,7 @@ def cost_estimate(formula: Formula, group: FiniteGroup) -> int:
     return sum(group.order ** m[3] for m in _pass_of(formula)[0].measures)
 
 
-# -- Parser --------------------------------------------------------------
+# -- Concrete syntax: parser and printer ---------------------------------
 
 # one token per match, after optional whitespace: a parameter slot (ASCII
 # digits only), an identifier, the identity, a symbol, or any other
@@ -304,110 +304,92 @@ def _tokenize(text: str) -> list[tuple[str, str | int, int]]:
     return tokens
 
 
+# Binding strengths, loosest first: each infix symbol's, with its node class
+# and the kind of both its operands, then prefix "!" and postfix "^-1".
+# parse climbs this table, and format_formula brackets from it.  A "!" or
+# "^-1" node needs no brackets: wherever a formula can stand, the least
+# strength allowed is at most _NOT, and it is at most _INV anywhere.
+_INFIX = {
+    "|": (1, Or, "formula"),
+    "&": (2, And, "formula"),
+    "=": (4, Eq, "term"),
+    "*": (5, Mul, "term"),
+}
+_NOT, _INV = 3, 6
+# each infix node class's printed symbol, "*" unspaced, and strength
+_SYMBOL = {make: (s if s == "*" else f" {s} ", strength) for s, (strength, make, _) in _INFIX.items()}
+
+
+def _of_kind(node: Formula | Term, kind: str, at: int) -> Formula | Term:
+    if isinstance(node, Term) != (kind == "term"):
+        raise FormulaSyntaxError(f"expected a {kind}", at)
+    return node
+
+
 class _Parser:
-    """Recursive-descent parser for the concrete formula syntax."""
+    """Precedence climbing (Pratt, POPL 1973) over ``_INFIX`` and ``_NOT``.
+
+    Where ``least`` is above ``_NOT`` only a term can stand: there ``!`` and
+    quantifiers are not read, and a bracket holds a term, read at ``*``'s.
+    """
 
     def __init__(self, text: str) -> None:
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> tuple[str, str | int, int]:
-        return self.tokens[self.pos]
-
-    def take(self) -> tuple[str, str | int, int]:
+    def take(self, sym: str | None = None) -> tuple[str, str | int, int]:
         tok = self.tokens[self.pos]
+        if sym is not None and tok[1] != sym:  # only a symbol token has a symbol's value
+            raise FormulaSyntaxError(f"expected {sym!r}", tok[2])
         self.pos += 1
         return tok
 
-    def expect_sym(self, sym: str) -> None:
-        kind, value, at = self.take()
-        if kind != "sym" or value != sym:
-            raise FormulaSyntaxError(f"expected {sym!r}", at)
+    def expr(self, least: int, kind: str | None = None) -> Formula | Term:
+        """The longest expression here whose operators bind at ``least`` or tighter; a ``kind`` if given."""
+        first = self.pos
+        while least <= _NOT and self.tokens[self.pos][1] == "!":
+            self.pos += 1
+        negations, start = self.pos - first, self.tokens[self.pos][2]
+        bound = _NOT if negations else least  # the run applies at an operator looser than _NOT
+        out = self.primary(bound)
+        while self.tokens[self.pos][1] == "^-1":  # binding tightest, it follows a primary
+            out = Inv(_of_kind(out, "term", self.take()[2]))
+        while True:
+            symbol = self.tokens[self.pos][1]
+            strength, make, operands = _INFIX.get(symbol, (-1, None, None))
+            if strength < bound and negations:
+                out = _of_kind(out, "formula", start)
+                for _ in range(negations):
+                    out = Not(out)
+                bound, negations = least, 0
+            if strength < bound:
+                return out if kind is None else _of_kind(out, kind, start)
+            self.pos += 1
+            out = make(_of_kind(out, operands, start), self.expr(strength + 1, operands))
 
-    def at_sym(self, sym: str) -> bool:
-        kind, value, _ = self.peek()
-        return kind == "sym" and value == sym
-
-    def formula(self) -> Formula:
-        out = self.and_expr()
-        while self.at_sym("|"):
-            self.take()
-            out = Or(out, self.and_expr())
-        return out
-
-    def and_expr(self) -> Formula:
-        out = self.unary()
-        while self.at_sym("&"):
-            self.take()
-            out = And(out, self.unary())
-        return out
-
-    def unary(self) -> Formula:
-        negations = 0
-        while self.at_sym("!"):
-            self.take()
-            negations += 1
-        kind, value, at = self.peek()
-        if kind == "ident" and value in ("A", "E") and self.tokens[self.pos + 1][0] == "ident":
-            self.take()
-            _, var, _ = self.take()
-            self.expect_sym("(")
-            body = self.formula()
-            self.expect_sym(")")
-            out = ForAll(var, body) if value == "A" else Exists(var, body)
-        else:
-            out = self.atom()
-        for _ in range(negations):
-            out = Not(out)
-        return out
-
-    def atom(self) -> Formula:
-        if self.at_sym("("):
-            saved = self.pos
-            self.take()
-            try:
-                inner = self.formula()
-                self.expect_sym(")")
-                return inner
-            except FormulaSyntaxError:
-                self.pos = saved
-        left = self.term()
-        kind, value, at = self.take()
-        if kind != "sym" or value != "=":
-            raise FormulaSyntaxError("expected '='", at)
-        return Eq(left, self.term())
-
-    def term(self) -> Term:
-        out = self.factor()
-        while self.at_sym("*"):
-            self.take()
-            out = Mul(out, self.factor())
-        return out
-
-    def factor(self) -> Term:
-        out = self.primary()
-        while self.at_sym("^-1"):
-            self.take()
-            out = Inv(out)
-        return out
-
-    def primary(self) -> Term:
+    def primary(self, least: int) -> Formula | Term:
         kind, value, at = self.take()
         if kind == "one":
             return One()
         if kind == "param":
             return Param(value)
+        if kind == "ident" and least <= _NOT and value in ("A", "E") and self.tokens[self.pos][0] == "ident":
+            var = self.take()[1]
+            self.take("(")
+            body = self.expr(0, "formula")
+            self.take(")")
+            return ForAll(var, body) if value == "A" else Exists(var, body)
         if kind == "ident":
             return Var(value)
-        if kind == "sym" and value == "(":
-            inner = self.term()
-            self.expect_sym(")")
+        if value == "(":
+            inner = self.expr(0 if least <= _NOT else _INFIX["*"][0])
+            self.take(")")
             return inner
-        if kind == "sym" and value == "[":
-            left = self.term()
-            self.expect_sym(",")
-            right = self.term()
-            self.expect_sym("]")
+        if value == "[":
+            left = self.expr(_INFIX["*"][0])
+            self.take(",")
+            right = self.expr(_INFIX["*"][0])
+            self.take("]")
             return commutator(left, right)
         raise FormulaSyntaxError(f"unexpected token {value!r}", at)
 
@@ -423,8 +405,8 @@ def parse(text: str) -> Formula:
     deep, raises :class:`FormulaSyntaxError`.
     """
     parser = _Parser(text)
-    out = parser.formula()
-    kind, value, at = parser.peek()
+    out = parser.expr(0, "formula")
+    kind, value, at = parser.tokens[parser.pos]
     if kind != "end":
         raise FormulaSyntaxError(f"trailing input starting with {value!r}", at)
     if _depth(out) > MAX_DEPTH:
@@ -443,41 +425,29 @@ def _depth(node: Formula) -> int:
     return depth
 
 
-# -- Pretty-printer ------------------------------------------------------
+def format_formula(node: Formula) -> str:
+    """Render a tree in the concrete syntax; parse(format_formula(F)) == F."""
+    return _format(node, 0)
 
 
-def _format_term(node: Term, context: int) -> str:
+def _format(node: Formula | Term, least: int) -> str:
+    """The node's text, bracketed if it binds less tightly than ``least``."""
+    symbol, strength = _SYMBOL.get(type(node), (None, 0))
+    if symbol is not None:
+        text = f"{_format(node.left, strength)}{symbol}{_format(node.right, strength + 1)}"
+        return f"({text})" if strength < least else text
+    if isinstance(node, Not):
+        return f"!{_format(node.operand, _NOT)}"
+    if isinstance(node, Inv):
+        return f"{_format(node.operand, _INV)}^-1"
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Param):
         return f"p{node.index}"
     if isinstance(node, One):
         return "1"
-    if isinstance(node, Mul):
-        text = f"{_format_term(node.left, 1)}*{_format_term(node.right, 2)}"
-        return f"({text})" if context > 1 else text
-    text = f"{_format_term(node.operand, 3)}^-1"
-    return text
-
-
-def format_formula(node: Formula) -> str:
-    """Render a tree in the concrete syntax; parse(format_formula(F)) == F."""
-    return _format_formula(node, 0)
-
-
-def _format_formula(node: Formula, context: int) -> str:
-    if isinstance(node, Eq):
-        return f"{_format_term(node.left, 0)} = {_format_term(node.right, 0)}"
-    if isinstance(node, Or):
-        text = f"{_format_formula(node.left, 1)} | {_format_formula(node.right, 2)}"
-        return f"({text})" if context > 1 else text
-    if isinstance(node, And):
-        text = f"{_format_formula(node.left, 2)} & {_format_formula(node.right, 3)}"
-        return f"({text})" if context > 2 else text
-    if isinstance(node, Not):
-        return f"!{_format_formula(node.operand, 3)}"
     letter = "A" if isinstance(node, ForAll) else "E"
-    return f"{letter} {node.var} ({_format_formula(node.body, 0)})"
+    return f"{letter} {node.var} ({_format(node.body, 0)})"
 
 
 # -- Evaluator -----------------------------------------------------------

@@ -45,7 +45,9 @@ _BLOCK_PAIRS = 1 << 14
 
 # The deepest formula tree parse accepts, and the most brackets a formula or
 # a group spec may hold open at once.  The formula parser recurses only at
-# brackets, at most 4 frames each, and the spec parser once per nested
+# brackets, a quantifier's included: at most 4 frames each (a primary, the
+# bracket's contents and the right operands of "|" and "&"), plus 2 once
+# where a term begins (the right operands of "=" and "*").  The spec parser recurses once per nested
 # product(...).  The shape pass and format_formula recurse one frame per tree
 # level, and the evaluator and ``==`` on trees at most about 3.5, so at 150
 # all of them stay well inside Python's default recursion limit of 1000.

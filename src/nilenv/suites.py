@@ -698,12 +698,15 @@ def run_suites(
 ) -> Report:
     """Run the configured suites and merge outcomes in (suite, group) order.
 
-    An unknown suite, or a suite or catalog group named twice, is refused before any work.
+    An unknown suite, or a suite or catalog group named twice, is refused before any suite runs.
+    A group is compared by the canonical name of what its spec builds, so two
+    spellings of one spec, such as ``cyclic(02)`` and ``cyclic(2)``, are one name.
     """
     for suite in config.suites:
         if suite not in SUITES:
             raise MalformedInputError(f"unknown suite {suite!r}")
-    for kind, names in (("suite", config.suites), ("group", config.groups)):
+    groups = tuple(from_spec(spec).name for spec in config.groups)
+    for kind, names in (("suite", config.suites), ("group", groups)):
         for i, name in enumerate(names):
             if name in names[:i]:
                 raise MalformedInputError(f"{kind} {name!r} is named twice")

@@ -199,6 +199,37 @@ def test_quantifier_spelling_needs_following_identifier():
     assert tree == Exists("y", Eq(Var("E"), Var("y")))
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x = y = z",
+        "(x = y)*z = w",
+        "A y (x)",
+        "[x = y, z] = 1",
+        "x",
+        "!x",
+        "(x = y)^-1 = 1",
+        "x * A y (y = y) = 1",
+    ],
+)
+def test_operands_of_the_wrong_kind_are_refused(text):
+    with pytest.raises(FormulaSyntaxError):
+        parse(text)
+
+
+@pytest.mark.parametrize(
+    "text, tree",
+    [
+        ("(x)*y = z", Eq(Mul(Var("x"), Var("y")), Var("z"))),
+        ("((x = y))", Eq(Var("x"), Var("y"))),
+        ("!(x = y) & z = w", And(Not(Eq(Var("x"), Var("y"))), Eq(Var("z"), Var("w")))),
+        ("!x*y = y*x", Not(Eq(Mul(Var("x"), Var("y")), Mul(Var("y"), Var("x"))))),
+    ],
+)
+def test_brackets_hold_either_kind(text, tree):
+    assert parse(text) == tree
+
+
 def test_evaluator_matches_brute_force():
     battery = [
         ("x*p0 = p0*x", 1),
@@ -229,11 +260,17 @@ def test_evaluator_matches_brute_force():
 
 
 _NAMES = ("x", "y", "z")
-_terms = st.recursive(
-    st.sampled_from([Var(v) for v in _NAMES] + [Param(0)]),
-    lambda sub: st.one_of(st.builds(Mul, sub, sub), st.builds(Inv, sub)),
-    max_leaves=3,
-)
+
+
+def _terms_over(leaves):
+    return st.recursive(
+        st.sampled_from(leaves),
+        lambda sub: st.one_of(st.builds(Mul, sub, sub), st.builds(Inv, sub)),
+        max_leaves=3,
+    )
+
+
+_terms = _terms_over([Var(v) for v in _NAMES] + [Param(0)])
 
 
 def _rewire(node, rename):
@@ -263,17 +300,33 @@ def _renamed_copy(node, image, everywhere):
     return type(node)(node.left, _rewire(node.right, rename))
 
 
-_formulas = st.recursive(
-    st.builds(Eq, _terms, _terms),
-    lambda sub: st.one_of(
-        st.builds(And, sub, sub),
-        st.builds(Or, sub, sub),
-        st.builds(Not, sub),
-        st.builds(ForAll, st.sampled_from(_NAMES), sub),
-        st.builds(Exists, st.sampled_from(_NAMES), sub),
-    ),
-    max_leaves=5,
+def _formulas_over(terms, names):
+    return st.recursive(
+        st.builds(Eq, terms, terms),
+        lambda sub: st.one_of(
+            st.builds(And, sub, sub),
+            st.builds(Or, sub, sub),
+            st.builds(Not, sub),
+            st.builds(ForAll, st.sampled_from(names), sub),
+            st.builds(Exists, st.sampled_from(names), sub),
+        ),
+        max_leaves=5,
+    )
+
+
+_formulas = _formulas_over(_terms, _NAMES)
+
+
+# the same shapes, with the identity and variables named like the quantifiers among the leaves
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    _formulas_over(
+        _terms_over([Var(v) for v in _NAMES + ("A", "E")] + [Param(0), Param(12), One()]),
+        _NAMES + ("A", "E"),
+    )
 )
+def test_random_formulas_round_trip(formula):
+    assert parse(format_formula(formula)) == formula
 
 
 def _close(formula, names, universal):

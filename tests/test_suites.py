@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 from functools import partial
@@ -387,12 +388,19 @@ def test_extra_groups_sharing_a_name_keep_their_own_quotas(monkeypatch):
     [
         ("suites", ("hallwitt", "bryant", "hallwitt"), "suite 'hallwitt' is named twice"),
         ("groups", ("quaternion", "symmetric(3)", "quaternion"), "group 'quaternion' is named twice"),
+        # two spellings of one catalog spec name one group
+        ("groups", ("cyclic(02)", "cyclic(2)"), "group 'cyclic(2)' is named twice"),
+        (
+            "groups",
+            ("product(cyclic(2), cyclic(4))", "product(cyclic(2),cyclic(4))"),
+            "group 'product(cyclic(2),cyclic(4))' is named twice",
+        ),
     ],
-    ids=["suite", "group"],
+    ids=["suite", "group", "group-spelling", "product-spelling"],
 )
 def test_a_name_given_twice_is_refused_before_any_work(field, names, message, monkeypatch):
     monkeypatch.setattr(suites, "build_contexts", None)
-    with pytest.raises(MalformedInputError, match=message):
+    with pytest.raises(MalformedInputError, match=re.escape(message)):
         run_suites(replace(SMALL_CONFIG, **{field: names}))
 
 
