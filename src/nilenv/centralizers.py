@@ -41,35 +41,43 @@ class CentralizerLattice:
         return len(self.nodes)
 
     def _containment(self) -> tuple[int, ...]:
-        """Bitsets over node indices: bit j of entry i when node i properly contains node j.
+        """Bitsets over node indices: bit i of entry j when node i properly contains node j.
 
-        The nodes are distinct and sorted by descending order, so every such
-        j is greater than i, and only those are tested.
+        Node i holds x just when it contains x's least node, the last node holding x.
+        So entry j is the AND of the nodes before j that hold x, over one x per least
+        node inside node j; elements of the bottom node, held by every node, are skipped.
         """
         masks = [s.members for s in self.nodes]
-        out = []
-        for i, big in enumerate(masks):
-            bits = 0
-            for j in range(i + 1, len(masks)):
-                if masks[j] & big == masks[j]:
-                    bits |= 1 << j
+        seen, reps = masks[-1], 0
+        for m in masks[-2:0:-1]:
+            new = m & ~seen
+            reps, seen = reps | new & -new, seen | m
+        holders = [1] * reps.bit_length()  # node 0 holds every element
+        out = [0]
+        for j in range(1, len(masks)):
+            bits, m = (1 << j) - 1, masks[j] & reps
+            while m:
+                x = (m & -m).bit_length() - 1
+                bits &= holders[x]
+                holders[x] |= 1 << j
+                m &= m - 1
             out.append(bits)
         return tuple(out)
 
     def hasse_edges(self) -> tuple[tuple[int, int], ...]:
         """Covering pairs (i, j): node i properly contains node j with nothing between.
 
-        The covers of i are the nodes below i that are not below another node
-        below i, listed by ascending j.
+        The covers of j are the nodes above j that are not above another node
+        above j.  The pairs are listed by ascending i, then j.
         """
-        below = self._containment()
+        above = self._containment()
         edges = []
-        for i, under in enumerate(below):
-            deeper = 0
-            for k in iter_mask(under):
-                deeper |= below[k]
-            edges.extend((i, j) for j in iter_mask(under & ~deeper))
-        return tuple(edges)
+        for j, over in enumerate(above):
+            higher = 0
+            for k in iter_mask(over):
+                higher |= above[k]
+            edges.extend((i, j) for i in iter_mask(over & ~higher))
+        return tuple(sorted(edges))
 
     def to_dot(self) -> str:
         lines = ["digraph centralizers {"]
@@ -144,15 +152,14 @@ def c_dimension(lattice: CentralizerLattice) -> ChainReport:
     """Extract a longest descending centralizer chain from a lattice.
 
     Node i's longest chain extends the first of the longest chains among
-    the nodes above it, scanned by ascending index.  Every node above i
-    has a smaller index, so pushing each node's chain down to the nodes
-    below it, by ascending index, finishes node j before it is pushed.
+    the nodes above it, scanned by ascending index.  Those all have smaller
+    indices, so visiting the nodes by ascending index finishes them before i.
     """
     n = len(lattice.nodes)
     best = [1] * n
     back = [-1] * n
-    for j, under in enumerate(lattice._containment()):
-        for i in iter_mask(under):
+    for i, over in enumerate(lattice._containment()):
+        for j in iter_mask(over):
             if best[j] + 1 > best[i]:
                 best[i] = best[j] + 1
                 back[i] = j

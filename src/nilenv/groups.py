@@ -138,16 +138,19 @@ class FiniteGroup:
             raise MalformedInputError("table must be a nonempty list of rows")
         n = len(table)
         check_order(n)
-        for i, row in enumerate(table):
-            if not isinstance(row, (list, tuple)) or len(row) != n:
-                raise MalformedInputError(f"row {i} does not have length {n}")
-            if set(map(type, row)) == {int} and min(row) >= 0 and max(row) < n:
-                continue  # the common case, checked in C; else find the bad entry
-            for v in row:
-                if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
-                    raise MalformedInputError(f"row {i} contains bad entry {v!r}")
-
-        arr = np.array(table, dtype=np.int16)
+        try:  # the common case, checked in C; else the row-by-row check names the first fault
+            plain = all(isinstance(r, (list, tuple)) and len(r) == n and set(map(type, r)) == {int} for r in table)
+            arr = np.array(table, dtype=np.int16) if plain else None
+        except OverflowError:  # an int beyond int16
+            arr = None
+        if arr is None or arr.min() < 0 or arr.max() >= n:
+            for i, row in enumerate(table):
+                if not isinstance(row, (list, tuple)) or len(row) != n:
+                    raise MalformedInputError(f"row {i} does not have length {n}")
+                for v in row:
+                    if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+                        raise MalformedInputError(f"row {i} contains bad entry {v!r}")
+            arr = np.array(table, dtype=np.int16)  # entries of int subclasses other than bool
         expect = np.arange(n)
         for axis, what in ((1, "row"), (0, "column")):
             ok = (np.sort(arr, axis=axis) == (expect[None, :] if axis == 1 else expect[:, None])).all()

@@ -248,7 +248,15 @@ def quadratic_longest_chain(masks) -> list[int]:
 
 @pytest.mark.parametrize(
     "spec",
-    ["symmetric(4)", "symmetric(5)", "dihedral(6)", "unitriangular(5)", "product(dihedral(4),symmetric(3))"],
+    [
+        "symmetric(4)",
+        "symmetric(5)",
+        "symmetric(6)",
+        "alternating(6)",
+        "dihedral(6)",
+        "unitriangular(5)",
+        "product(dihedral(4),symmetric(3))",
+    ],
 )
 def test_hasse_edges_and_chain_match_pairwise_loops(spec):
     lattice = centralizer_lattice(from_spec(spec))
@@ -261,6 +269,30 @@ def test_hasse_edges_and_chain_match_pairwise_loops(spec):
     for got, i in zip(report.witness_sets, path):
         wit |= lattice.witnesses[i].members
         assert got.members == wit
+
+
+def pairwise_containment(masks) -> tuple[int, ...]:
+    """Bit i of entry j when node i properly contains node j, by testing every pair."""
+    return tuple(sum(1 << i for i, big in enumerate(masks) if big != small and big & small == small) for small in masks)
+
+
+@pytest.mark.parametrize(
+    ("spec", "gens", "order", "nodes", "bottom"),
+    [
+        ("symmetric(6)", None, 720, 513, 1),
+        ("alternating(6)", None, 360, 213, 1),
+        # proper subgroups of symmetric(6); the second one's bottom node is its center
+        ("symmetric(6)", [15, 150], 72, 96, 1),
+        ("symmetric(6)", [78, 150], 48, 19, 2),
+    ],
+)
+def test_containment_matches_pairwise_definition(spec, gens, order, nodes, bottom):
+    G = from_spec(spec)
+    ambient = G if gens is None else closure(G, gens)
+    lattice = centralizer_lattice(ambient)
+    masks = [node.members for node in lattice.nodes]
+    assert (ambient.order, len(masks), lattice.nodes[-1].order) == (order, nodes, bottom)
+    assert lattice._containment() == pairwise_containment(masks)
 
 
 def test_hasse_edges_symmetric_3():

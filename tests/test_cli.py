@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from dataclasses import replace
@@ -194,6 +195,21 @@ def test_lattice_text_and_dot(capsys):
     assert code == 0
     assert dot.splitlines()[1:6] == [f'  n{i} [label="C{i} (order {o})"];' for i, o in enumerate((8, 4, 4, 4, 2))]
     assert dot.splitlines()[6:-1] == [f"  n{i} -> n{j};" for i, j in ((0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4))]
+
+
+# sha256 of the full output; the witnesses and cover edges printed follow the
+# discovery order of the lattice and the chain's tie-break
+@pytest.mark.parametrize(
+    ("command", "digest"),
+    [
+        ("lattice", "570c67ae1210b70de57979388eed991ce427a1fb84c02db47d588c559f1db0b3"),
+        ("dim", "0131167bd20025bbe1ea5d4d1b319545a4264b1fdc80fa1dd2f730feeb98cb85"),
+    ],
+)
+def test_symmetric_6_lattice_and_dim_output_is_pinned(capsys, command, digest):
+    code, out, err = run(capsys, command, "--group", "symmetric(6)")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_subgroup_json_file(capsys, tmp_path):

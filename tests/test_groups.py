@@ -100,10 +100,19 @@ def test_bad_tables_are_rejected():
         ([[0, 1], [1, "1"]], "row 1 contains bad entry '1'"),
         ([[0, 1], [-1, 0]], "row 1 contains bad entry -1"),
         ([[0, 1], [1, 2]], "row 1 contains bad entry 2"),
-        # a range error, not numpy's OverflowError for int16
+        # a range error, not numpy's OverflowError for int16 or int64
         ([[0, 2**70], [1, 0]], f"row 0 contains bad entry {2**70}"),
+        ([[0, 2**40], [1, 0]], f"row 0 contains bad entry {2**40}"),
+        ([[0, 1], [40000, 0]], "row 1 contains bad entry 40000"),
+        ([[0, -40000], [1, 0]], "row 0 contains bad entry -40000"),
+        # the order itself, in a table whose every entry is an int that fits int16
+        ([[0, 1, 2], [1, 2, 0], [2, 0, 3]], "row 2 contains bad entry 3"),
         # the first bad row or entry is named, in row order
         ([[0, "x"], [1]], "row 0 contains bad entry 'x'"),
+        ([[0, 2], [1]], "row 0 contains bad entry 2"),
+        ([[0, 40000], [1]], "row 0 contains bad entry 40000"),
+        ([[0, 1, 2], [1, 2, -1], [2, 0]], "row 1 contains bad entry -1"),
+        ([[0, 1, 2], [1, 2], [2, 0, 7]], "row 1 does not have length 3"),
     ):
         with pytest.raises(MalformedInputError) as info:
             FiniteGroup.from_cayley_table(table)
