@@ -98,7 +98,6 @@ from .groups import (
     subgroup_to_dict,
 )
 from .series import (
-    CentralSeries,
     check_centralizer_transfer,
     check_hall_bound,
     check_nested_towers,
@@ -123,7 +122,6 @@ __all__ = [
     "ALL_SUITES",
     "ArityMismatchError",
     "CapExceededError",
-    "CentralSeries",
     "CentralizerLattice",
     "ChainReport",
     "DEFAULT_CATALOG",

@@ -113,9 +113,7 @@ def centralizer_lattice(ambient) -> CentralizerLattice:
             inter = current & order[j]
             if inter not in found:
                 if len(order) >= NODE_CAP:
-                    raise CapExceededError(
-                        f"centralizer lattice exceeds {NODE_CAP} nodes", partial=len(order)
-                    )
+                    raise CapExceededError(f"centralizer lattice exceeds {NODE_CAP} nodes")
                 found[inter] = found[current] | found[order[j]]
                 order.append(inter)
         i += 1
@@ -257,6 +255,6 @@ def bottom_chain_classify(h: Subgroup) -> BottomChainCase:
             raise InternalCheckError("case 2 witness fails H <= C(A) < G")
         return BottomChainCase(2, ElementSet(G, c))
     # Z(H) by H's own generators, not from the C(H) just compared with Z(G)
-    if _series_term(upper_central_series(h).terms, 1).members != z & h.members:
+    if _series_term(upper_central_series(h), 1).members != z & h.members:
         raise InternalCheckError("Z(H) differs from Z(G) meet H in case 3")
     return BottomChainCase(3, None)

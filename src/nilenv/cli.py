@@ -112,8 +112,8 @@ def _cmd_series(args) -> int:
     cls = nilpotence_class(P)
     print(f"group: {G.name}")
     print(f"subject order: {P.order}")
-    print("lower central series orders: " + " ".join(str(t.order) for t in lower.terms))
-    print("upper central series orders: " + " ".join(str(t.order) for t in upper.terms))
+    print("lower central series orders: " + " ".join(str(t.order) for t in lower))
+    print("upper central series orders: " + " ".join(str(t.order) for t in upper))
     print(f"nilpotence class: {cls if cls is not None else 'none'}")
     return 0
 
@@ -125,7 +125,7 @@ def _cmd_envelope(args) -> int:
     parameters = trace.parameters  # may refuse the group, before any output
     phi = emit_envelope_formula(trace) if args.emit_formula else None
     if phi is not None and size(phi) > _MAX_FORMULA_SIZE:
-        raise CapExceededError(f"formula size {size(phi)} exceeds cap {_MAX_FORMULA_SIZE}", partial=size(phi))
+        raise CapExceededError(f"formula size {size(phi)} exceeds cap {_MAX_FORMULA_SIZE}")
     print(f"group: {G.name} (order {G.order})")
     print(f"subgroup order: {trace.original.order}")
     print(f"nilpotence class: {trace.nilpotence_class}")

@@ -87,7 +87,7 @@ class EnvelopeTrace:
 
 def _center(P: Subgroup, j: int) -> Subgroup:
     """Z_j(P), read from the memoized upper central series."""
-    return _series_term(upper_central_series(P).terms, j)
+    return _series_term(upper_central_series(P), j)
 
 
 def _stage_cut(above: Subgroup, witnesses: int, center: Subgroup) -> int:
@@ -145,7 +145,7 @@ def build_envelope(G: FiniteGroup, H: Subgroup) -> EnvelopeTrace:
     levels = [TowerLevel(e1, witnesses1)]
     for k in range(2, n + 1):
         prev = levels[-1].subgroup
-        t_k = iterated_centralizer(prev, replaced, k).terms[k]
+        t_k = iterated_centralizer(prev, replaced, k)[k]
         wits = greedy_witness(ElementSet(G, t_k.members), within=prev)
         if not wits:
             raise InternalCheckError(f"no tower witnesses at level {k}")
@@ -177,7 +177,7 @@ def _assert_trace(trace: EnvelopeTrace) -> None:
             raise InternalCheckError("tower is not a descending chain over H")
 
     for k, lvl in enumerate(levels, 1):
-        j = _center_mismatch(iterated_centralizer(lvl.subgroup, hp, k), k)
+        j = _center_mismatch(iterated_centralizer(lvl.subgroup, hp, k), lvl.subgroup, k)
         if j is not None:
             raise InternalCheckError(f"level {k}: C^{j}(H) differs from Z_{j} of the stage")
 
@@ -283,7 +283,7 @@ def verify_envelope(trace: EnvelopeTrace, seed: int = 0) -> EnvelopeReport:
         prev = trace.tower[k - 2].subgroup
         prev_center = _center(prev, k - 1)
         inside = holds[k - 2]
-        t_k = iterated_centralizer(prev, hp, k).terms[k] if inside else None
+        t_k = iterated_centralizer(prev, hp, k)[k] if inside else None
         note(k, "witnesses lie in the level-k iterated centralizer",
              inside and mask_of(lvl.witnesses) & ~t_k.members == 0)
         note(k, "witnesses have the same relative centralizer as the full level",
@@ -298,19 +298,19 @@ def verify_envelope(trace: EnvelopeTrace, seed: int = 0) -> EnvelopeReport:
         picked = t_elems if len(t_elems) <= _SAMPLES_PER_LEVEL else rng.sample(t_elems, _SAMPLES_PER_LEVEL)
         for h in picked:
             ekh = Subgroup(G, _stage_cut(prev, 1 << h, prev_center))
-            gamma = _series_term(lower_central_series(ekh).terms, k - 1)
+            gamma = _series_term(lower_central_series(ekh), k - 1)
             ok = commutator_subgroup(gamma, ElementSet(G, 1 << h | 1)).members == 1
             note(k, "commutators of gamma_k of a one-witness stage with its witness vanish",
                  ok, detail=f"h={h}")
 
-        gamma_ek = _series_term(lower_central_series(lvl.subgroup).terms, k - 1)
+        gamma_ek = _series_term(lower_central_series(lvl.subgroup), k - 1)
         note(k, "gamma_k of the stage centralizes the whole level",
              inside and commutator_subgroup(gamma_ek, t_k).members == 1)
 
         for _ in range(_SAMPLES_PER_LEVEL):
             extra = rng.choice(list(iter_mask(prev.members)))
             p = Subgroup(G, G.closure_mask(hp.members | 1 << extra))
-            ok = inside and _restricts(iterated_centralizer(p, hp, k), iterated_centralizer(prev, hp, k))
+            ok = inside and _restricts(iterated_centralizer(p, hp, k), iterated_centralizer(prev, hp, k), p.members)
             note(k, "relative towers restrict along sampled intermediate subgroups",
                  ok, detail=f"extra={extra}")
 
@@ -320,7 +320,7 @@ def verify_envelope(trace: EnvelopeTrace, seed: int = 0) -> EnvelopeReport:
         for _ in range(_SAMPLES_PER_LEVEL):
             extra = rng.choice(list(iter_mask(e_k.members)))
             p = Subgroup(G, G.closure_mask(hp.members | 1 << extra))
-            ok = inside and _center_mismatch(iterated_centralizer(e_k, p, k), k) is None
+            ok = inside and _center_mismatch(iterated_centralizer(e_k, p, k), e_k, k) is None
             note(k, "iterated centralizers of sampled subgroups equal the stage centers",
                  ok, detail=f"extra={extra}")
 

@@ -47,14 +47,7 @@ class FormulaSyntaxError(ValueError, InputError):
 
 
 class CapExceededError(RuntimeError, InputError):
-    """Raised when an enumeration exceeds a configured cap.
-
-    ``partial`` records how far the enumeration got before giving up.
-    """
-
-    def __init__(self, message: str, partial: int) -> None:
-        super().__init__(message)
-        self.partial = partial
+    """Raised when an enumeration exceeds a configured cap; the message states the cap."""
 
 
 class InternalCheckError(RuntimeError):

@@ -80,15 +80,12 @@ def mask_of(indices) -> int:
 def check_order(order: int, *, at_least: bool = False) -> None:
     """Raise :class:`CapExceededError` if ``order`` exceeds ``MAX_ORDER``.
 
-    With ``at_least``, ``order`` is only a lower bound on the order, and
-    ``partial`` is ``order - 1``: what an enumeration had found when it
-    stopped one element past the limit.
+    With ``at_least``, ``order`` is only a lower bound on the order, as when
+    an enumeration stopped one element past the limit.
     """
     if order > MAX_ORDER:
         what = f"at least {order}" if at_least else str(order)
-        raise CapExceededError(
-            f"group order {what} exceeds cap {MAX_ORDER}", partial=order - 1 if at_least else order
-        )
+        raise CapExceededError(f"group order {what} exceeds cap {MAX_ORDER}")
 
 
 def _bool_vector(mask: int, n: int) -> np.ndarray:
@@ -668,10 +665,15 @@ def hall_witt_products(G: FiniteGroup, x, y, z):
     second is [x, y, z^x] * [z, x, y^z] * [y, z, x^y], where [a, b, c] means
     [[a, b], c].  ``x``, ``y`` and ``z`` are element indices, or equal-length
     integer arrays giving two arrays of products, row by row; an array call
-    raises the scalar call's error for its first bad row.
+    raises the scalar call's error for its first bad row, after refusing
+    arrays of unequal shapes.
     """
     scalar = not isinstance(x, np.ndarray)
     cols = (x, y, z) if scalar else np.atleast_1d(x, y, z)
+    if not scalar and len({c.shape for c in cols}) > 1:
+        raise MalformedInputError(
+            "x, y and z must have one shape, not {}, {} and {}".format(*(c.shape for c in cols))
+        )
     if scalar or any(c.dtype.kind not in "iu" or ((c < 0) | (c >= G.order)).any() for c in cols):
         rows = [cols] if scalar else zip(*(c.tolist() for c in cols))
         for entry in (e for row in rows for e in row):

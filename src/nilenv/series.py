@@ -10,8 +10,6 @@ from that raw definition so that the structural claims about the tower
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import HypothesisError, InternalCheckError, ParentMismatchError
 from .groups import (
     Subgroup,
@@ -22,20 +20,12 @@ from .groups import (
 )
 
 
-@dataclass(frozen=True)
-class CentralSeries:
-    """A lower or upper central series with its class, when it terminates."""
-
-    terms: tuple[Subgroup, ...]
-    nilpotence_class: int | None
-
-
-def lower_central_series(P: Subgroup) -> CentralSeries:
-    """The series P = gamma_1 >= gamma_2 >= ..., stopped at stabilization, memoized per P."""
+def lower_central_series(P: Subgroup) -> tuple[Subgroup, ...]:
+    """The terms P = gamma_1 >= gamma_2 >= ..., stopped at stabilization, memoized per P."""
     return P.parent.memo(("lcs", P.members), _lower_central_series, P)
 
 
-def _lower_central_series(P: Subgroup) -> CentralSeries:
+def _lower_central_series(P: Subgroup) -> tuple[Subgroup, ...]:
     G = P.parent
     terms = [Subgroup(G, P.members)]
     while len(terms) <= G.order:
@@ -43,12 +33,11 @@ def _lower_central_series(P: Subgroup) -> CentralSeries:
         if nxt.members == terms[-1].members:
             break
         terms.append(nxt)
-    cls = len(terms) - 1 if terms[-1].members == 1 else None
-    return CentralSeries(tuple(terms), cls)
+    return tuple(terms)
 
 
-def upper_central_series(P: Subgroup) -> CentralSeries:
-    """The series 1 = Z_0 <= Z_1 <= ... of P, stopped at stabilization, memoized per P.
+def upper_central_series(P: Subgroup) -> tuple[Subgroup, ...]:
+    """The terms 1 = Z_0 <= Z_1 <= ... of P, stopped at stabilization, memoized per P.
 
     Z_(i+1) is the set of x in P with [x, g] in Z_i for every generator g
     of P.  That suffices because Z_i is normal in P: x Z_i is central in
@@ -57,7 +46,7 @@ def upper_central_series(P: Subgroup) -> CentralSeries:
     return P.parent.memo(("ucs", P.members), _upper_central_series, P)
 
 
-def _upper_central_series(P: Subgroup) -> CentralSeries:
+def _upper_central_series(P: Subgroup) -> tuple[Subgroup, ...]:
     G = P.parent
     gens = mask_of(P.generators)
     masks = [1]
@@ -69,22 +58,23 @@ def _upper_central_series(P: Subgroup) -> CentralSeries:
         if nxt == prev:
             break
         masks.append(nxt)
-    cls = len(masks) - 1 if masks[-1] == P.members else None
-    return CentralSeries(tuple(Subgroup(G, m) for m in masks), cls)
+    return tuple(Subgroup(G, m) for m in masks)
 
 
 def nilpotence_class(P: Subgroup) -> int | None:
     """Nilpotence class of P, or None when P is not nilpotent, memoized per P.
 
-    Computed from both central series and cross-checked; a disagreement
-    raises :class:`InternalCheckError`.
+    Read off both central series and cross-checked: the lower series ends
+    at the identity, and the upper series ends at P, after as many steps as
+    the class.  A disagreement raises :class:`InternalCheckError`.
     """
     return P.parent.memo(("nilclass", P.members), _nilpotence_class, P)
 
 
 def _nilpotence_class(P: Subgroup) -> int | None:
-    by_lower = lower_central_series(P).nilpotence_class
-    by_upper = upper_central_series(P).nilpotence_class
+    lower, upper = lower_central_series(P), upper_central_series(P)
+    by_lower = len(lower) - 1 if lower[-1].members == 1 else None
+    by_upper = len(upper) - 1 if upper[-1].members == P.members else None
     if by_lower != by_upper:
         raise InternalCheckError(
             f"central series disagree on nilpotence class: {by_lower} vs {by_upper}"
@@ -92,17 +82,8 @@ def _nilpotence_class(P: Subgroup) -> int | None:
     return by_lower
 
 
-@dataclass(frozen=True)
-class IteratedCentralizerTower:
-    """Tower terms[m] = C_ambient^m(base) for m = 0..n."""
-
-    ambient: Subgroup
-    base: Subgroup
-    terms: tuple[Subgroup, ...]
-
-
-def iterated_centralizer(ambient, base: Subgroup, n: int) -> IteratedCentralizerTower:
-    """The iterated centralizers of ``base`` inside ``ambient`` up to level n.
+def iterated_centralizer(ambient, base: Subgroup, n: int) -> tuple[Subgroup, ...]:
+    """The iterated centralizers C^m(base) inside ``ambient``, term m for m = 0..n.
 
     Level m is computed literally: elements of the intersection of the
     ambient normalizers of all lower terms whose commutator with every
@@ -130,9 +111,7 @@ def iterated_centralizer(ambient, base: Subgroup, n: int) -> IteratedCentralizer
             terms.append(Subgroup(G, level))
         terms = state[0] = tuple(terms)
         state[1] = norm_inter
-
-    amb_sub = ambient if isinstance(ambient, Subgroup) else G.as_subgroup()
-    return IteratedCentralizerTower(amb_sub, base, terms[: n + 1])
+    return terms[: n + 1]
 
 
 def _tower_root(G, amb: int) -> list:
@@ -145,22 +124,22 @@ def _series_term(terms, i: int):
     return terms[i] if i < len(terms) else terms[-1]
 
 
-def _center_mismatch(tower: IteratedCentralizerTower, top: int) -> int | None:
+def _center_mismatch(tower, ambient: Subgroup, top: int) -> int | None:
     """The least j in 1..top with C^j(base) != Z_j(ambient), or None."""
-    centers = upper_central_series(tower.ambient).terms
+    centers = upper_central_series(ambient)
     for j in range(1, top + 1):
-        if tower.terms[j].members != _series_term(centers, j).members:
+        if tower[j].members != _series_term(centers, j).members:
             return j
     return None
 
 
-def _restricts(inner, outer) -> bool:
+def _restricts(inner, outer, b: int) -> bool:
     """Whether C_B^j(A) = C_C^j(A) meet B at every level j, for A <= B <= C.
 
-    ``inner`` and ``outer`` are the towers of A inside B and inside C, built to one level.
+    ``inner`` and ``outer`` are the towers of A inside B and inside C, built to one level,
+    and ``b`` is the mask of B.
     """
-    b = inner.ambient.members
-    return all(term.members == over.members & b for term, over in zip(inner.terms, outer.terms))
+    return all(term.members == over.members & b for term, over in zip(inner, outer))
 
 
 def check_hall_bound(ambient, base: Subgroup, i: int, k: int) -> bool:
@@ -169,9 +148,9 @@ def check_hall_bound(ambient, base: Subgroup, i: int, k: int) -> bool:
         raise HypothesisError("indices must satisfy 1 <= i <= k")
     G, _ = _ambient_pair(ambient)
     tower = iterated_centralizer(ambient, base, k)
-    gamma_i = _series_term(lower_central_series(base).terms, i - 1)
-    c_k = tower.terms[k]
-    rhs = tower.terms[k - i].members
+    gamma_i = _series_term(lower_central_series(base), i - 1)
+    c_k = tower[k]
+    rhs = tower[k - i].members
 
     # the kernel keeps the a with [a, c] in rhs for every c in C^k
     ok = G._select("comm", gamma_i.members, c_k.members, rhs) == gamma_i.members
@@ -227,10 +206,10 @@ def check_centralizer_transfer(ambient, small: Subgroup, big: Subgroup, k: int) 
     x_tower = iterated_centralizer(ambient, small, k)
     p_tower = iterated_centralizer(ambient, big, k)
     agree_below = all(
-        x_tower.terms[i].members == p_tower.terms[i].members for i in range(k)
+        x_tower[i].members == p_tower[i].members for i in range(k)
     )
-    gamma_k = _series_term(lower_central_series(big).terms, k - 1)
-    c_k_x = x_tower.terms[k]
+    gamma_k = _series_term(lower_central_series(big), k - 1)
+    c_k_x = x_tower[k]
     commute = commutator_subgroup(gamma_k, c_k_x).members == 1
     same_centralizer = G.centralizer_mask(small.members, within=amb) == G.centralizer_mask(
         big.members, within=amb
@@ -238,7 +217,7 @@ def check_centralizer_transfer(ambient, small: Subgroup, big: Subgroup, k: int) 
 
     if not (agree_below and commute and same_centralizer):
         return None
-    return c_k_x.members == p_tower.terms[k].members
+    return c_k_x.members == p_tower[k].members
 
 
 def check_nested_towers(inner: Subgroup, mid: Subgroup, outer: Subgroup, n: int) -> bool | None:
@@ -254,6 +233,6 @@ def check_nested_towers(inner: Subgroup, mid: Subgroup, outer: Subgroup, n: int)
         raise HypothesisError("subgroups must be nested as A <= B <= C")
 
     outer_tower = iterated_centralizer(outer, inner, n)
-    if _center_mismatch(outer_tower, n - 1) is not None:
+    if _center_mismatch(outer_tower, outer, n - 1) is not None:
         return None
-    return _restricts(iterated_centralizer(mid, inner, n), outer_tower)
+    return _restricts(iterated_centralizer(mid, inner, n), outer_tower, mid.members)

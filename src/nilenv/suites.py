@@ -78,7 +78,6 @@ class SuiteOutcome:
 
 @dataclass(frozen=True)
 class Report:
-    config: SuiteConfig
     outcomes: tuple[SuiteOutcome, ...]
 
     @property
@@ -720,7 +719,7 @@ def run_suites(
             outcomes.append(_run_task(suite, ctx, config, quota))
     outcomes.sort(key=lambda o: (o.suite, o.group))
     outcomes.extend(_uniformity_outcome(outcomes))
-    return Report(config, tuple(outcomes))
+    return Report(tuple(outcomes))
 
 
 def _uniformity_outcome(outcomes) -> list[SuiteOutcome]:

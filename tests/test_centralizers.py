@@ -9,7 +9,6 @@ import pytest
 
 from nilenv.catalog import alternating, cyclic, dihedral, from_spec, quaternion, symmetric, unitriangular
 from nilenv.centralizers import (
-    NODE_CAP,
     bottom_chain_classify,
     c_dimension,
     centralizer,
@@ -327,9 +326,8 @@ def extraspecial_2_1_8() -> FiniteGroup:
 def test_node_cap():
     G = extraspecial_2_1_8()
     for compute in (centralizer_lattice, dimension):
-        with pytest.raises(CapExceededError, match="^centralizer lattice exceeds 20000 nodes$") as info:
+        with pytest.raises(CapExceededError, match="^centralizer lattice exceeds 20000 nodes$"):
             compute(G)
-        assert info.value.partial == NODE_CAP == 20_000
 
 
 def test_relative_centralizer():

@@ -71,11 +71,18 @@ def test_dim_subgroup(capsys):
 
 
 def test_series_command(capsys):
-    code, out, _ = run(capsys, "series", "--group", "dihedral(8)")
-    assert code == 0
-    assert "lower central series orders: 16 4 2 1" in out
-    assert "upper central series orders: 1 2 4 16" in out
-    assert "nilpotence class: 3" in out
+    # (group, lower series orders, upper series orders, class): a nilpotent group and two that are not
+    for spec, lower, upper, cls in (
+        ("dihedral(8)", "16 4 2 1", "1 2 4 16", "3"),
+        ("symmetric(4)", "24 12", "1", "none"),
+        ("alternating(5)", "60", "1", "none"),
+    ):
+        code, out, _ = run(capsys, "series", "--group", spec)
+        assert code == 0
+        lines = out.splitlines()
+        assert f"lower central series orders: {lower}" in lines
+        assert f"upper central series orders: {upper}" in lines
+        assert f"nilpotence class: {cls}" in lines
 
 
 def test_series_subgroup(capsys):

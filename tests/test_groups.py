@@ -353,9 +353,8 @@ def test_permutation_group_construction():
 
 def test_permutation_order_cap():
     # symmetric(7) has order 5040: the search stops one element past MAX_ORDER
-    with pytest.raises(CapExceededError, match=r"^group order at least 2049 exceeds cap 2048$") as excinfo:
+    with pytest.raises(CapExceededError, match=r"^group order at least 2049 exceeds cap 2048$"):
         FiniteGroup.from_permutations(7, [[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0]])
-    assert excinfo.value.partial == 2048
 
 
 def test_catalog_refuses_orders_above_the_limit_before_building():
@@ -595,14 +594,20 @@ def test_hall_witt_array_call_on_empty_arrays():
         np.array([2, 3, True, 4, 7.5], dtype=object),
         np.array([True, False, True, False, True]),
         np.array([2.0, 3.0, 1.0, 4.0, 0.5]),
+        np.array([1]),
     ],
-    ids=["negative", "order", "bool", "bool-array", "float"],
+    ids=["negative", "order", "bool", "bool-array", "float", "short"],
 )
 def test_hall_witt_array_call_names_the_first_bad_entry(bad):
     G = symmetric(3)
     good = np.array([1, 2, 3, 4, 5])
     # the bad column comes second, and a later row of x is bad as well
     x = np.array([1, 2, 3, 99, 5])
+    if len(bad) != len(x):
+        # no row is read from columns of unequal lengths
+        with pytest.raises(MalformedInputError, match=r"^x, y and z must have one shape, not \(5,\), \(1,\) and \(5,\)$"):
+            hall_witt_products(G, x, np.asarray(bad), good)
+        return
     with pytest.raises(MalformedInputError) as scalar:
         for row in zip(x.tolist(), np.asarray(bad).tolist(), good.tolist()):
             hall_witt_products(G, *row)

@@ -33,27 +33,25 @@ def test_series_of_dihedral_4():
     G = dihedral(4)
     lower = lower_central_series(G.as_subgroup())
     upper = upper_central_series(G.as_subgroup())
-    assert [t.order for t in lower.terms] == [8, 2, 1]
-    assert [t.order for t in upper.terms] == [1, 2, 8]
-    assert lower.nilpotence_class == upper.nilpotence_class == 2
+    assert [t.order for t in lower] == [8, 2, 1]
+    assert [t.order for t in upper] == [1, 2, 8]
     assert nilpotence_class(G.as_subgroup()) == 2
 
 
 def test_series_of_dihedral_8():
     G = dihedral(8)
     sub = G.as_subgroup()
-    assert [t.order for t in lower_central_series(sub).terms] == [16, 4, 2, 1]
-    assert [t.order for t in upper_central_series(sub).terms] == [1, 2, 4, 16]
+    assert [t.order for t in lower_central_series(sub)] == [16, 4, 2, 1]
+    assert [t.order for t in upper_central_series(sub)] == [1, 2, 4, 16]
     assert nilpotence_class(sub) == 3
 
 
 def test_series_of_non_nilpotent_groups():
     S3 = symmetric(3)
     lower = lower_central_series(S3.as_subgroup())
-    assert [t.order for t in lower.terms] == [6, 3]
-    assert lower.nilpotence_class is None
+    assert [t.order for t in lower] == [6, 3]
     upper = upper_central_series(S3.as_subgroup())
-    assert [t.order for t in upper.terms] == [1]
+    assert [t.order for t in upper] == [1]
     assert nilpotence_class(S3.as_subgroup()) is None
     assert nilpotence_class(symmetric(4).as_subgroup()) is None
 
@@ -71,18 +69,18 @@ def test_series_of_unitriangular():
         sub = G.as_subgroup()
         assert nilpotence_class(sub) == 2
         lower = lower_central_series(sub)
-        assert [t.order for t in lower.terms] == [p**3, p, 1]
-        assert lower.terms[1].members == G.center_mask()
+        assert [t.order for t in lower] == [p**3, p, 1]
+        assert lower[1].members == G.center_mask()
 
 
 def test_series_terms_are_nested_and_normal():
     for G in (dihedral(8), quaternion(), unitriangular(3)):
         sub = G.as_subgroup()
-        lower = lower_central_series(sub).terms
+        lower = lower_central_series(sub)
         for bigger, smaller in zip(lower, lower[1:]):
             assert smaller.members & bigger.members == smaller.members
             assert smaller.is_normal
-        upper = upper_central_series(sub).terms
+        upper = upper_central_series(sub)
         for smaller, bigger in zip(upper, upper[1:]):
             assert smaller.members & bigger.members == smaller.members
             assert smaller.is_normal
@@ -94,7 +92,7 @@ def test_series_of_subgroup_stay_inside_it():
     assert nilpotence_class(klein) == 1
     sylow = next(closure(S4, [a, b]) for a in range(24) for b in range(24) if closure(S4, [a, b]).order == 8)
     assert nilpotence_class(sylow) == 2
-    for term in lower_central_series(sylow).terms + upper_central_series(sylow).terms:
+    for term in lower_central_series(sylow) + upper_central_series(sylow):
         assert term.members & ~sylow.members == 0
 
 
@@ -102,9 +100,9 @@ def test_tower_of_whole_group_is_upper_series():
     for G in (dihedral(4), dihedral(8), unitriangular(3)):
         sub = G.as_subgroup()
         n = nilpotence_class(sub)
-        upper = [t.members for t in upper_central_series(sub).terms]
+        upper = [t.members for t in upper_central_series(sub)]
         tower = iterated_centralizer(G, sub, n + 2)
-        for j, term in enumerate(tower.terms):
+        for j, term in enumerate(tower):
             assert term.members == upper[min(j, len(upper) - 1)]
 
 
@@ -112,10 +110,10 @@ def test_tower_terms_ascend_and_start_trivial():
     klein = klein_in_symmetric_4()
     G = klein.parent
     tower = iterated_centralizer(G, klein, 3)
-    assert tower.terms[0].members == 1
-    for smaller, bigger in zip(tower.terms, tower.terms[1:]):
+    assert tower[0].members == 1
+    for smaller, bigger in zip(tower, tower[1:]):
         assert smaller.members & bigger.members == smaller.members
-    assert tower.terms[1].members == G.centralizer_mask(klein.members)
+    assert tower[1].members == G.centralizer_mask(klein.members)
 
 
 def test_tower_memo_extends():
@@ -123,10 +121,10 @@ def test_tower_memo_extends():
     sub = G.as_subgroup()
     short = iterated_centralizer(G, sub, 1)
     longer = iterated_centralizer(G, sub, 3)
-    assert [t.members for t in longer.terms[:2]] == [t.members for t in short.terms]
-    assert len(longer.terms) == 4
+    assert [t.members for t in longer[:2]] == [t.members for t in short]
+    assert len(longer) == 4
     # the longer tower extends the memoized terms, not copies of them
-    assert all(a is b for a, b in zip(longer.terms[:2], short.terms))
+    assert all(a is b for a, b in zip(longer[:2], short))
 
 
 def test_memo_hits_return_the_memoized_objects(monkeypatch):
@@ -136,7 +134,7 @@ def test_memo_hits_return_the_memoized_objects(monkeypatch):
         lower_central_series(whole),
         upper_central_series(whole),
         commutator_subgroup(whole, sub),
-        iterated_centralizer(whole, sub, 3).terms,
+        iterated_centralizer(whole, sub, 3),
     )
     built = []
     init = Subgroup.__init__
@@ -150,7 +148,7 @@ def test_memo_hits_return_the_memoized_objects(monkeypatch):
         lower_central_series(whole),
         upper_central_series(whole),
         commutator_subgroup(sub, whole),
-        iterated_centralizer(whole, sub, 2).terms,
+        iterated_centralizer(whole, sub, 2),
     )
     assert built == []
     assert all(a is b for a, b in zip(first[:3], again[:3]))
@@ -289,5 +287,5 @@ def test_nested_towers_random_instances():
 def test_gamma_2_is_derived_subgroup():
     for G in (symmetric(4), dihedral(6), quaternion()):
         sub = G.as_subgroup()
-        gamma2 = lower_central_series(sub).terms[1]
+        gamma2 = lower_central_series(sub)[1]
         assert gamma2.members == commutator_subgroup(sub, sub).members
