@@ -42,6 +42,8 @@ MAX_ORDER = 2048
 _SCALAR_MAX_WORK = 64
 # Element pairs per numpy block, which bounds the kernels' temporaries.
 _BLOCK_PAIRS = 1 << 14
+# Rows per block of the kernels that build or read masks as rows of bits.
+_BLOCK_ROWS = 64
 
 # The deepest formula tree parse accepts, and the most brackets a formula or
 # a group spec may hold open at once.  The formula parser recurses only at
@@ -97,6 +99,15 @@ def _bool_vector(mask: int, n: int) -> np.ndarray:
 def _vector_mask(flags: np.ndarray) -> int:
     """The mask of the true entries of a boolean array."""
     return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
+def _row_masks(flags: np.ndarray) -> list[int]:
+    """The mask of the true entries of each row, packed flat in whole bytes (by axis is slower)."""
+    size = (flags.shape[1] + 7) // 8
+    padded = np.zeros((len(flags), 8 * size), dtype=bool)
+    padded[:, : flags.shape[1]] = flags
+    raw = memoryview(np.packbits(padded, bitorder="little"))
+    return [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
 
 
 class FiniteGroup:
@@ -375,8 +386,9 @@ class FiniteGroup:
         callers must not mutate it, and a memoized subgroup's generators
         depend only on its members.  The one exception is the tower entry,
         which ``iterated_centralizer`` extends in place.  Element centralizers
-        stay a list indexed by element: a seed-0 ``verify`` looks up about
-        297,000 of them, and indexing a list is the cheapest lookup.  Set
+        stay a list indexed by element, filled one at a time or all at once
+        (``element_centralizer_masks``, one table comparison per row block):
+        a seed-0 ``verify`` looks up about 297,000, and a list is cheapest.  Set
         centralizers, the center among them, are the ``("centralizer",
         setmask)`` family (2,866 entries over a seed-0 ``verify``'s 19
         groups).
@@ -394,6 +406,20 @@ class FiniteGroup:
         if cached is None:
             cached = self._elem_cent[g] = _vector_mask(self._array[:, g] == self._array[g])
         return cached
+
+    def element_centralizer_masks(self) -> list[int]:
+        """Every element centralizer, indexed by element; callers must not mutate the list."""
+        return self.memo(("element centralizers",), self._fill_element_centralizers)
+
+    def _fill_element_centralizers(self) -> list[int]:
+        """Fill the entries not yet known, by blocks of rows g of ``T[g] == T[:, g]``."""
+        T, cents = self._array, self._elem_cent
+        missing = np.flatnonzero(np.array([c is None for c in cents]))
+        for i in range(0, len(missing), _BLOCK_ROWS):
+            rows = missing[i : i + _BLOCK_ROWS]
+            for g, c in zip(rows.tolist(), _row_masks(T[rows] == T[:, rows].T)):
+                cents[g] = c
+        return cents
 
     def center_mask(self) -> int:
         return self.centralizer_mask(self.full_mask)
@@ -430,6 +456,16 @@ class FiniteGroup:
 
     def conjugate_mask(self, mask: int, g: int) -> int:
         return self._image("conj", 1 << g, mask)
+
+    def conjugate_masks(self, masks, g: int) -> list[int]:
+        """``conjugate_mask`` of each mask, by one gather per block: column y from g * y * g^-1."""
+        source = self._pair_values("conj", self.inverse_table[g], np.arange(self.order))
+        size, out = (self.order + 7) // 8, []
+        for i in range(0, len(masks), _BLOCK_ROWS):
+            raw = b"".join(m.to_bytes(size, "little") for m in masks[i : i + _BLOCK_ROWS])
+            bits = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(-1, size), axis=1, bitorder="little")
+            out += _row_masks(bits[:, source])
+        return out
 
     def closure_mask(self, seedmask: int) -> int:
         """Mask of the subgroup generated by the elements of ``seedmask``.

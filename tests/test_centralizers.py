@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from nilenv import centralizers
 from nilenv.catalog import alternating, cyclic, dihedral, from_spec, quaternion, symmetric, unitriangular
 from nilenv.centralizers import (
     bottom_chain_classify,
@@ -18,7 +20,8 @@ from nilenv.centralizers import (
     minimal_centralizer_above,
 )
 from nilenv.errors import CapExceededError
-from nilenv.groups import ElementSet, FiniteGroup, closure, mask_of
+from nilenv.groups import ElementSet, FiniteGroup, closure, iter_mask, mask_of
+from nilenv.suites import all_subgroups
 
 
 def brute_centralizer_masks(G: FiniteGroup) -> set[int]:
@@ -305,6 +308,103 @@ def test_to_dot_output():
     assert text.rstrip().endswith("}")
     assert 'n0 [label="C0 (order 6)"]' in text
     assert "n0 -> n1;" in text
+
+
+def full_pairwise_lattice(ambient) -> list[tuple[int, int]]:
+    """(node, witness) masks in lattice order, by the pair fixpoint run over every row."""
+    G = ambient.parent
+    amb = ambient.members
+    found, order = {amb: 0}, [amb]
+    for g in iter_mask(amb):
+        node = G.element_centralizer_mask(g) & amb
+        if node not in found:
+            found[node] = 1 << g
+            order.append(node)
+    i = 1
+    while i < len(order):
+        for j in range(i):
+            inter = order[i] & order[j]
+            if inter not in found:
+                found[inter] = found[order[i]] | found[order[j]]
+                order.append(inter)
+        i += 1
+    return [(m, found[m]) for m in sorted(found, key=lambda m: (-m.bit_count(), m))]
+
+
+# the wreath product D8 wr C2, of order 128 with 99 centralizers: its seed
+# meets are not closed, so the certificate fails and the later rows run
+D8_WR_C2 = [[1, 2, 3, 0, 4, 5, 6, 7], [0, 3, 2, 1, 4, 5, 6, 7], [4, 5, 6, 7, 0, 1, 2, 3]]
+
+
+@pytest.fixture
+def verdicts(monkeypatch):
+    """The closure certificate's verdicts, in the order centralizer_lattice asks for them."""
+    seen = []
+    certify = centralizers._closed_from_seeds
+
+    def spy(*args):
+        seen.append(certify(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(centralizers, "_closed_from_seeds", spy)
+    return seen
+
+
+def node_witness_pairs(lattice) -> list[tuple[int, int]]:
+    return [(node.members, wit.members) for node, wit in zip(lattice.nodes, lattice.witnesses)]
+
+
+def test_lattice_matches_the_full_pairwise_fixpoint(monkeypatch, verdicts):
+    """Nodes and witnesses in order as if every row ran, with the certificate tried on every ambient."""
+    monkeypatch.setattr(centralizers, "_CERTIFY_MIN_PAIRS", 0)
+    wreath = all_subgroups(FiniteGroup.from_permutations(8, D8_WR_C2, name="D8 wr C2"))
+    ambients = [*wreath, *all_subgroups(symmetric(5)), symmetric(6).as_subgroup(), alternating(6).as_subgroup()]
+    stops = []
+    for ambient in ambients:
+        verdicts.clear()
+        assert node_witness_pairs(centralizer_lattice(ambient)) == full_pairwise_lattice(ambient)
+        stops.append(list(verdicts))
+    assert (wreath[-1].order, len(centralizer_lattice(wreath[-1]))) == (128, 99)
+    # the whole wreath product finds 8 nodes after its 40 seed rows, and 4 more subgroups need those rows
+    continued = [k for k, v in enumerate(stops[: len(wreath)]) if v == [False]]
+    assert len(continued) == 5 and continued[-1] == len(wreath) - 1
+    assert stops[-2:] == [[True], [True]]
+
+
+@pytest.mark.parametrize(
+    ("ambient", "verdict"),
+    [
+        (lambda: symmetric(6), [True]),
+        (lambda: FiniteGroup.from_permutations(8, D8_WR_C2), [False]),
+        # 5 nodes after 14 seeds: meeting them is cheaper than certifying
+        (lambda: symmetric(4), []),
+    ],
+    ids=["symmetric(6)", "D8 wr C2", "symmetric(4)"],
+)
+def test_certificate_is_tried_where_many_pairs_are_left(verdicts, ambient, verdict):
+    centralizer_lattice(ambient())
+    assert verdicts == verdict
+
+
+@pytest.mark.parametrize(
+    "conjugate",
+    [lambda G, masks: [G.full_mask] * len(masks), lambda G, masks: [0] * len(masks)],
+    ids=["non-seeds onto a seed", "non-seeds out of the family"],
+)
+def test_certificate_refuses_conjugates_off_the_other_nodes(monkeypatch, verdicts, conjugate):
+    monkeypatch.setattr(FiniteGroup, "conjugate_masks", lambda self, masks, g: conjugate(self, masks))
+    ambient = from_spec.__wrapped__("symmetric(5)").as_subgroup()
+    assert node_witness_pairs(centralizer_lattice(ambient)) == full_pairwise_lattice(ambient)
+    assert verdicts == [False]
+
+
+def test_certificate_tests_every_orbit_representative():
+    """On masks of 4 bits whose conjugations fix every node, so each node is its own orbit."""
+    fixing = SimpleNamespace(conjugate_masks=lambda masks, g: list(masks))
+    seeds = [0b1111, 0b0111, 0b1011, 0b1101]
+    for rest, closed in (([0b0011], False), ([0b0011, 0b0101, 0b1001], False), ([0b0011, 0b0101, 0b1001, 0b0001], True)):
+        order = seeds + rest
+        assert centralizers._closed_from_seeds(fixing, [1], order, len(seeds), dict.fromkeys(order, 0)) is closed
 
 
 def extraspecial_2_1_8() -> FiniteGroup:

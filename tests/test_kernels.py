@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import random
+from functools import partial
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nilenv.catalog import from_spec, symmetric
+from nilenv.catalog import DEFAULT_CATALOG, from_spec, symmetric
 from nilenv.envelope import _engel_set, fitting
 from nilenv.errors import InternalCheckError, NotASubgroupError
 from nilenv.groups import (
@@ -172,12 +174,17 @@ def random_group(rng, max_degree: int = 6) -> FiniteGroup:
         degree = rng.randint(1, max_degree)
         gens = [rng.sample(range(degree), degree) for _ in range(rng.randint(1, 3))]
         return FiniteGroup.from_permutations(degree, gens)
-    base = from_spec(rng.choice(CATALOG_TABLES))
+    return FiniteGroup.from_cayley_table(relabelled_table(rng.choice(CATALOG_TABLES), rng))
+
+
+def relabelled_table(spec: str, rng) -> list[list[int]]:
+    """The Cayley table of the catalog group ``spec`` with its elements renamed by ``rng``."""
+    base = from_spec(spec)
     sigma = rng.sample(range(base.order), base.order)
     table = [[0] * base.order for _ in range(base.order)]
     for a, b in itertools.product(range(base.order), repeat=2):
         table[sigma[a]][sigma[b]] = sigma[base.mul(a, b)]
-    return FiniteGroup.from_cayley_table(table)
+    return table
 
 
 def random_subgroup(rng, G, within=None) -> int:
@@ -252,6 +259,7 @@ def test_group_kernels_match_references(rng):
         assert G.normalizer_mask(mask) == ref_normalizer(G, mask)
         assert is_subgroup_mask(G, mask) == ref_is_subgroup(G, mask)
         assert G.conjugate_mask(mask, g) == mask_of(G.conj(x, g) for x in iter_mask(mask))
+        assert G.conjugate_masks([mask, 1, G.full_mask], g) == [G.conjugate_mask(mask, g), 1, G.full_mask]
 
     a, b = random_subset(rng, G), random_subgroup(rng, G)
     got = commutator_subgroup(ElementSet(G, a), ElementSet(G, b)).members
@@ -271,6 +279,25 @@ def test_group_kernels_match_references(rng):
     else:
         with pytest.raises(NotASubgroupError):
             product_set(Subgroup(G, h), Subgroup(G, k))
+
+
+@pytest.mark.parametrize("spec", [*DEFAULT_CATALOG, "relabelled unitriangular(7)"])
+def test_element_centralizer_masks_match_one_at_a_time(spec):
+    if spec.startswith("relabelled"):
+        table = relabelled_table("unitriangular(7)", random.Random(7))
+        fresh = partial(FiniteGroup.from_cayley_table, table)
+    else:
+        fresh = partial(from_spec.__wrapped__, spec)
+    H = fresh()
+    expected = [H.element_centralizer_mask(g) for g in range(H.order)]
+    # none known first, a few, and every other one
+    for known in ((), (0, 1, 5), range(1, H.order, 2)):
+        G = fresh()
+        for g in known:
+            if g < G.order:
+                G.element_centralizer_mask(g)
+        assert G.element_centralizer_masks() == expected
+        assert [G.element_centralizer_mask(g) for g in range(G.order)] == expected
 
 
 @KERNEL_SETTINGS
