@@ -246,9 +246,9 @@ def greedy_witness(subset: ElementSet, within: Subgroup | None = None) -> tuple[
     """
     G = subset.parent
     current = G.full_mask if within is None else within.members
-    picked: list[int] = []
+    cents, picked = G.element_centralizer_masks(), []
     for x in subset:
-        shrunk = current & G.element_centralizer_mask(x)
+        shrunk = current & cents[x]
         if shrunk != current:
             picked.append(x)
             current = shrunk
@@ -267,8 +267,9 @@ def minimal_centralizer_above(h: ElementSet) -> tuple[Subgroup, ElementSet]:
     e1 = G.centralizer_mask(c)
     if h.members & ~e1:
         raise InternalCheckError("double centralizer lost elements of the base set")
+    cents = G.element_centralizer_masks()
     for g in iter_mask(c):
-        if e1 & G.element_centralizer_mask(g) != e1:
+        if e1 & cents[g] != e1:
             raise InternalCheckError("double centralizer is not the least one")
     return Subgroup(G, e1), ElementSet(G, c)
 

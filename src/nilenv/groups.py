@@ -124,7 +124,6 @@ class FiniteGroup:
         if perms is not None:
             self._perms = perms
         self.full_mask = (1 << order) - 1
-        self._elem_cent: list[int | None] = [None] * order
         self._memo: dict = {}
         flat = memoryview(array).cast("B").cast("h")
         self._rows = [flat[i * order : (i + 1) * order] for i in range(order)]
@@ -382,16 +381,15 @@ class FiniteGroup:
 
         Every result memoized on a group goes through here, keyed by a
         tuple that starts with its family, such as ``("closure", seedmask)``.
-        A value, ``None`` included, is built once and shared by every caller:
-        callers must not mutate it, and a memoized subgroup's generators
-        depend only on its members.  The one exception is the tower entry,
-        which ``iterated_centralizer`` extends in place.  Element centralizers
-        stay a list indexed by element, filled one at a time or all at once
-        (``element_centralizer_masks``, one table comparison per row block):
-        a seed-0 ``verify`` looks up about 297,000, and a list is cheapest.  Set
-        centralizers, the center among them, are the ``("centralizer",
+        A value, ``None`` included, is built once and never changed: it is
+        immutable or treated as such, every caller shares it, and a memoized
+        subgroup's generators depend only on its members.  The element
+        centralizers are one tuple indexed by element, which loops read once;
+        set centralizers, the center among them, are the ``("centralizer",
         setmask)`` family (2,866 entries over a seed-0 ``verify``'s 19
-        groups).
+        groups).  ``all_subgroups`` writes ``("norm", H)`` for its
+        representatives from H's generators: the same set that
+        ``normalizer_mask`` selects from all of H, with fewer conjugates.
         """
         try:
             return self._memo[key]
@@ -402,24 +400,18 @@ class FiniteGroup:
 
     def element_centralizer_mask(self, g: int) -> int:
         """Mask of all x with x * g == g * x."""
-        cached = self._elem_cent[g]
-        if cached is None:
-            cached = self._elem_cent[g] = _vector_mask(self._array[:, g] == self._array[g])
-        return cached
+        return self.element_centralizer_masks()[g]
 
-    def element_centralizer_masks(self) -> list[int]:
-        """Every element centralizer, indexed by element; callers must not mutate the list."""
-        return self.memo(("element centralizers",), self._fill_element_centralizers)
+    def element_centralizer_masks(self) -> tuple[int, ...]:
+        """Every element centralizer, indexed by element, by blocks of rows g of ``T[g] == T[:, g]``."""
+        return self.memo(("element centralizers",), self._element_centralizer_masks)
 
-    def _fill_element_centralizers(self) -> list[int]:
-        """Fill the entries not yet known, by blocks of rows g of ``T[g] == T[:, g]``."""
-        T, cents = self._array, self._elem_cent
-        missing = np.flatnonzero(np.array([c is None for c in cents]))
-        for i in range(0, len(missing), _BLOCK_ROWS):
-            rows = missing[i : i + _BLOCK_ROWS]
-            for g, c in zip(rows.tolist(), _row_masks(T[rows] == T[:, rows].T)):
-                cents[g] = c
-        return cents
+    def _element_centralizer_masks(self) -> tuple[int, ...]:
+        T, cents = self._array, []
+        for i in range(0, self.order, _BLOCK_ROWS):
+            rows = slice(i, i + _BLOCK_ROWS)
+            cents += _row_masks(T[rows] == T[:, rows].T)
+        return tuple(cents)
 
     def center_mask(self) -> int:
         return self.centralizer_mask(self.full_mask)
@@ -443,9 +435,9 @@ class FiniteGroup:
         return result if within is None else within & result
 
     def _centralizer_mask(self, setmask: int) -> int:
-        result = self.full_mask
+        cents, result = self.element_centralizer_masks(), self.full_mask
         for g in iter_mask(setmask):
-            result &= self.element_centralizer_mask(g)
+            result &= cents[g]
             if result == 1:
                 break
         return result

@@ -88,8 +88,10 @@ def iterated_centralizer(ambient, base: Subgroup, n: int) -> tuple[Subgroup, ...
     Level m is computed literally: elements of the intersection of the
     ambient normalizers of all lower terms whose commutator with every
     element of ``base`` lies in level m-1.  Each term is verified to be a
-    subgroup.  The terms are memoized per (ambient, base) in one entry,
-    ``[terms, normalizer intersection]``, which a longer tower extends.
+    subgroup.  Level m is memoized in its own entry, ``("tower", ambient,
+    base, m)``, holding the term and that normalizer intersection, and is
+    built from level m-1's entry; the levels are visited by a loop, so a
+    deep tower does not recurse.
     """
     G, amb = _ambient_pair(ambient)
     if base.parent is not G:
@@ -99,24 +101,23 @@ def iterated_centralizer(ambient, base: Subgroup, n: int) -> tuple[Subgroup, ...
     if n < 0:
         raise HypothesisError("tower level must be nonnegative")
 
-    terms, norm_inter = state = G.memo(("tower", amb, base.members), _tower_root, G, amb)
-    if len(terms) <= n:
-        terms = list(terms)
-        while len(terms) <= n:
-            prev = terms[-1].members
-            norm_inter &= G.normalizer_mask(prev) if prev != 1 else amb
-            level = G._select("comm", norm_inter, base.members, prev)
-            if not is_subgroup_mask(G, level):
-                raise InternalCheckError("iterated centralizer level is not a subgroup")
-            terms.append(Subgroup(G, level))
-        terms = state[0] = tuple(terms)
-        state[1] = norm_inter
-    return terms[: n + 1]
+    entry, terms = None, []
+    for m in range(n + 1):
+        entry = G.memo(("tower", amb, base.members, m), _tower_level, G, amb, base.members, entry)
+        terms.append(entry[0])
+    return tuple(terms)
 
 
-def _tower_root(G, amb: int) -> list:
-    """A tower's memo entry before level 1: the trivial term, and the ambient."""
-    return [(Subgroup(G, 1),), amb]
+def _tower_level(G, amb: int, base: int, below) -> tuple[Subgroup, int]:
+    """A tower level's memo entry from the entry below, or level 0's when ``below`` is None."""
+    if below is None:
+        return Subgroup(G, 1), amb
+    prev = below[0].members
+    norm_inter = below[1] & (G.normalizer_mask(prev) if prev != 1 else amb)
+    level = G._select("comm", norm_inter, base, prev)
+    if not is_subgroup_mask(G, level):
+        raise InternalCheckError("iterated centralizer level is not a subgroup")
+    return Subgroup(G, level), norm_inter
 
 
 def _series_term(terms, i: int):

@@ -21,7 +21,8 @@ import tempfile
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
-sys.path.insert(0, str(TESTS))
+# this checkout's package, ahead of any installed copy, and the guard rows
+sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
 
 from test_guards import UNREACHABLE, guard_sites  # noqa: E402
 

@@ -47,8 +47,8 @@ def _upper_series_loses_its_first_term(monkeypatch, G):
 
 
 def _tower_normalizers_lose_the_identity(monkeypatch, G):
-    # a tower's memo entry before level 1: its terms, and the normalizer intersection
-    G._memo[("tower", G.full_mask, G.full_mask)] = [(G.trivial_subgroup(),), G.full_mask & ~1]
+    # a tower's level-0 memo entry: its term, and the normalizer intersection
+    G._memo[("tower", G.full_mask, G.full_mask, 0)] = (G.trivial_subgroup(), G.full_mask & ~1)
 
 
 def _commutator_with_trivial_is_everything(monkeypatch, G):

@@ -116,15 +116,30 @@ def test_tower_terms_ascend_and_start_trivial():
     assert tower[1].members == G.centralizer_mask(klein.members)
 
 
+def _frozen(value):
+    """A copy of a memo value that no later change to the value reaches."""
+    return tuple(map(_frozen, value)) if isinstance(value, (list, tuple)) else value
+
+
 def test_tower_memo_extends():
     G = dihedral(8)
     sub = G.as_subgroup()
     short = iterated_centralizer(G, sub, 1)
+    stored = {key: (value, _frozen(value)) for key, value in G._memo.items()}
     longer = iterated_centralizer(G, sub, 3)
     assert [t.members for t in longer[:2]] == [t.members for t in short]
     assert len(longer) == 4
-    # the longer tower extends the memoized terms, not copies of them
+    # the longer tower reuses the memoized terms, not copies of them, and
+    # leaves every value stored before it as it was
     assert all(a is b for a, b in zip(longer[:2], short))
+    assert {key: G._memo[key] is value and _frozen(value) == frozen
+            for key, (value, frozen) in stored.items()} == dict.fromkeys(stored, True)
+    assert all(a is b for a, b in zip(iterated_centralizer(G, sub, 3), longer))
+
+
+def test_a_deep_tower_is_built_without_recursion():
+    G = dihedral(8)
+    assert len(iterated_centralizer(G, closure(G, [1]), 2000)) == 2001
 
 
 def test_memo_hits_return_the_memoized_objects(monkeypatch):
