@@ -464,31 +464,39 @@ class FiniteGroup:
 
         Dimino's algorithm (Butler, LNCS 559, 1991): each seed, ascending, not
         yet in the subgroup H built so far becomes a generator, and the new
-        subgroup is the union of right cosets of H found from r = 1 by adding
-        H*(r*g) for each representative r and generator g with r*g uncovered.
+        subgroup (one ``_dimino_step``) is the union of right cosets of H found
+        from r = 1 by adding H*(r*g) for each representative r and generator g
+        with r*g uncovered.
         """
         return self.memo(("closure", seedmask), self._closure_mask, seedmask)
 
     def _closure_mask(self, seedmask: int) -> int:
-        T = self._rows
-        mask = 1
-        elems = [0]
-        gens = []
+        elems, mask, gens = [0], 1, []
         for s in iter_mask(seedmask):
-            if mask >> s & 1:
-                continue
-            gens.append(s)
-            old = elems[:]
-            reps = [0]
-            for r in reps:
-                for g in gens:
-                    y = T[r][g]
-                    if not mask >> y & 1:
-                        reps.append(y)
-                        coset = [T[h][y] for h in old]
-                        elems += coset
-                        mask |= mask_of(coset)
+            if not mask >> s & 1:
+                gens.append(s)
+                elems, mask = self._dimino_step(elems, mask, gens)
         return mask
+
+    def _dimino_step(self, elems: list[int], mask: int, gens: list[int]) -> tuple[list[int], int]:
+        """(elements, mask) of <H, gens[-1]>, given H = <gens[:-1]> by its ``elems`` and ``mask``.
+
+        It stops at the whole group once more than half of it is covered, as
+        no proper subgroup is that large.
+        """
+        T, old = self._rows, elems
+        elems, reps = elems[:], [0]
+        for r in reps:
+            for g in gens:
+                y = T[r][g]
+                if not mask >> y & 1:
+                    reps.append(y)
+                    coset = [T[h][y] for h in old]
+                    elems += coset
+                    mask |= mask_of(coset)
+                    if 2 * len(elems) > self.order:
+                        return list(range(self.order)), self.full_mask
+        return elems, mask
 
     # -- subgroup conveniences -------------------------------------------
 

@@ -40,8 +40,11 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     _bool_vector,
+    _vector_mask,
+    commutator_subgroup,
     group_to_dict,
     hall_witt_products,
+    iter_mask,
     mask_of,
 )
 from .series import (
@@ -147,28 +150,58 @@ def all_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
     cyclic subgroups it contains, so a set of subgroups that holds the
     trivial one and is closed under joining with any cyclic subgroup holds
     them all.  The set found here is a union of conjugacy classes, each
-    entered whole (the orbit of one representative under the generators of
-    G), and every representative H is joined with every cyclic subgroup C
-    not inside H.  So the join of any member H^g with C, which is
+    entered whole (the orbit of one representative under the generators g
+    of G, each conjugate one gather of bits through y -> g*y*g^-1), and
+    every representative H is joined with every cyclic subgroup C not
+    inside H.  So the join of any member H^g with C, which is
     (H v C^(g^-1))^g, is found too.  C is taken only up to conjugacy by the
     normalizer N(H), because H v C^n = (H v C)^n for n in N(H); each
     N(H)-orbit of cyclic subgroups is read off one gather of the labels of
-    the conjugates c^n.
+    the conjugates c^n.  C is of prime-power order only, because <x> is the
+    join of the prime-power powers of x, so every subgroup is the join of
+    its prime-power cyclic subgroups.
 
-    Three shortcuts save closures.  C is of prime-power order only, because
-    <x> is the join of the prime-power powers of x, so every subgroup is the
-    join of its prime-power cyclic subgroups.  When C = <c> with c in N(H),
-    the join is the product H<c>, one gather instead of a closure.  And each
-    representative keeps the generators it was built from, so its
-    normalizer, {g : gens^g inside H}, costs |G|*|gens| pairs, not |G|*|H|.
+    When C = <c> with c in N(H), the join is the product H<c>, one gather.
+    Otherwise it is one Dimino step (``FiniteGroup._dimino_step``) from H,
+    whose elements are known and whose generators each representative keeps;
+    those generators also give N(H) = {g : gens^g inside H} from |G|*|gens|
+    pairs, not |G|*|H|.  A join J of prime index over H has no subgroup
+    strictly between it and H, so the join of H with any c in J is J, and
+    such a c is skipped.
+
+    When G is solvable, C is taken inside N(H) only, so every join is a
+    product, and still every subgroup K is found, by induction on |K|.  K is
+    solvable, so if K != 1 it has a normal subgroup M of prime index p (the
+    preimage of one of prime index in the nontrivial abelian K/K').  Take k
+    in K but not M, of order p^a * m' with p not dividing m'.  Then
+    c = k^(m') has p-power order, lies outside M (its image in K/M, of order
+    p, is that of k to a power prime to p), and normalizes M, so K = M<c>.
+    M is found, so M = H^g for its class representative H, and then
+    K^(g^-1) = H<c^(g^-1)> with c^(g^-1) in N(H) and outside H.  The join
+    of H with the N(H)-orbit of <c^(g^-1)> gives K^(g^-1) up to conjugacy by
+    N(H), as above, and its class is entered whole, K with it.  In a group
+    that is not solvable this misses every subgroup with a nontrivial
+    perfect subgroup (A5 in symmetric(5)), so there every C is joined.
     """
     return G.memo(("allsubs",), _all_subgroups, G)
+
+
+def _is_solvable(G: FiniteGroup) -> bool:
+    """Whether the derived series of G reaches the trivial group."""
+    H = G.as_subgroup()
+    D = commutator_subgroup(H, H)
+    while D.members != H.members:
+        H, D = D, commutator_subgroup(D, D)
+    return H.members == 1
 
 
 def _all_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
     cyc_gen, cyc_mask, cyc_label = _cyclic_subgroups(G)
     prime_power = np.array([len(_prime_factors(m.bit_count())) <= 1 for m in cyc_mask])
-    conjugators = G.as_subgroup().generators
+    solvable = _is_solvable(G)
+    # moves[i][y] = g * y * g^-1 for the i-th generator g of G: K^g is K's bits gathered through it
+    elements = np.arange(G.order)
+    moves = [G._pair_values("conj", G.inverse_table[g], elements) for g in G.as_subgroup().generators]
     found = {1}
     # each representative with the mask of the generators it was built from
     reps = [(1, 0)]
@@ -177,24 +210,35 @@ def _all_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
         if not outside.any():
             continue
         norm = G.memo(("norm", H), G._select, "conj", G.full_mask, gens, H)
-        N = np.flatnonzero(_bool_vector(norm, G.order))
+        in_norm = _bool_vector(norm, G.order)
+        N = np.flatnonzero(in_norm)
         # orbits[i, c] is the label of <cyc_gen[c]^n> for the i-th n in N(H)
         orbits = cyc_label[G._pair_values("conj", N[:, None], cyc_gen)]
         least = orbits.min(axis=0) == np.arange(len(cyc_gen))
+        if solvable:
+            outside &= in_norm[cyc_gen]
+        # the union of the joins J found from H of prime index over H
+        covered = H
         for c in np.flatnonzero(least & outside):
             x = int(cyc_gen[c])
+            if covered >> x & 1:
+                continue
             if norm >> x & 1:
                 J = G._image("mul", H, cyc_mask[c])
             else:
-                J = G.closure_mask(H | cyc_mask[c])
+                J = G._dimino_step(list(iter_mask(H)), H, [*iter_mask(gens), x])[1]
+            index = J.bit_count() // H.bit_count()
+            if _prime_factors(index) == (index,):
+                covered |= J
             if J in found:
                 continue
             reps.append((J, gens | 1 << x))
             found.add(J)
             orbit = [J]
             for K in orbit:
-                for g in conjugators:
-                    L = G.conjugate_mask(K, g)
+                bits = _bool_vector(K, G.order)
+                for move in moves:
+                    L = _vector_mask(bits[move])
                     if L not in found:
                         found.add(L)
                         orbit.append(L)

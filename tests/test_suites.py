@@ -14,6 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from test_centralizers import D8_WR_C2
 
 import nilenv.suites as suites
 from nilenv.catalog import DEFAULT_CATALOG, dihedral, from_spec, symmetric
@@ -217,25 +218,28 @@ def test_suites_write_each_memo_key_once():
         # every entry was stored by item assignment, under a tuple led by its family
         assert set(writes) == set(G._memo)
         assert all(isinstance(key, tuple) and isinstance(key[0], str) for key in writes)
-        # a longer tower extends its entry in place instead of storing it again
+        # towers are memoized too, one immutable entry per level
         assert any(key[0] == "tower" for key in writes)
         assert [key for key, count in writes.items() if count != 1] == []
 
 
-# closing every candidate join built 151 and 192 closures
-@pytest.mark.parametrize("spec, most", [("unitriangular(7)", 40), ("symmetric(5)", 130)])
+@pytest.mark.parametrize("spec, most", [("unitriangular(7)", 0), ("symmetric(5)", 120)])
 def test_all_subgroups_builds_few_closures(spec, most, monkeypatch):
-    """Most joins are products H<c> or skipped candidates, not closures."""
-    builds = Counter()
-    build = FiniteGroup._closure_mask
+    """Closure-type joins, one Dimino step each: none in a solvable group, where all are products H<c>."""
+    G = from_spec.__wrapped__(spec)
+    # warm the solvability test and G's generators, so every step counted is a join
+    suites._is_solvable(G)
+    G.as_subgroup().generators
+    steps = Counter()
+    step = FiniteGroup._dimino_step
 
-    def counting_build(self, seedmask):
-        builds["closure"] += 1
-        return build(self, seedmask)
+    def counting_step(self, *args):
+        steps["dimino"] += 1
+        return step(self, *args)
 
-    monkeypatch.setattr(FiniteGroup, "_closure_mask", counting_build)
-    all_subgroups(from_spec.__wrapped__(spec))
-    assert builds["closure"] <= most
+    monkeypatch.setattr(FiniteGroup, "_dimino_step", counting_step)
+    assert len(all_subgroups(G)) == SUBGROUP_COUNTS[spec]
+    assert steps["dimino"] <= most
 
 
 def test_all_subgroups_memo_is_bounded_by_classes_times_cyclic_subgroups():
@@ -247,6 +251,46 @@ def test_all_subgroups_memo_is_bounded_by_classes_times_cyclic_subgroups():
     assert (len(masks), classes, len(cyclic)) == (156, 19, 67)
     # the pairwise join left 11,252 entries here
     assert entries <= classes * len(cyclic)
+
+
+def test_is_solvable():
+    assert [spec for spec in DEFAULT_CATALOG if not suites._is_solvable(from_spec(spec))] == ["alternating(5)"]
+    for spec in ("symmetric(5)", "symmetric(6)", "alternating(6)"):
+        assert not suites._is_solvable(from_spec(spec))
+
+
+def test_solvable_rule_misses_the_subgroups_over_a_perfect_one(monkeypatch):
+    """Joining only inside normalizers loses A5 and S5 from symmetric(5)."""
+    monkeypatch.setattr(suites, "_is_solvable", lambda G: True)
+    orders = [s.order for s in all_subgroups(from_spec.__wrapped__("symmetric(5)"))]
+    assert len(orders) == SUBGROUP_COUNTS["symmetric(5)"] - 2
+    assert 60 not in orders and 120 not in orders
+
+
+# B4 = C2 wr S4, the signed permutations of four points i and i+4
+B4 = [[1, 2, 3, 0, 5, 6, 7, 4], [1, 0, 2, 3, 5, 4, 6, 7], [4, 1, 2, 3, 0, 5, 6, 7]]
+LARGE_SOLVABLE = [
+    ("D8 wr C2", partial(FiniteGroup.from_permutations, 8, D8_WR_C2), 576),
+    ("B4", partial(FiniteGroup.from_permutations, 8, B4), 1659),
+    (
+        "product(symmetric(4),symmetric(3))",
+        partial(from_spec.__wrapped__, "product(symmetric(4),symmetric(3))"),
+        372,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "build, count", [(b, c) for _, b, c in LARGE_SOLVABLE], ids=[n for n, _, _ in LARGE_SOLVABLE]
+)
+def test_solvable_rule_matches_the_full_rule(build, count, monkeypatch):
+    """Too large for the pairwise join: the full rule, gate forced off, is the reference."""
+    G = build()
+    assert suites._is_solvable(G)
+    got = tuple(s.members for s in all_subgroups(G))
+    assert len(got) == count
+    monkeypatch.setattr(suites, "_is_solvable", lambda G: False)
+    assert got == tuple(s.members for s in all_subgroups(build()))
 
 
 def test_symmetric6_has_1455_subgroups_in_56_classes():
