@@ -448,7 +448,7 @@ def _engel_set(G: FiniteGroup) -> tuple[int, int]:
     """
     n = G.order
     everything = np.arange(n)
-    moves = [G._pair_values("conj", g, everything) for g in G.as_subgroup().generators]
+    moves = [G.conjugation(g) for g in G.as_subgroup().generators]
     label = everything
     while True:
         least = label

@@ -36,7 +36,7 @@ import numpy as np
 from .centralizers import dimension
 from .envelope import EnvelopeTrace, padded_parameters
 from .errors import ArityMismatchError, FormulaSyntaxError, MalformedInputError
-from .groups import MAX_DEPTH, ElementSet, FiniteGroup, _vector_mask
+from .groups import MAX_DEPTH, ElementSet, FiniteGroup, _is_index, _vector_mask
 
 
 WARN_BUDGET = 10**18
@@ -594,7 +594,7 @@ def _prepare(formula: Formula, group: FiniteGroup, params) -> _Evaluator:
             f"formula uses parameter slots p0..p{expected - 1}, got {len(params)} values"
         )
     for value in params:
-        if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < group.order:
+        if not _is_index(value) or not 0 <= value < group.order:
             raise MalformedInputError(f"parameter {value!r} is not an element index")
     cost = cost_estimate(formula, group)
     if cost > WARN_BUDGET:

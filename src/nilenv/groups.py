@@ -155,7 +155,7 @@ class FiniteGroup:
                 if not isinstance(row, (list, tuple)) or len(row) != n:
                     raise MalformedInputError(f"row {i} does not have length {n}")
                 for v in row:
-                    if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+                    if not _is_index(v) or not 0 <= v < n:
                         raise MalformedInputError(f"row {i} contains bad entry {v!r}")
             arr = np.array(table, dtype=np.int16)  # entries of int subclasses other than bool
         expect = np.arange(n)
@@ -287,7 +287,7 @@ class FiniteGroup:
         return T[self.inverse_table[T[h][g]]][T[g][h]]
 
     def _check_index(self, a: int) -> None:
-        if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < self.order:
+        if not _is_index(a) or not 0 <= a < self.order:
             raise MalformedInputError(f"{a!r} is not an element index of {self.name}")
 
     def mul(self, a: int, b: int) -> int:
@@ -380,15 +380,16 @@ class FiniteGroup:
         """The value memoized under ``key``, or ``build(*args)`` stored there once.
 
         Every result memoized on a group goes through here, keyed by a
-        tuple that starts with its family, such as ``("closure", seedmask)``.
-        A value, ``None`` included, is built once and never changed: it is
-        immutable or treated as such, every caller shares it, and a memoized
-        subgroup's generators depend only on its members.  The element
-        centralizers are one tuple indexed by element, which loops read once;
-        set centralizers, the center among them, are the ``("centralizer",
-        setmask)`` family (2,866 entries over a seed-0 ``verify``'s 19
-        groups).  ``all_subgroups`` writes ``("norm", H)`` for its
-        representatives from H's generators: the same set that
+        tuple that starts with its family, such as ``("closure", seedmask)``,
+        which holds the mask and the generators taken, so a subgroup's
+        generators depend only on its members.  A value, ``None`` included,
+        is built once and never changed: it is immutable or treated as such,
+        every caller shares it, and ``("conjugation", g)`` is a read-only
+        index array.  The element centralizers are one tuple indexed by
+        element, which loops read once; set centralizers, the center among
+        them, are the ``("centralizer", setmask)`` family (2,866 entries over
+        a seed-0 ``verify``'s 19 groups).  ``all_subgroups`` writes ``("norm",
+        H)`` for its representatives from H's generators: the same set that
         ``normalizer_mask`` selects from all of H, with fewer conjugates.
         """
         try:
@@ -446,12 +447,23 @@ class FiniteGroup:
         """Mask of all g with (mask conjugated by g) == mask."""
         return self.memo(("norm", mask), self._select, "conj", self.full_mask, mask, mask)
 
+    def conjugation(self, g: int) -> np.ndarray:
+        """The permutation y -> g * y * g^-1, read-only and memoized: flags gathered through it conjugate by g."""
+        return self.memo(("conjugation", g), self._conjugation, g)
+
+    def _conjugation(self, g: int) -> np.ndarray:
+        self._check_index(g)
+        move = self._pair_values("conj", self.inverse_table[g], np.arange(self.order))
+        move.flags.writeable = False
+        return move
+
     def conjugate_mask(self, mask: int, g: int) -> int:
-        return self._image("conj", 1 << g, mask)
+        """The mask conjugated by g: every x^g = g^-1 * x * g with x in the mask."""
+        return self.conjugate_masks([mask], g)[0]
 
     def conjugate_masks(self, masks, g: int) -> list[int]:
         """``conjugate_mask`` of each mask, by one gather per block: column y from g * y * g^-1."""
-        source = self._pair_values("conj", self.inverse_table[g], np.arange(self.order))
+        source = self.conjugation(g)
         size, out = (self.order + 7) // 8, []
         for i in range(0, len(masks), _BLOCK_ROWS):
             raw = b"".join(m.to_bytes(size, "little") for m in masks[i : i + _BLOCK_ROWS])
@@ -466,17 +478,21 @@ class FiniteGroup:
         yet in the subgroup H built so far becomes a generator, and the new
         subgroup (one ``_dimino_step``) is the union of right cosets of H found
         from r = 1 by adding H*(r*g) for each representative r and generator g
-        with r*g uncovered.
+        with r*g uncovered.  Its memo entry holds the mask and the seeds taken
+        as generators, which :attr:`Subgroup.generators` reads.
         """
-        return self.memo(("closure", seedmask), self._closure_mask, seedmask)
+        return self._closure(seedmask)[0]
 
-    def _closure_mask(self, seedmask: int) -> int:
+    def _closure(self, seedmask: int) -> tuple[int, tuple[int, ...]]:
+        return self.memo(("closure", seedmask), self._dimino, seedmask)
+
+    def _dimino(self, seedmask: int) -> tuple[int, tuple[int, ...]]:
         elems, mask, gens = [0], 1, []
         for s in iter_mask(seedmask):
             if not mask >> s & 1:
                 gens.append(s)
                 elems, mask = self._dimino_step(elems, mask, gens)
-        return mask
+        return mask, tuple(gens)
 
     def _dimino_step(self, elems: list[int], mask: int, gens: list[int]) -> tuple[list[int], int]:
         """(elements, mask) of <H, gens[-1]>, given H = <gens[:-1]> by its ``elems`` and ``mask``.
@@ -582,7 +598,7 @@ class Subgroup(ElementSet):
         if not members & 1:
             raise NotASubgroupError("subgroup mask must contain the identity")
         super().__init__(parent, members)
-        self._gens: tuple[int, ...] | None = None
+        self._gens: tuple[int, ...] = ()  # product_set's, else read from the closure memo
 
     @property
     def order(self) -> int:
@@ -590,18 +606,8 @@ class Subgroup(ElementSet):
 
     @property
     def generators(self) -> tuple[int, ...]:
-        """A generating set, found by a greedy ascending scan."""
-        if self._gens is None:
-            gens: list[int] = []
-            reached = 1
-            for x in iter_mask(self.members):
-                if not reached >> x & 1:
-                    gens.append(x)
-                    reached = self.parent.closure_mask(mask_of(gens))
-                    if reached == self.members:
-                        break
-            self._gens = tuple(gens)
-        return self._gens
+        """The members ``closure_mask`` takes as generators: each one outside what those below it generate."""
+        return self._gens or self.parent._closure(self.members)[1]
 
     def conjugate_by(self, g: int) -> Subgroup:
         self.parent._check_index(g)

@@ -20,20 +20,24 @@ from .groups import (
 )
 
 
+def _series(first: Subgroup, step) -> tuple[Subgroup, ...]:
+    """first, step(first), ..., up to the first term equal to the one before, and order + 1 terms at most."""
+    terms = [first]
+    while len(terms) <= first.parent.order:
+        nxt = step(terms[-1])
+        if nxt.members == terms[-1].members:
+            break
+        terms.append(nxt)
+    return tuple(terms)
+
+
 def lower_central_series(P: Subgroup) -> tuple[Subgroup, ...]:
     """The terms P = gamma_1 >= gamma_2 >= ..., stopped at stabilization, memoized per P."""
     return P.parent.memo(("lcs", P.members), _lower_central_series, P)
 
 
 def _lower_central_series(P: Subgroup) -> tuple[Subgroup, ...]:
-    G = P.parent
-    terms = [Subgroup(G, P.members)]
-    while len(terms) <= G.order:
-        nxt = commutator_subgroup(terms[-1], P)
-        if nxt.members == terms[-1].members:
-            break
-        terms.append(nxt)
-    return tuple(terms)
+    return _series(Subgroup(P.parent, P.members), lambda term: commutator_subgroup(term, P))
 
 
 def upper_central_series(P: Subgroup) -> tuple[Subgroup, ...]:
@@ -47,18 +51,8 @@ def upper_central_series(P: Subgroup) -> tuple[Subgroup, ...]:
 
 
 def _upper_central_series(P: Subgroup) -> tuple[Subgroup, ...]:
-    G = P.parent
-    gens = mask_of(P.generators)
-    masks = [1]
-    while len(masks) <= G.order + 1:
-        prev = masks[-1]
-        if prev == P.members:
-            break
-        nxt = G._select("comm", P.members, gens, prev)
-        if nxt == prev:
-            break
-        masks.append(nxt)
-    return tuple(Subgroup(G, m) for m in masks)
+    G, gens = P.parent, mask_of(P.generators)
+    return _series(Subgroup(G, 1), lambda Z: Subgroup(G, G._select("comm", P.members, gens, Z.members)))
 
 
 def nilpotence_class(P: Subgroup) -> int | None:

@@ -48,6 +48,7 @@ from .groups import (
     mask_of,
 )
 from .series import (
+    _series,
     check_centralizer_transfer,
     check_hall_bound,
     check_nested_towers,
@@ -151,8 +152,8 @@ def all_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
     trivial one and is closed under joining with any cyclic subgroup holds
     them all.  The set found here is a union of conjugacy classes, each
     entered whole (the orbit of one representative under the generators g
-    of G, each conjugate one gather of bits through y -> g*y*g^-1), and
-    every representative H is joined with every cyclic subgroup C not
+    of G, each conjugate one gather of bits through ``G.conjugation(g)``),
+    and every representative H is joined with every cyclic subgroup C not
     inside H.  So the join of any member H^g with C, which is
     (H v C^(g^-1))^g, is found too.  C is taken only up to conjugacy by the
     normalizer N(H), because H v C^n = (H v C)^n for n in N(H); each
@@ -163,8 +164,9 @@ def all_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
 
     When C = <c> with c in N(H), the join is the product H<c>, one gather.
     Otherwise it is one Dimino step (``FiniteGroup._dimino_step``) from H,
-    whose elements are known and whose generators each representative keeps;
-    those generators also give N(H) = {g : gens^g inside H} from |G|*|gens|
+    not a ``closure_mask`` call: H's elements are known, and each
+    representative keeps the generators it was built from.  Those
+    generators also give N(H) = {g : gens^g inside H} from |G|*|gens|
     pairs, not |G|*|H|.  A join J of prime index over H has no subgroup
     strictly between it and H, so the join of H with any c in J is J, and
     such a c is skipped.
@@ -188,20 +190,15 @@ def all_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
 
 def _is_solvable(G: FiniteGroup) -> bool:
     """Whether the derived series of G reaches the trivial group."""
-    H = G.as_subgroup()
-    D = commutator_subgroup(H, H)
-    while D.members != H.members:
-        H, D = D, commutator_subgroup(D, D)
-    return H.members == 1
+    return _series(G.as_subgroup(), lambda H: commutator_subgroup(H, H))[-1].members == 1
 
 
 def _all_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
     cyc_gen, cyc_mask, cyc_label = _cyclic_subgroups(G)
     prime_power = np.array([len(_prime_factors(m.bit_count())) <= 1 for m in cyc_mask])
     solvable = _is_solvable(G)
-    # moves[i][y] = g * y * g^-1 for the i-th generator g of G: K^g is K's bits gathered through it
-    elements = np.arange(G.order)
-    moves = [G._pair_values("conj", G.inverse_table[g], elements) for g in G.as_subgroup().generators]
+    # K^g is K's bits gathered through the conjugation by g, for each generator g of G
+    moves = [G.conjugation(g) for g in G.as_subgroup().generators]
     found = {1}
     # each representative with the mask of the generators it was built from
     reps = [(1, 0)]

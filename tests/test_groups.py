@@ -549,6 +549,11 @@ def test_conjugate_subgroups():
     assert len(images) == 3
     assert all(Subgroup(S3, m).order == 2 for m in images)
     assert not sub.is_normal
+    for bad in (-1, 6, True):
+        with pytest.raises(MalformedInputError, match="is not an element index"):
+            symmetric(3).conjugation(bad)
+        with pytest.raises(MalformedInputError):
+            sub.conjugate_by(bad)
 
 
 def test_hall_witt_products_vanish():

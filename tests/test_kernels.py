@@ -41,6 +41,7 @@ from nilenv.series import (
     nilpotence_class,
     upper_central_series,
 )
+from nilenv.suites import all_subgroups
 
 KERNEL_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -65,6 +66,16 @@ def ref_closure(G, seed) -> int:
         frontier = [y for y in {G.mul(x, s) for x in frontier for s in seed} if y not in got]
         got.update(frontier)
     return mask_of(got)
+
+
+def ref_generators(G, mask) -> tuple[int, ...]:
+    """The greedy ascending scan: each member outside the closure of the ones kept before it."""
+    gens, reached = [], 1
+    for x in iter_mask(mask):
+        if not reached >> x & 1:
+            gens.append(x)
+            reached = ref_closure(G, gens)
+    return tuple(gens)
 
 
 def ref_element_centralizer(G, g) -> int:
@@ -257,8 +268,6 @@ def test_group_kernels_match_references(rng):
     for mask in (random_subgroup(rng, G), random_subset(rng, G)):
         assert G.normalizer_mask(mask) == ref_normalizer(G, mask)
         assert is_subgroup_mask(G, mask) == ref_is_subgroup(G, mask)
-        assert G.conjugate_mask(mask, g) == mask_of(G.conj(x, g) for x in iter_mask(mask))
-        assert G.conjugate_masks([mask, 1, G.full_mask], g) == [G.conjugate_mask(mask, g), 1, G.full_mask]
 
     a, b = random_subset(rng, G), random_subgroup(rng, G)
     got = commutator_subgroup(ElementSet(G, a), ElementSet(G, b)).members
@@ -280,16 +289,44 @@ def test_group_kernels_match_references(rng):
             product_set(Subgroup(G, h), Subgroup(G, k))
 
 
+def fresh_group(spec: str) -> FiniteGroup:
+    """A fresh catalog group, or a "relabelled " one from a seeded relabelling of its table."""
+    if spec.startswith("relabelled "):
+        return FiniteGroup.from_cayley_table(relabelled_table(spec.removeprefix("relabelled "), random.Random(7)))
+    return from_spec.__wrapped__(spec)
+
+
+@KERNEL_SETTINGS
+@given(randoms)
+def test_conjugation_kernels_match_references(rng):
+    G = random_group(rng)
+    g = rng.randrange(G.order)
+    # y -> g * y * g^-1 is y conjugated by g^-1
+    assert G.conjugation(g).tolist() == [G.conj(y, G.inv(g)) for y in range(G.order)]
+    assert not G.conjugation(g).flags.writeable
+    for mask in (random_subgroup(rng, G), random_subset(rng, G)):
+        conjugate = mask_of(G.conj(x, g) for x in iter_mask(mask))
+        assert G.conjugate_mask(mask, g) == conjugate
+        assert G.conjugate_masks([mask, 1, G.full_mask], g) == [conjugate, 1, G.full_mask]
+
+
 @pytest.mark.parametrize("spec", [*DEFAULT_CATALOG, "relabelled unitriangular(7)"])
 def test_element_centralizer_masks_match_one_at_a_time(spec):
-    if spec.startswith("relabelled"):
-        G = FiniteGroup.from_cayley_table(relabelled_table("unitriangular(7)", random.Random(7)))
-    else:
-        G = from_spec.__wrapped__(spec)
+    G = fresh_group(spec)
     cents = G.element_centralizer_masks()
     assert type(cents) is tuple
     assert cents == tuple(ref_element_centralizer(G, g) for g in range(G.order))
     assert tuple(G.element_centralizer_mask(g) for g in range(G.order)) == cents
+
+
+@pytest.mark.parametrize(
+    "spec", [*(s for s in DEFAULT_CATALOG if from_spec(s).order <= 200), "relabelled unitriangular(7)"]
+)
+def test_generators_match_the_greedy_prefix_scan(spec):
+    """Every subgroup's generators against the deleted scan, which took one closure per prefix."""
+    G = fresh_group(spec)
+    for sub in all_subgroups(G):
+        assert sub.generators == ref_generators(G, sub.members)
 
 
 @KERNEL_SETTINGS

@@ -242,15 +242,19 @@ def test_all_subgroups_builds_few_closures(spec, most, monkeypatch):
     assert steps["dimino"] <= most
 
 
-def test_all_subgroups_memo_is_bounded_by_classes_times_cyclic_subgroups():
-    G = symmetric(5)
-    masks = [s.members for s in all_subgroups(G)]
-    entries = sum(1 for key in G._memo if key[0] == "closure")
-    cyclic = {G.closure_mask(1 << g | 1) for g in range(G.order)}
-    classes = conjugacy_class_count(G, masks)
-    assert (len(masks), classes, len(cyclic)) == (156, 19, 67)
-    # the pairwise join left 11,252 entries here
-    assert entries <= classes * len(cyclic)
+def test_all_subgroups_memo_adds_one_normalizer_per_class_and_no_closure():
+    """No join goes through ``closure_mask``: products H<c> and Dimino steps leave no closure entry."""
+    for spec, classes in (("symmetric(5)", 19), ("unitriangular(7)", 19), ("symmetric(4)", 11)):
+        G = from_spec.__wrapped__(spec)
+        # warm the solvability test and G's generators, so every entry counted is the enumeration's
+        suites._is_solvable(G)
+        gens = G.as_subgroup().generators
+        before = set(G._memo)
+        masks = [s.members for s in all_subgroups(G)]
+        added = Counter(key[0] for key in G._memo if key not in before)
+        # a ("norm", H) entry per class but G's, and a conjugation per generator of G
+        assert added == {"norm": classes - 1, "conjugation": len(gens), "allsubs": 1}, spec
+        assert conjugacy_class_count(G, masks) == classes
 
 
 def test_is_solvable():
