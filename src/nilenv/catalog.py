@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import MalformedInputError
-from .groups import MAX_DEPTH, FiniteGroup, check_order
+from .groups import MAX_DEPTH, FiniteGroup, _prime_factors, check_order
 
 
 def cyclic(n: int) -> FiniteGroup:
@@ -104,7 +104,7 @@ def unitriangular(p: int) -> FiniteGroup:
     as a*p*p + b*p + c, so the group has order p**3 and class 2.
     """
     check_order(p**3)
-    if p < 2 or any(p % q == 0 for q in range(2, p)):
+    if _prime_factors(p) != (p,):
         raise MalformedInputError("unitriangular argument must be a prime")
     a, b, c = (x.ravel() for x in np.indices((p, p, p), dtype=np.int32))
     # (1, a1, b1; 0, 1, c1) * (1, a2, b2; 0, 1, c2) = (1, a1 + a2, b1 + b2 + a1 c2; 0, 1, c1 + c2)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .errors import CapExceededError, InternalCheckError
 from .groups import ElementSet, Subgroup, _ambient_pair, iter_mask, mask_of
-from .series import _series_term, upper_central_series
+from .series import _center
 
 # most centralizers `centralizer_lattice` enumerates before it gives up
 NODE_CAP = 20_000
@@ -302,6 +302,6 @@ def bottom_chain_classify(h: Subgroup) -> BottomChainCase:
             raise InternalCheckError("case 2 witness fails H <= C(A) < G")
         return BottomChainCase(2, ElementSet(G, c))
     # Z(H) by H's own generators, not from the C(H) just compared with Z(G)
-    if _series_term(upper_central_series(h), 1).members != z & h.members:
+    if _center(h, 1).members != z & h.members:
         raise InternalCheckError("Z(H) differs from Z(G) meet H in case 3")
     return BottomChainCase(3, None)

@@ -28,6 +28,7 @@ from .groups import (
     ElementSet,
     FiniteGroup,
     Subgroup,
+    _prime_factors,
     _vector_mask,
     commutator_subgroup,
     is_subgroup_mask,
@@ -36,15 +37,7 @@ from .groups import (
     product_set,
     subgroup_to_dict,
 )
-from .series import (
-    _center_mismatch,
-    _restricts,
-    _series_term,
-    iterated_centralizer,
-    lower_central_series,
-    nilpotence_class,
-    upper_central_series,
-)
+from .series import _center, _center_mismatch, _gamma, _restricts, iterated_centralizer, nilpotence_class
 
 
 @dataclass(frozen=True)
@@ -83,11 +76,6 @@ class EnvelopeTrace:
     def parameters(self) -> tuple[int, ...]:
         """The witnesses padded to ``dimension(group)``: of the trace, only these need the lattice."""
         return padded_parameters(self, dimension(self.group)) if self.tower else ()
-
-
-def _center(P: Subgroup, j: int) -> Subgroup:
-    """Z_j(P), read from the memoized upper central series."""
-    return _series_term(upper_central_series(P), j)
 
 
 def _stage_cut(above: Subgroup, witnesses: int, center: Subgroup) -> int:
@@ -298,12 +286,12 @@ def verify_envelope(trace: EnvelopeTrace, seed: int = 0) -> EnvelopeReport:
         picked = t_elems if len(t_elems) <= _SAMPLES_PER_LEVEL else rng.sample(t_elems, _SAMPLES_PER_LEVEL)
         for h in picked:
             ekh = Subgroup(G, _stage_cut(prev, 1 << h, prev_center))
-            gamma = _series_term(lower_central_series(ekh), k - 1)
+            gamma = _gamma(ekh, k)
             ok = commutator_subgroup(gamma, ElementSet(G, 1 << h | 1)).members == 1
             note(k, "commutators of gamma_k of a one-witness stage with its witness vanish",
                  ok, detail=f"h={h}")
 
-        gamma_ek = _series_term(lower_central_series(lvl.subgroup), k - 1)
+        gamma_ek = _gamma(lvl.subgroup, k)
         note(k, "gamma_k of the stage centralizes the whole level",
              inside and commutator_subgroup(gamma_ek, t_k).members == 1)
 
@@ -396,26 +384,6 @@ def engel_iterate(G: FiniteGroup, g: int, x: int) -> int | None:
     return None
 
 
-def _prime_factors(n: int) -> tuple[int, ...]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return tuple(out)
-
-
-def _is_prime_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
 def p_core(G: FiniteGroup, p: int) -> Subgroup:
     """The largest normal p-subgroup: elements whose normal closure is a p-group.
 
@@ -425,7 +393,7 @@ def p_core(G: FiniteGroup, p: int) -> Subgroup:
     """
     mask = 0
     for cls in G.conjugacy_classes():
-        if _is_prime_power(G.closure_mask(cls).bit_count(), p):
+        if _prime_factors(G.closure_mask(cls).bit_count()) in ((), (p,)):
             mask |= cls
     if not is_subgroup_mask(G, mask):
         raise InternalCheckError(f"{p}-core candidate set is not a subgroup")

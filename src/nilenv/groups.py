@@ -63,6 +63,21 @@ def _is_index(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _prime_factors(n: int) -> tuple[int, ...]:
+    """The primes dividing ``n``, ascending: ``(n,)`` exactly when n is prime, ``()`` for n < 2."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return tuple(out)
+
+
 def iter_mask(mask: int):
     """Yield the set bit positions of ``mask`` in ascending order."""
     while mask:
@@ -401,6 +416,7 @@ class FiniteGroup:
 
     def element_centralizer_mask(self, g: int) -> int:
         """Mask of all x with x * g == g * x."""
+        self._check_index(g)
         return self.element_centralizer_masks()[g]
 
     def element_centralizer_masks(self) -> tuple[int, ...]:
@@ -449,10 +465,10 @@ class FiniteGroup:
 
     def conjugation(self, g: int) -> np.ndarray:
         """The permutation y -> g * y * g^-1, read-only and memoized: flags gathered through it conjugate by g."""
+        self._check_index(g)
         return self.memo(("conjugation", g), self._conjugation, g)
 
     def _conjugation(self, g: int) -> np.ndarray:
-        self._check_index(g)
         move = self._pair_values("conj", self.inverse_table[g], np.arange(self.order))
         move.flags.writeable = False
         return move
@@ -610,7 +626,6 @@ class Subgroup(ElementSet):
         return self._gens or self.parent._closure(self.members)[1]
 
     def conjugate_by(self, g: int) -> Subgroup:
-        self.parent._check_index(g)
         return Subgroup(self.parent, self.parent.conjugate_mask(self.members, g))
 
     @property

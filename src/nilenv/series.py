@@ -107,7 +107,7 @@ def _tower_level(G, amb: int, base: int, below) -> tuple[Subgroup, int]:
     if below is None:
         return Subgroup(G, 1), amb
     prev = below[0].members
-    norm_inter = below[1] & (G.normalizer_mask(prev) if prev != 1 else amb)
+    norm_inter = below[1] & G.normalizer_mask(prev)
     level = G._select("comm", norm_inter, base, prev)
     if not is_subgroup_mask(G, level):
         raise InternalCheckError("iterated centralizer level is not a subgroup")
@@ -119,11 +119,20 @@ def _series_term(terms, i: int):
     return terms[i] if i < len(terms) else terms[-1]
 
 
+def _center(P: Subgroup, j: int) -> Subgroup:
+    """Z_j(P), read from the memoized upper central series."""
+    return _series_term(upper_central_series(P), j)
+
+
+def _gamma(P: Subgroup, i: int) -> Subgroup:
+    """gamma_i(P) for i >= 1, with gamma_1 = P, read from the memoized lower central series."""
+    return _series_term(lower_central_series(P), i - 1)
+
+
 def _center_mismatch(tower, ambient: Subgroup, top: int) -> int | None:
     """The least j in 1..top with C^j(base) != Z_j(ambient), or None."""
-    centers = upper_central_series(ambient)
     for j in range(1, top + 1):
-        if tower[j].members != _series_term(centers, j).members:
+        if tower[j].members != _center(ambient, j).members:
             return j
     return None
 
@@ -143,7 +152,7 @@ def check_hall_bound(ambient, base: Subgroup, i: int, k: int) -> bool:
         raise HypothesisError("indices must satisfy 1 <= i <= k")
     G, _ = _ambient_pair(ambient)
     tower = iterated_centralizer(ambient, base, k)
-    gamma_i = _series_term(lower_central_series(base), i - 1)
+    gamma_i = _gamma(base, i)
     c_k = tower[k]
     rhs = tower[k - i].members
 
@@ -203,7 +212,7 @@ def check_centralizer_transfer(ambient, small: Subgroup, big: Subgroup, k: int) 
     agree_below = all(
         x_tower[i].members == p_tower[i].members for i in range(k)
     )
-    gamma_k = _series_term(lower_central_series(big), k - 1)
+    gamma_k = _gamma(big, k)
     c_k_x = x_tower[k]
     commute = commutator_subgroup(gamma_k, c_k_x).members == 1
     same_centralizer = G.centralizer_mask(small.members, within=amb) == G.centralizer_mask(

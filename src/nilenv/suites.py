@@ -32,7 +32,7 @@ from .centralizers import (
     greedy_witness,
     minimal_centralizer_above,
 )
-from .envelope import _not_normalized, _prime_factors, build_envelope, fitting, verify_envelope
+from .envelope import _not_normalized, build_envelope, fitting, verify_envelope
 from .errors import InternalCheckError, MalformedInputError
 from .formula import emit_envelope_formula, envelope_formula, evaluate, format_formula, parse
 from .groups import (
@@ -40,6 +40,7 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     _bool_vector,
+    _prime_factors,
     _vector_mask,
     commutator_subgroup,
     group_to_dict,

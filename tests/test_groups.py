@@ -7,6 +7,7 @@ import itertools
 import random
 import re
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -554,6 +555,17 @@ def test_conjugate_subgroups():
             symmetric(3).conjugation(bad)
         with pytest.raises(MalformedInputError):
             sub.conjugate_by(bad)
+    # True and 1.0 hash like 1, so a check made only when a memo entry is built
+    # would let them read the entries of 1 made here
+    S3.conjugation(1)
+    S3.element_centralizer_masks()
+    for bad in (True, 1.0):
+        for call in (S3.conjugation, partial(S3.conjugate_mask, sub.members), sub.conjugate_by):
+            with pytest.raises(MalformedInputError, match="is not an element index"):
+                call(bad)
+    for bad in (-1, 6, True, 1.0):
+        with pytest.raises(MalformedInputError, match="is not an element index"):
+            S3.element_centralizer_mask(bad)
 
 
 def test_hall_witt_products_vanish():

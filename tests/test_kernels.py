@@ -260,7 +260,8 @@ def test_pair_kernels_match_references(rng):
 @KERNEL_SETTINGS
 @given(randoms)
 def test_group_kernels_match_references(rng):
-    G = random_group(rng)
+    # degree 5 at most: at degree 6 (order 720) the references alone make about 20 million checked calls
+    G = random_group(rng, max_degree=5)
     g = rng.randrange(G.order)
     assert G.element_centralizer_mask(g) == ref_element_centralizer(G, g)
     assert normal_closure(G, g).members == ref_normal_closure(G, g)
