@@ -305,6 +305,11 @@ class FiniteGroup:
         if not _is_index(a) or not 0 <= a < self.order:
             raise MalformedInputError(f"{a!r} is not an element index of {self.name}")
 
+    def _check_mask(self, mask: int) -> None:
+        # a plain int: bools and int subclasses are refused, at half the cost of _is_index
+        if type(mask) is not int or not 0 <= mask <= self.full_mask:
+            raise MalformedInputError(f"{mask!r} is not an element mask of {self.name}")
+
     def mul(self, a: int, b: int) -> int:
         self._check_index(a)
         self._check_index(b)
@@ -448,6 +453,7 @@ class FiniteGroup:
 
     def centralizer_mask(self, setmask: int, within: int | None = None) -> int:
         """Mask of elements of ``within`` commuting with everything in ``setmask``."""
+        self._check_mask(setmask)
         result = self.memo(("centralizer", setmask), self._centralizer_mask, setmask)
         return result if within is None else within & result
 
@@ -461,6 +467,7 @@ class FiniteGroup:
 
     def normalizer_mask(self, mask: int) -> int:
         """Mask of all g with (mask conjugated by g) == mask."""
+        self._check_mask(mask)
         return self.memo(("norm", mask), self._select, "conj", self.full_mask, mask, mask)
 
     def conjugation(self, g: int) -> np.ndarray:
@@ -479,6 +486,8 @@ class FiniteGroup:
 
     def conjugate_masks(self, masks, g: int) -> list[int]:
         """``conjugate_mask`` of each mask, by one gather per block: column y from g * y * g^-1."""
+        for m in masks:
+            self._check_mask(m)
         source = self.conjugation(g)
         size, out = (self.order + 7) // 8, []
         for i in range(0, len(masks), _BLOCK_ROWS):
@@ -497,6 +506,7 @@ class FiniteGroup:
         with r*g uncovered.  Its memo entry holds the mask and the seeds taken
         as generators, which :attr:`Subgroup.generators` reads.
         """
+        self._check_mask(seedmask)
         return self._closure(seedmask)[0]
 
     def _closure(self, seedmask: int) -> tuple[int, tuple[int, ...]]:

@@ -148,56 +148,46 @@ def _cyclic_subgroups(G: FiniteGroup) -> tuple[np.ndarray, list[int], np.ndarray
 def all_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
     """Every subgroup, sorted by (order, mask), by cyclic extension up to conjugacy.
 
-    Neubüser's cyclic extension (1960): every subgroup is the join of the
-    cyclic subgroups it contains, so a set of subgroups that holds the
-    trivial one and is closed under joining with any cyclic subgroup holds
-    them all.  The set found here is a union of conjugacy classes, each
-    entered whole (the orbit of one representative under the generators g
-    of G, each conjugate one gather of bits through ``G.conjugation(g)``),
-    and every representative H is joined with every cyclic subgroup C not
-    inside H.  So the join of any member H^g with C, which is
-    (H v C^(g^-1))^g, is found too.  C is taken only up to conjugacy by the
-    normalizer N(H), because H v C^n = (H v C)^n for n in N(H); each
-    N(H)-orbit of cyclic subgroups is read off one gather of the labels of
-    the conjugates c^n.  C is of prime-power order only, because <x> is the
-    join of the prime-power powers of x, so every subgroup is the join of
-    its prime-power cyclic subgroups.
+    The set found is a union of conjugacy classes, each entered whole as the
+    orbit of a representative H under G's generators g, one gather through
+    ``G.conjugation(g)`` each.  H is joined with prime-power cyclic C = <c>
+    not inside H by one rule, where R = G^(oo) ends the derived series:
 
-    When C = <c> with c in N(H), the join is the product H<c>, one gather.
-    Otherwise it is one Dimino step (``FiniteGroup._dimino_step``) from H,
-    not a ``closure_mask`` call: H's elements are known, and each
-    representative keeps the generators it was built from.  Those
-    generators also give N(H) = {g : gens^g inside H} from |G|*|gens|
-    pairs, not |G|*|H|.  A join J of prime index over H has no subgroup
-    strictly between it and H, so the join of H with any c in J is J, and
-    such a c is skipped.
+    - near joins, c in N(H): every such C, the join being the product H<c>;
+    - far joins, c outside N(H), only when H <= R: each C <= R up to
+      conjugacy by N(H), as H v C^n = (H v C)^n, read off one gather of the
+      labels of the c^n.  The join is one Dimino step
+      (``FiniteGroup._dimino_step``) from H and the generators H was built
+      from, which also give N(H) = {g : gens^g inside H}.
 
-    When G is solvable, C is taken inside N(H) only, so every join is a
-    product, and still every subgroup K is found, by induction on |K|.  K is
-    solvable, so if K != 1 it has a normal subgroup M of prime index p (the
-    preimage of one of prime index in the nontrivial abelian K/K').  Take k
-    in K but not M, of order p^a * m' with p not dividing m'.  Then
-    c = k^(m') has p-power order, lies outside M (its image in K/M, of order
-    p, is that of k to a power prime to p), and normalizes M, so K = M<c>.
-    M is found, so M = H^g for its class representative H, and then
-    K^(g^-1) = H<c^(g^-1)> with c^(g^-1) in N(H) and outside H.  The join
-    of H with the N(H)-orbit of <c^(g^-1)> gives K^(g^-1) up to conjugacy by
-    N(H), as above, and its class is entered whole, K with it.  In a group
-    that is not solvable this misses every subgroup with a nontrivial
-    perfect subgroup (A5 in symmetric(5)), so there every C is joined.
+    A join J of prime index over H has no subgroup strictly between, so the
+    join of H with any c in J is J, and such a c is skipped.  Each subgroup
+    K != 1 is found, by induction on |K|, as a join with a found M = H^g,
+    H a representative: K^(g^-1) = H v C^(g^-1), whose class is entered.
+
+    (i) K <= R (Neubüser, 1960).  K is generated by its prime-power cyclic
+    subgroups, so one, C, lies outside a maximal subgroup M of K, and
+    K = M v C.  R is normal, so H <= R and C^(g^-1) <= R: a near or far join.
+
+    (ii) K not inside R.  K^(oo) <= R, so K/K^(oo) is solvable and not 1,
+    and K has a normal subgroup M of prime index p.  Take k in K, not in M,
+    of order p^a * m' with p not dividing m'.  Then c = k^(m') has p-power
+    order, lies outside M and normalizes it, so K = M<c>, and c^(g^-1) is
+    in N(H), not in H: a near join.  If G is solvable, R = 1: all products.
     """
     return G.memo(("allsubs",), _all_subgroups, G)
 
 
-def _is_solvable(G: FiniteGroup) -> bool:
-    """Whether the derived series of G reaches the trivial group."""
-    return _series(G.as_subgroup(), lambda H: commutator_subgroup(H, H))[-1].members == 1
+def _residuum(G: FiniteGroup) -> int:
+    """The mask of G^(oo), the last term of the derived series."""
+    return _series(G.as_subgroup(), lambda H: commutator_subgroup(H, H))[-1].members
 
 
 def _all_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
     cyc_gen, cyc_mask, cyc_label = _cyclic_subgroups(G)
     prime_power = np.array([len(_prime_factors(m.bit_count())) <= 1 for m in cyc_mask])
-    solvable = _is_solvable(G)
+    R = _residuum(G)
+    in_R = _bool_vector(R, G.order)[cyc_gen]
     # K^g is K's bits gathered through the conjugation by g, for each generator g of G
     moves = [G.conjugation(g) for g in G.as_subgroup().generators]
     found = {1}
@@ -209,15 +199,15 @@ def _all_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
             continue
         norm = G.memo(("norm", H), G._select, "conj", G.full_mask, gens, H)
         in_norm = _bool_vector(norm, G.order)
-        N = np.flatnonzero(in_norm)
-        # orbits[i, c] is the label of <cyc_gen[c]^n> for the i-th n in N(H)
-        orbits = cyc_label[G._pair_values("conj", N[:, None], cyc_gen)]
-        least = orbits.min(axis=0) == np.arange(len(cyc_gen))
-        if solvable:
-            outside &= in_norm[cyc_gen]
+        joins = outside & in_norm[cyc_gen]
+        if not H & ~R:
+            far = np.flatnonzero(outside & ~in_norm[cyc_gen] & in_R)
+            # orbits[i, f] is the label of <cyc_gen[far[f]]^n> for the i-th n in N(H)
+            orbits = cyc_label[G._pair_values("conj", np.flatnonzero(in_norm)[:, None], cyc_gen[far])]
+            joins[far[orbits.min(axis=0) == far]] = True
         # the union of the joins J found from H of prime index over H
         covered = H
-        for c in np.flatnonzero(least & outside):
+        for c in np.flatnonzero(joins):
             x = int(cyc_gen[c])
             if covered >> x & 1:
                 continue

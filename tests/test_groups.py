@@ -568,6 +568,19 @@ def test_conjugate_subgroups():
             S3.element_centralizer_mask(bad)
 
 
+def test_mask_methods_refuse_masks_outside_the_group():
+    S3 = symmetric(3)
+    methods = (S3.closure_mask, S3.normalizer_mask, S3.centralizer_mask, partial(S3.conjugate_mask, g=1))
+    # True and 1.0 hash like 1, so the entries of the mask 1 made here must not answer them
+    for call in methods:
+        assert call(1) in (1, S3.full_mask)
+    # unchecked, -1 reads as every element and a bit past the last element indexes past the table
+    for bad in (-1, 1 << 6, 1 << 10, True, 1.0):
+        for call in (*methods, lambda m: S3.conjugate_masks([1, m], 1)):
+            with pytest.raises(MalformedInputError, match="is not an element mask"):
+                call(bad)
+
+
 def test_hall_witt_products_vanish():
     rng = random.Random(23)
     for G in (symmetric(4), quaternion(), dihedral(6)):

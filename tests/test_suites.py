@@ -227,8 +227,8 @@ def test_suites_write_each_memo_key_once():
 def test_all_subgroups_builds_few_closures(spec, most, monkeypatch):
     """Closure-type joins, one Dimino step each: none in a solvable group, where all are products H<c>."""
     G = from_spec.__wrapped__(spec)
-    # warm the solvability test and G's generators, so every step counted is a join
-    suites._is_solvable(G)
+    # warm the residuum and G's generators, so every step counted is a join
+    suites._residuum(G)
     G.as_subgroup().generators
     steps = Counter()
     step = FiniteGroup._dimino_step
@@ -246,8 +246,8 @@ def test_all_subgroups_memo_adds_one_normalizer_per_class_and_no_closure():
     """No join goes through ``closure_mask``: products H<c> and Dimino steps leave no closure entry."""
     for spec, classes in (("symmetric(5)", 19), ("unitriangular(7)", 19), ("symmetric(4)", 11)):
         G = from_spec.__wrapped__(spec)
-        # warm the solvability test and G's generators, so every entry counted is the enumeration's
-        suites._is_solvable(G)
+        # warm the residuum and G's generators, so every entry counted is the enumeration's
+        suites._residuum(G)
         gens = G.as_subgroup().generators
         before = set(G._memo)
         masks = [s.members for s in all_subgroups(G)]
@@ -257,15 +257,34 @@ def test_all_subgroups_memo_adds_one_normalizer_per_class_and_no_closure():
         assert conjugacy_class_count(G, masks) == classes
 
 
-def test_is_solvable():
-    assert [spec for spec in DEFAULT_CATALOG if not suites._is_solvable(from_spec(spec))] == ["alternating(5)"]
-    for spec in ("symmetric(5)", "symmetric(6)", "alternating(6)"):
-        assert not suites._is_solvable(from_spec(spec))
+def test_residuum():
+    residua = {spec: suites._residuum(from_spec(spec)) for spec in DEFAULT_CATALOG}
+    assert [spec for spec, R in residua.items() if R != 1] == ["alternating(5)"]
+    assert residua["alternating(5)"] == from_spec("alternating(5)").full_mask
+    for spec, order in (("symmetric(5)", 60), ("symmetric(6)", 360), ("alternating(6)", 360)):
+        assert suites._residuum(from_spec(spec)).bit_count() == order
+
+
+def test_far_joins_stay_inside_the_residuum(monkeypatch):
+    """Every Dimino step joins a subgroup of R = A5 with an element of R, in symmetric(5)."""
+    G = from_spec.__wrapped__("symmetric(5)")
+    R = suites._residuum(G)
+    G.as_subgroup().generators
+    joined = []
+    step = FiniteGroup._dimino_step
+
+    def recording_step(self, elems, mask, gens):
+        joined.append((mask, gens[-1]))
+        return step(self, elems, mask, gens)
+
+    monkeypatch.setattr(FiniteGroup, "_dimino_step", recording_step)
+    assert len(all_subgroups(G)) == SUBGROUP_COUNTS["symmetric(5)"]
+    assert joined and all(not H & ~R and R >> x & 1 for H, x in joined)
 
 
 def test_solvable_rule_misses_the_subgroups_over_a_perfect_one(monkeypatch):
-    """Joining only inside normalizers loses A5 and S5 from symmetric(5)."""
-    monkeypatch.setattr(suites, "_is_solvable", lambda G: True)
+    """Joining only inside normalizers, R forced to 1, loses A5 and S5 from symmetric(5)."""
+    monkeypatch.setattr(suites, "_residuum", lambda G: 1)
     orders = [s.order for s in all_subgroups(from_spec.__wrapped__("symmetric(5)"))]
     assert len(orders) == SUBGROUP_COUNTS["symmetric(5)"] - 2
     assert 60 not in orders and 120 not in orders
@@ -273,7 +292,7 @@ def test_solvable_rule_misses_the_subgroups_over_a_perfect_one(monkeypatch):
 
 # B4 = C2 wr S4, the signed permutations of four points i and i+4
 B4 = [[1, 2, 3, 0, 5, 6, 7, 4], [1, 0, 2, 3, 5, 4, 6, 7], [4, 1, 2, 3, 0, 5, 6, 7]]
-LARGE_SOLVABLE = [
+FULL_RULE_GROUPS = [
     ("D8 wr C2", partial(FiniteGroup.from_permutations, 8, D8_WR_C2), 576),
     ("B4", partial(FiniteGroup.from_permutations, 8, B4), 1659),
     (
@@ -281,19 +300,26 @@ LARGE_SOLVABLE = [
         partial(from_spec.__wrapped__, "product(symmetric(4),symmetric(3))"),
         372,
     ),
+    ("symmetric(5)", partial(from_spec.__wrapped__, "symmetric(5)"), 156),
+    (
+        "product(alternating(5),cyclic(2))",
+        partial(from_spec.__wrapped__, "product(alternating(5),cyclic(2))"),
+        164,
+    ),
+    ("symmetric(6)", partial(from_spec.__wrapped__, "symmetric(6)"), 1455),
 ]
 
 
 @pytest.mark.parametrize(
-    "build, count", [(b, c) for _, b, c in LARGE_SOLVABLE], ids=[n for n, _, _ in LARGE_SOLVABLE]
+    "build, count", [(b, c) for _, b, c in FULL_RULE_GROUPS], ids=[n for n, _, _ in FULL_RULE_GROUPS]
 )
-def test_solvable_rule_matches_the_full_rule(build, count, monkeypatch):
-    """Too large for the pairwise join: the full rule, gate forced off, is the reference."""
+def test_residuum_rule_matches_the_full_rule(build, count, monkeypatch):
+    """Too large for the pairwise join: the full rule, R forced to G, is the reference."""
     G = build()
-    assert suites._is_solvable(G)
+    assert suites._residuum(G) != G.full_mask
     got = tuple(s.members for s in all_subgroups(G))
     assert len(got) == count
-    monkeypatch.setattr(suites, "_is_solvable", lambda G: False)
+    monkeypatch.setattr(suites, "_residuum", lambda G: G.full_mask)
     assert got == tuple(s.members for s in all_subgroups(build()))
 
 
