@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapExceededError, InternalCheckError
-from .groups import ElementSet, Subgroup, _ambient_pair, iter_mask, mask_of
+from .groups import ElementSet, Subgroup, _ambient_pair, _check_same_group, iter_mask, mask_of
 from .series import _center
 
 # most centralizers `centralizer_lattice` enumerates before it gives up
@@ -23,9 +23,9 @@ _CERTIFY_MIN_PAIRS = 1024
 
 def centralizer(subset: ElementSet, within: Subgroup | None = None) -> Subgroup:
     """The centralizer of a subset, inside ``within`` (default: the whole group)."""
-    G = subset.parent
-    inner = None if within is None else within.members
-    return Subgroup(G, G.centralizer_mask(subset.members, within=inner))
+    G, inner = _ambient_pair(subset.parent if within is None else within)
+    _check_same_group(subset, G)
+    return Subgroup(G, inner & G.centralizer_mask(subset.members))
 
 
 class CentralizerLattice:
@@ -137,7 +137,7 @@ def centralizer_lattice(ambient) -> CentralizerLattice:
         i += 1
 
     for node, wit in found.items():
-        if G.centralizer_mask(wit, within=amb) != node:
+        if amb & G.centralizer_mask(wit) != node:
             raise InternalCheckError("lattice node does not match its witness centralizer")
 
     ranked = sorted(found, key=lambda m: (-m.bit_count(), m))
@@ -222,7 +222,7 @@ def c_dimension(lattice: CentralizerLattice) -> ChainReport:
     for i in path:
         wit |= lattice.witnesses[i].members
         cumulative.append(ElementSet(G, wit))
-        if G.centralizer_mask(wit, within=amb) != lattice.nodes[i].members:
+        if amb & G.centralizer_mask(wit) != lattice.nodes[i].members:
             raise InternalCheckError("witness set does not cut out its chain entry")
     return ChainReport(max(1, len(path) - 1), chain, tuple(cumulative))
 
@@ -244,8 +244,8 @@ def greedy_witness(subset: ElementSet, within: Subgroup | None = None) -> tuple[
     shrink the running centralizer, so the result length never exceeds the
     centralizer dimension of the ambient group.
     """
-    G = subset.parent
-    current = G.full_mask if within is None else within.members
+    G, current = _ambient_pair(subset.parent if within is None else within)
+    _check_same_group(subset, G)
     cents, picked = G.element_centralizer_masks(), []
     for x in subset:
         shrunk = current & cents[x]

@@ -96,7 +96,7 @@ def _cmd_dim(args) -> int:
     S = _subject(G, args)
     report = c_dimension(centralizer_lattice(S))
     print(f"order: {S.order}")
-    print(f"center order: {G.centralizer_mask(S.members, within=S.members).bit_count()}")
+    print(f"center order: {(S.members & G.centralizer_mask(S.members)).bit_count()}")
     print(f"dimension: {report.length}")
     print("witness chain:")
     for node, wit in zip(report.chain, report.witness_sets):

@@ -21,13 +21,13 @@ from .errors import (
     InternalCheckError,
     NotNilpotentError,
     NotNormalError,
-    ParentMismatchError,
 )
 from .groups import (
     _BLOCK_PAIRS,
     ElementSet,
     FiniteGroup,
     Subgroup,
+    _check_same_group,
     _prime_factors,
     _vector_mask,
     commutator_subgroup,
@@ -83,15 +83,15 @@ def _stage_cut(above: Subgroup, witnesses: int, center: Subgroup) -> int:
     return above.parent._select("comm", above.members, witnesses, center.members)
 
 
-def _witnesses_cut_out(G: FiniteGroup, witnesses, target: int, within: int | None = None) -> bool:
-    """Whether the centralizer of the witnesses in ``within`` (default G) is ``target``."""
-    return G.centralizer_mask(mask_of(witnesses), within=within) == target
+def _witnesses_cut_out(G: FiniteGroup, witnesses, target: int, within: int) -> bool:
+    """Whether the centralizer of the witnesses inside the mask ``within`` is ``target``."""
+    return within & G.centralizer_mask(mask_of(witnesses)) == target
 
 
 def _replacement(H: Subgroup, e1: Subgroup) -> Subgroup:
     """H * Z(E_1), the subgroup the later stages are built over."""
     G = H.parent
-    return product_set(H, Subgroup(G, G.centralizer_mask(e1.members, within=e1.members)))
+    return product_set(H, Subgroup(G, e1.members & G.centralizer_mask(e1.members)))
 
 
 def _not_normalized(trace: EnvelopeTrace, base: int) -> str | None:
@@ -114,8 +114,7 @@ def build_envelope(G: FiniteGroup, H: Subgroup) -> EnvelopeTrace:
     Z_n(E_n).  The construction's structural guarantees are re-asserted
     before returning; a violation raises :class:`InternalCheckError`.
     """
-    if H.parent is not G:
-        raise ParentMismatchError("subgroup belongs to a different group")
+    _check_same_group(G, H)
     n = nilpotence_class(H)
     if n is None:
         raise NotNilpotentError("envelope construction needs a nilpotent subgroup")
@@ -124,7 +123,7 @@ def build_envelope(G: FiniteGroup, H: Subgroup) -> EnvelopeTrace:
 
     e1, c_of_h = minimal_centralizer_above(H)
     witnesses1 = greedy_witness(c_of_h)
-    if not _witnesses_cut_out(G, witnesses1, e1.members):
+    if not _witnesses_cut_out(G, witnesses1, e1.members, G.full_mask):
         raise InternalCheckError("stage-one witnesses do not cut out E_1")
     replaced = _replacement(H, e1)
     if nilpotence_class(replaced) != n:
@@ -137,8 +136,8 @@ def build_envelope(G: FiniteGroup, H: Subgroup) -> EnvelopeTrace:
         wits = greedy_witness(ElementSet(G, t_k.members), within=prev)
         if not wits:
             raise InternalCheckError(f"no tower witnesses at level {k}")
-        level_centralizer = G.centralizer_mask(t_k.members, within=prev.members)
-        if not _witnesses_cut_out(G, wits, level_centralizer, within=prev.members):
+        level_centralizer = prev.members & G.centralizer_mask(t_k.members)
+        if not _witnesses_cut_out(G, wits, level_centralizer, prev.members):
             raise InternalCheckError(f"witnesses at level {k} have the wrong centralizer")
         mask = _stage_cut(prev, mask_of(wits), _center(prev, k - 1))
         if not is_subgroup_mask(G, mask):
@@ -260,7 +259,7 @@ def verify_envelope(trace: EnvelopeTrace, seed: int = 0) -> EnvelopeReport:
         c_h = G.centralizer_mask(trace.original.members)
         note(1, "stage one is the double centralizer", G.centralizer_mask(c_h) == e1.members)
         note(1, "stage-one witnesses cut out the stage",
-             _witnesses_cut_out(G, trace.tower[0].witnesses, e1.members))
+             _witnesses_cut_out(G, trace.tower[0].witnesses, e1.members, G.full_mask))
         # H * Z(E_1) is a subgroup when H lies in E_1
         note(1, "replacement only adds the stage-one center",
              trace.original.members & ~e1.members == 0
@@ -276,7 +275,7 @@ def verify_envelope(trace: EnvelopeTrace, seed: int = 0) -> EnvelopeReport:
              inside and mask_of(lvl.witnesses) & ~t_k.members == 0)
         note(k, "witnesses have the same relative centralizer as the full level",
              inside and _witnesses_cut_out(
-                 G, lvl.witnesses, G.centralizer_mask(t_k.members, within=prev.members), within=prev.members
+                 G, lvl.witnesses, prev.members & G.centralizer_mask(t_k.members), prev.members
              ))
 
         note(k, "stage equals the intersection over the whole level",
@@ -348,8 +347,7 @@ def trace_to_dict(trace: EnvelopeTrace) -> dict:
 
 def envelope_of_normal(G: FiniteGroup, H: Subgroup) -> EnvelopeTrace:
     """Envelope of a normal nilpotent subgroup; the result is checked normal."""
-    if H.parent is not G:
-        raise ParentMismatchError("subgroup belongs to a different group")
+    _check_same_group(G, H)
     if not H.is_normal:
         raise NotNormalError("subgroup is not normal in its parent")
     trace = build_envelope(G, H)

@@ -405,12 +405,11 @@ class FiniteGroup:
         generators depend only on its members.  A value, ``None`` included,
         is built once and never changed: it is immutable or treated as such,
         every caller shares it, and ``("conjugation", g)`` is a read-only
-        index array.  The element centralizers are one tuple indexed by
-        element, which loops read once; set centralizers, the center among
+        index array.  Each family has one builder, so a key names one value
+        whoever asks first.  The element centralizers are one tuple indexed
+        by element, which loops read once; set centralizers, the center among
         them, are the ``("centralizer", setmask)`` family (2,866 entries over
-        a seed-0 ``verify``'s 19 groups).  ``all_subgroups`` writes ``("norm",
-        H)`` for its representatives from H's generators: the same set that
-        ``normalizer_mask`` selects from all of H, with fewer conjugates.
+        a seed-0 ``verify``'s 19 groups).
         """
         try:
             return self._memo[key]
@@ -451,11 +450,10 @@ class FiniteGroup:
             seen |= cls
         return tuple(classes)
 
-    def centralizer_mask(self, setmask: int, within: int | None = None) -> int:
-        """Mask of elements of ``within`` commuting with everything in ``setmask``."""
+    def centralizer_mask(self, setmask: int) -> int:
+        """Mask of the elements commuting with everything in ``setmask``."""
         self._check_mask(setmask)
-        result = self.memo(("centralizer", setmask), self._centralizer_mask, setmask)
-        return result if within is None else within & result
+        return self.memo(("centralizer", setmask), self._centralizer_mask, setmask)
 
     def _centralizer_mask(self, setmask: int) -> int:
         cents, result = self.element_centralizer_masks(), self.full_mask
@@ -468,7 +466,17 @@ class FiniteGroup:
     def normalizer_mask(self, mask: int) -> int:
         """Mask of all g with (mask conjugated by g) == mask."""
         self._check_mask(mask)
-        return self.memo(("norm", mask), self._select, "conj", self.full_mask, mask, mask)
+        return self._normalizer(mask, mask)
+
+    def _normalizer(self, mask: int, conjugators: int) -> int:
+        """The ``("norm", mask)`` entry: the g with x^g in the mask for every x in ``conjugators``.
+
+        That is the normalizer of the mask when ``conjugators`` is the mask,
+        as a finite set maps into itself only onto itself, or when the mask
+        is a subgroup that ``conjugators`` generates, as H^g is then a
+        subgroup of H of the same order.
+        """
+        return self.memo(("norm", mask), self._select, "conj", self.full_mask, conjugators, mask)
 
     def conjugation(self, g: int) -> np.ndarray:
         """The permutation y -> g * y * g^-1, read-only and memoized: flags gathered through it conjugate by g."""
@@ -583,6 +591,7 @@ class ElementSet:
     __slots__ = ("parent", "members")
 
     def __init__(self, parent: FiniteGroup, members: int) -> None:
+        parent._check_mask(members)
         self.parent = parent
         self.members = members
 
@@ -590,7 +599,7 @@ class ElementSet:
         return self.members.bit_count()
 
     def __contains__(self, x: int) -> bool:
-        return 0 <= x < self.parent.order and bool(self.members >> x & 1)
+        return _is_index(x) and 0 <= x < self.parent.order and bool(self.members >> x & 1)
 
     def __iter__(self):
         return iter_mask(self.members)
@@ -621,9 +630,9 @@ class Subgroup(ElementSet):
     __slots__ = ("_gens",)
 
     def __init__(self, parent: FiniteGroup, members: int) -> None:
+        super().__init__(parent, members)
         if not members & 1:
             raise NotASubgroupError("subgroup mask must contain the identity")
-        super().__init__(parent, members)
         self._gens: tuple[int, ...] = ()  # product_set's, else read from the closure memo
 
     @property
@@ -650,6 +659,14 @@ def _ambient_pair(ambient) -> tuple[FiniteGroup, int]:
     return ambient.parent, ambient.members
 
 
+def _check_same_group(first, *rest) -> None:
+    """Raise :class:`ParentMismatchError` unless the groups, element sets and subgroups given are of one group."""
+    G = first if isinstance(first, FiniteGroup) else first.parent
+    for item in rest:
+        if (item if isinstance(item, FiniteGroup) else item.parent) is not G:
+            raise ParentMismatchError("arguments belong to different groups")
+
+
 def is_subgroup_mask(parent: FiniteGroup, mask: int) -> bool:
     """Whether the mask is a subgroup: it holds 1 and is closed under products.
 
@@ -674,8 +691,7 @@ def commutator_subgroup(first: ElementSet, second: ElementSet) -> Subgroup:
     again until nothing changes.  Other sets take the closure of the image
     of all pairs.  The result is memoized per pair of masks.
     """
-    if first.parent is not second.parent:
-        raise ParentMismatchError("commutator of sets in different groups")
+    _check_same_group(first, second)
     a_mask, b_mask = first.members, second.members
     key = ("commsub", min(a_mask, b_mask), max(a_mask, b_mask))
     return first.parent.memo(key, _commutator_subgroup, first, second)
@@ -713,8 +729,7 @@ def product_set(first: Subgroup, second: Subgroup) -> Subgroup:
     AB is a subgroup exactly when AB == BA as sets; otherwise
     :class:`NotASubgroupError` is raised.
     """
-    if first.parent is not second.parent:
-        raise ParentMismatchError("product of subgroups of different groups")
+    _check_same_group(first, second)
     G = first.parent
     ab = G._image("mul", first.members, second.members)
     ba = G._image("mul", second.members, first.members)
@@ -848,8 +863,7 @@ def subgroup_from_dict(parent: FiniteGroup, data: dict) -> Subgroup:
         raise MalformedInputError("subgroup description must be a dict with 'generators'")
     gens = []
     for spec in _generator_list(data):
-        if _is_index(spec):
-            parent._check_index(spec)
+        if _is_index(spec):  # checked with the rest by subgroup_from_generators
             gens.append(spec)
         elif isinstance(spec, list):
             if parent.kind != "perm":

@@ -10,10 +10,11 @@ from that raw definition so that the structural claims about the tower
 
 from __future__ import annotations
 
-from .errors import HypothesisError, InternalCheckError, ParentMismatchError
+from .errors import HypothesisError, InternalCheckError
 from .groups import (
     Subgroup,
     _ambient_pair,
+    _check_same_group,
     commutator_subgroup,
     is_subgroup_mask,
     mask_of,
@@ -87,9 +88,8 @@ def iterated_centralizer(ambient, base: Subgroup, n: int) -> tuple[Subgroup, ...
     built from level m-1's entry; the levels are visited by a loop, so a
     deep tower does not recurse.
     """
+    _check_same_group(ambient, base)
     G, amb = _ambient_pair(ambient)
-    if base.parent is not G:
-        raise ParentMismatchError("base subgroup belongs to a different group")
     if base.members & ~amb:
         raise HypothesisError("base subgroup is not contained in the ambient subgroup")
     if n < 0:
@@ -173,10 +173,8 @@ def check_three_subgroup(
     violating that precondition raises :class:`HypothesisError`, matching
     the lemma's standing hypothesis.
     """
+    _check_same_group(first, second, third, inside)
     G = inside.parent
-    for sub in (first, second, third):
-        if sub.parent is not G:
-            raise ParentMismatchError("all four subgroups must share one parent group")
     norm = G.normalizer_mask(inside.members)
     for label, sub in (("K", first), ("L", second), ("M", third)):
         if sub.members & ~norm:
@@ -215,9 +213,7 @@ def check_centralizer_transfer(ambient, small: Subgroup, big: Subgroup, k: int) 
     gamma_k = _gamma(big, k)
     c_k_x = x_tower[k]
     commute = commutator_subgroup(gamma_k, c_k_x).members == 1
-    same_centralizer = G.centralizer_mask(small.members, within=amb) == G.centralizer_mask(
-        big.members, within=amb
-    )
+    same_centralizer = amb & G.centralizer_mask(small.members) == amb & G.centralizer_mask(big.members)
 
     if not (agree_below and commute and same_centralizer):
         return None
@@ -231,6 +227,7 @@ def check_nested_towers(inner: Subgroup, mid: Subgroup, outer: Subgroup, n: int)
     with the upper central series of C at every level below n.  Returns
     whether the conclusion holds, or None when the hypothesis fails.
     """
+    _check_same_group(inner, mid, outer)
     if n < 1:
         raise HypothesisError("level n must be at least 1")
     if inner.members & ~mid.members or mid.members & ~outer.members:

@@ -197,7 +197,7 @@ def _all_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
         outside = ~_bool_vector(H, G.order)[cyc_gen] & prime_power
         if not outside.any():
             continue
-        norm = G.memo(("norm", H), G._select, "conj", G.full_mask, gens, H)
+        norm = G._normalizer(H, gens)
         in_norm = _bool_vector(norm, G.order)
         joins = outside & in_norm[cyc_gen]
         if not H & ~R:

@@ -1,10 +1,16 @@
-"""Guard mutants: each InternalCheckError guard, once removed, fails its row in test_guards.py.
+"""Guard and check mutants: each guard or argument check, once removed, fails its tests.
 
-Copies ``src/`` to a temporary directory, then, one guard at a time, turns
-its ``raise InternalCheckError(...)`` statement into ``pass`` and runs the
-rows of ``tests/test_guards.py`` against the copy.  Guards listed in
-``test_guards.UNREACHABLE`` are skipped by their message.  Exits 1
-if the unmutated copy fails or if any mutant passes.
+Copies ``src/`` to a temporary directory and runs two families of mutants
+against the copy, one statement at a time turned into ``pass``:
+
+- each ``raise InternalCheckError(...)`` statement must fail the rows of
+  ``tests/test_guards.py``; guards listed in ``test_guards.UNREACHABLE``
+  are skipped by their message;
+- each call of an argument check (``_check_index``, ``_check_mask`` or
+  ``_check_same_group``, see ``test_contract.check_sites``) must fail
+  ``tests/test_contract.py``.
+
+Exits 1 if the unmutated copy fails either test file or if any mutant passes.
 
 Run from anywhere, with pytest and the package's dependencies installed:
 
@@ -13,6 +19,7 @@ Run from anywhere, with pytest and the package's dependencies installed:
 
 from __future__ import annotations
 
+import ast
 import os
 import shutil
 import subprocess
@@ -21,45 +28,53 @@ import tempfile
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
-# this checkout's package, ahead of any installed copy, and the guard rows
+# this checkout's package, ahead of any installed copy, and the test modules
 sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
 
+from test_contract import check_sites  # noqa: E402
 from test_guards import UNREACHABLE, guard_sites  # noqa: E402
 
+# family -> (its sites as (file, statement, label), the pytest arguments its mutants must fail)
+FAMILIES = {
+    "guard": (
+        lambda src: [site for site in guard_sites(src) if site[2] not in UNREACHABLE],
+        [str(TESTS / "test_guards.py"), "-k", "fires_on_its_fault"],
+    ),
+    "check": (
+        lambda src: [(path, node, ast.unparse(node)) for path, node in check_sites(src)],
+        [str(TESTS / "test_contract.py")],
+    ),
+}
 
-def _rows_pass(src: Path) -> bool:
+
+def _tests_pass(src: Path, tests: list[str]) -> bool:
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    command = [
-        sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-        str(TESTS / "test_guards.py"), "-k", "fires_on_its_fault",
-    ]
-    return subprocess.run(command, env=env, cwd=src, capture_output=True).returncode == 0
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(command, env=env, cwd=src, capture_output=True, timeout=600).returncode == 0
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(TESTS.parent / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
-        if not _rows_pass(src):
-            print("the unmutated copy fails tests/test_guards.py")
-            return 1
         survivors = 0
-        for path, node, message in guard_sites(src / "nilenv"):
-            where = f"{path.name}:{node.lineno}"
-            if message in UNREACHABLE:
-                print(f"skip     {where} {message}")
-                continue
-            original = path.read_text(encoding="utf-8")
-            lines = original.splitlines(keepends=True)
-            indent = lines[node.lineno - 1][: node.col_offset]
-            lines[node.lineno - 1 : node.end_lineno] = [f"{indent}pass\n"]
-            path.write_text("".join(lines), encoding="utf-8")
-            try:
-                caught = not _rows_pass(src)
-            finally:
-                path.write_text(original, encoding="utf-8")
-            survivors += not caught
-            print(f"{'caught  ' if caught else 'SURVIVED'} {where} {message}")
+        for family, (sites, tests) in FAMILIES.items():
+            if not _tests_pass(src, tests):
+                print(f"the unmutated copy fails {tests[0]}")
+                return 1
+            for path, node, label in sites(src / "nilenv"):
+                where = f"{path.name}:{node.lineno}"
+                original = path.read_text(encoding="utf-8")
+                lines = original.splitlines(keepends=True)
+                indent = lines[node.lineno - 1][: node.col_offset]
+                lines[node.lineno - 1 : node.end_lineno] = [f"{indent}pass\n"]
+                path.write_text("".join(lines), encoding="utf-8")
+                try:
+                    caught = not _tests_pass(src, tests)
+                finally:
+                    path.write_text(original, encoding="utf-8")
+                survivors += not caught
+                print(f"{'caught  ' if caught else 'SURVIVED'} {family} {where} {label}")
         print(f"{survivors} mutant(s) survived")
         return 1 if survivors else 0
 

@@ -181,7 +181,7 @@ def test_greedy_witness_within():
     wits = greedy_witness(ElementSet(G, mask_of([1])), within=rotations)
     assert wits == ()
     flips = greedy_witness(ElementSet(G, mask_of([4])), within=rotations)
-    assert G.centralizer_mask(mask_of([4]), within=rotations.members) == rotations.members & G.element_centralizer_mask(4)
+    assert centralizer(ElementSet(G, mask_of([4])), within=rotations).members == rotations.members & G.element_centralizer_mask(4)
     assert len(flips) == 1
 
 

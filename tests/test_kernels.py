@@ -334,18 +334,14 @@ def test_generators_match_the_greedy_prefix_scan(spec):
 @given(randoms)
 def test_set_centralizer_memo_matches_element_centralizers(rng):
     G = random_group(rng)
-    s, within = random_subset(rng, G), random_subset(rng, G)
+    s = random_subset(rng, G)
     direct = G.full_mask
     for g in iter_mask(s):
         direct &= G.element_centralizer_mask(g)
-    # each order makes the first call, which stores C(s), with or without
-    # ``within``; the calls after it read the memo
-    for first, then in ((None, within), (within, None)):
-        G._memo.pop(("centralizer", s), None)
-        for w in (first, then, first):
-            expect = direct if w is None else direct & w
-            assert G.centralizer_mask(s, within=w) == expect
-            assert G._memo[("centralizer", s)] == direct
+    # the first call stores C(s); the second reads the memo
+    for _ in range(2):
+        assert G.centralizer_mask(s) == direct
+        assert G._memo[("centralizer", s)] == direct
 
 
 @KERNEL_SETTINGS

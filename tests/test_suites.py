@@ -257,6 +257,20 @@ def test_all_subgroups_memo_adds_one_normalizer_per_class_and_no_closure():
         assert conjugacy_class_count(G, masks) == classes
 
 
+@pytest.mark.parametrize(
+    "spec", ["symmetric(4)", "symmetric(5)", "unitriangular(7)", "product(dihedral(4),symmetric(3))"]
+)
+def test_all_subgroups_normalizers_match_the_all_member_test(spec):
+    """Each ("norm", H) entry all_subgroups writes from H's generators is the normalizer over all of H."""
+    G = from_spec.__wrapped__(spec)
+    before = set(G._memo)
+    all_subgroups(G)
+    written = {key[1]: value for key, value in G._memo.items() if key[0] == "norm" and key not in before}
+    assert written
+    for H, norm in written.items():
+        assert norm == G._select("conj", G.full_mask, H, H), (spec, H)
+
+
 def test_residuum():
     residua = {spec: suites._residuum(from_spec(spec)) for spec in DEFAULT_CATALOG}
     assert [spec for spec, R in residua.items() if R != 1] == ["alternating(5)"]
